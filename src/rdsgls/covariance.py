@@ -2,9 +2,10 @@
 
 The autocovariance of a stationary tree walk depends only on tree distance
 and decomposes over the walk spectrum.  This module builds the dense
-covariance, exploits the sparse closed-form inverse available in the
-single-geometric-term case, solves the generalized least squares system,
-and carries the chain estimator whose variance certifies the 1/n rate.
+covariance (the reference), exploits the sparse closed-form inverse
+available in the single-geometric-term case, solves the generalized least
+squares system either densely or exactly along the tree in O(n), and
+carries the chain estimator whose variance certifies the 1/n rate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     ReducedSystemError,
     SingularCovarianceError,
 )
-from .referral import ReferralTree
+from .referral import ReferralTree, tree_distance_pgf
 from .sampler import RdsSample
 
 LEADING_EIGENVALUE_TOL = 1e-9
@@ -100,7 +101,7 @@ class CovarianceMatrix:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.tree.n, self.tree.n):
             raise InvalidParametersError("covariance shape must match the tree")
-        if np.max(np.abs(m - m.T)) > 0:
+        if not np.array_equal(m, m.T):
             raise InvalidParametersError("covariance must be exactly symmetric")
 
     @property
@@ -214,6 +215,71 @@ def gls_solve(sigma: CovarianceMatrix, Y: np.ndarray) -> GlsResult:
         raise SingularCovarianceError("1' Sigma^{-1} 1 must be positive")
     weights = x / total
     return GlsResult(estimate=float(weights @ Y), weights=weights, variance=1.0 / total)
+
+
+def tree_gls_solve(
+    tree: ReferralTree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0
+) -> GlsResult:
+    """GLS under ``build_sigma(tree, ac)`` plus ``constant`` times the all-ones matrix.
+
+    Exact and non-iterative in O(n K^3) time and O(n K^2) memory for K
+    terms.  Term k is beta_k^2 times a unit-variance tree GMRF whose
+    precision Q_k is the sparse single-term inverse, so Sigma x = 1 is the
+    augmented system [[nugget I, B], [B', -Q]] with B = [beta_1 I ... beta_K I].
+    Grouped per node as (x_s, y_1s, ..., y_Ks), it couples a node only to
+    its parent: leaf-to-root elimination of (K+1) x (K+1) node blocks and
+    root-to-leaf back substitution solve it, and stay valid as the nugget
+    goes to zero.  The constant term changes the variance but not the
+    weights (Sherman-Morrison).
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    n = tree.n
+    if Y.shape[0] != n:
+        raise InvalidParametersError("outcome length must match the tree")
+    if not constant >= 0:
+        raise InvalidParametersError("constant covariance term must be >= 0")
+    b2, lam = np.array(ac.terms, dtype=np.float64).reshape(-1, 2).T
+    K = lam.shape[0]
+    one_minus = 1.0 - lam * lam
+    # E: the (diagonal) block linking a node to its parent; x never links
+    e = np.concatenate(([0.0], lam / one_minus))
+    S = np.zeros((n, K + 1, K + 1))
+    S[:, 0, 0] = ac.nugget
+    S[:, 0, 1:] = S[:, 1:, 0] = np.sqrt(b2)
+    idx = np.arange(1, K + 1)
+    S[:, idx, idx] = -(1.0 + np.outer(tree.degrees - 1.0, lam * lam)) / one_minus
+    z = np.zeros((n, K + 1))
+    z[:, 0] = 1.0
+    F = np.empty_like(S)  # S_c^{-1} E, kept for back substitution
+    runs = tree.level_runs()
+    try:
+        for nodes, _, heads, starts in reversed(runs):
+            inv = np.linalg.inv(S[nodes])
+            a = np.einsum("mij,mj->mi", inv, z[nodes])
+            z[nodes] = a
+            F[nodes] = f = inv * e
+            S[heads] -= np.add.reduceat(e[:, None] * f, starts, axis=0)
+            z[heads] -= np.add.reduceat(e * a, starts, axis=0)
+        z[0] = np.linalg.solve(S[0], z[0])
+        for nodes, parents, _, _ in runs:
+            z[nodes] -= np.einsum("mij,mj->mi", F[nodes], z[parents])
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError("covariance has a singular node block") from exc
+    x = z[:, 0]
+    total = x.sum()
+    if not (np.all(np.isfinite(x)) and total > 0):
+        raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
+    weights = x / total
+    return GlsResult(
+        estimate=float(weights @ Y), weights=weights, variance=1.0 / total + constant
+    )
+
+
+def tree_covariance_mass(tree: ReferralTree, ac: AutoCovariance) -> float:
+    """Total mass 1' Sigma 1 of ``build_sigma(tree, ac)`` by one batched sweep."""
+    n = tree.n
+    b2, lam = np.array(ac.terms, dtype=np.float64).reshape(-1, 2).T
+    return n * ac.nugget + n * n * float(b2 @ tree_distance_pgf(tree, lam))
 
 
 def theorem2_limit(lam: float, beta2: float) -> float:

@@ -12,11 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .covariance import AutoCovariance, CovarianceMatrix, one_sigma_inv_one_ranktwo
+from .covariance import (
+    AutoCovariance,
+    CovarianceMatrix,
+    gls_solve,
+    one_sigma_inv_one_ranktwo,
+)
 from .errors import InvalidParametersError, SingularCovarianceError
-from .referral import ReferralTree, tree_distance_distribution
+from .referral import ReferralTree, tree_distance_pgf
 
 RSE_VARIANTS = ("as_printed", "mean_variance")
 GREY_LINE_GRID = np.linspace(-0.9, 0.9, 181)
@@ -63,17 +67,9 @@ def rse(sigma_hat: CovarianceMatrix, variant: str = "as_printed") -> float:
     """
     if variant not in RSE_VARIANTS:
         raise InvalidParametersError(f"unknown RSE variant {variant!r}")
-    m = sigma_hat.matrix
     n = sigma_hat.n
-    try:
-        chol = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            "covariance is not positive definite; add a diagonal nugget"
-        ) from exc
-    x = scipy.linalg.cho_solve(chol, np.ones(n), check_finite=False)
-    gls_var = 1.0 / x.sum()
-    mass = m.sum()
+    gls_var = gls_solve(sigma_hat, np.zeros(n)).variance
+    mass = sigma_hat.matrix.sum()
     denom = mass / n if variant == "as_printed" else mass / n**2
     return float(np.sqrt(gls_var / denom))
 
@@ -86,8 +82,8 @@ def ranktwo_rse_curve(
     """RSE as a function of the eigenvalue under a single geometric term.
 
     The loading scale cancels between numerator and denominator, so the
-    curve depends only on the eigenvalue and the tree's exact distance
-    distribution.
+    curve depends only on the eigenvalue and the tree's distance PGF,
+    evaluated for the whole grid in one O(n len(grid)) sweep.
     """
     if variant not in RSE_VARIANTS:
         raise InvalidParametersError(f"unknown RSE variant {variant!r}")
@@ -95,8 +91,7 @@ def ranktwo_rse_curve(
     if np.any(np.abs(grid) >= 1):
         raise SingularCovarianceError("grey-line eigenvalues must satisfy |lambda| < 1")
     n = tree.n
-    dist = tree_distance_distribution(tree)
-    pgf = dist.pgf_grid(grid)
+    pgf = tree_distance_pgf(tree, grid)
     gls_var = np.array(
         [1.0 / one_sigma_inv_one_ranktwo(n, 1.0, lam) for lam in grid]
     )
@@ -127,13 +122,13 @@ def jensen_check(gamma: AutoCovariance, tree: ReferralTree) -> JensenResult:
     lam_max = gamma.max_abs_eigenvalue()
     magnitude_ok = abs(lambda_auto) <= lam_max + 1e-12
 
-    dist = tree_distance_distribution(tree)
     n = tree.n
     spectral_ok = all(lam >= 0 for _, lam in gamma.terms)
+    pgf = tree_distance_pgf(tree, [lam for _, lam in gamma.terms] + [lambda_auto])
     lhs = n * float(gamma.nugget)
-    for b2, lam in gamma.terms:
-        lhs += n * n * b2 * dist.pgf(lam)
-    rhs = n * n * g0 * dist.pgf(lambda_auto)
+    for (b2, _), g in zip(gamma.terms, pgf):
+        lhs += n * n * b2 * g
+    rhs = n * n * g0 * pgf[-1]
     if spectral_ok:
         holds = bool(lhs >= rhs - 1e-9 * max(1.0, abs(lhs)))
     else:

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (
-    AutoCovariance,
-    CovarianceMatrix,
-    build_sigma,
-    gls_solve,
-)
+from .covariance import AutoCovariance, tree_covariance_mass, tree_gls_solve
 from .diagnostics import ranktwo_rse_value
 from .errors import (
     InsufficientDepthError,
@@ -218,8 +213,9 @@ def auto_fgls(sample: RdsSample) -> EstimateReport:
     g1 = e_prod - grid * e_sum + grid**2
 
     lam = np.clip(g1 / g0, -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-    X = 1.0 - lam[:, None] * (tree.degrees - 1.0)[None, :]
-    mu = (X @ Y) / X.sum(axis=1)
+    # _ranktwo_gls at every grid point, with its weights' sums in closed form
+    excess = tree.degrees - 1.0
+    mu = (Y.sum() - lam * (excess @ Y)) / (n - lam * excess.sum())
     gap = np.abs(mu - grid)
     ok = np.isfinite(gap)
     if not ok.any():
@@ -269,6 +265,14 @@ def delta_fgls(sample: RdsSample) -> EstimateReport:
         weights=weights,
         n=n,
     )
+
+
+def _tree_gls(tree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0):
+    """Estimate, weights and printed-variant RSE under ``ac`` plus ``constant`` 11'."""
+    result = tree_gls_solve(tree, ac, Y, constant)
+    n = tree.n
+    mass = tree_covariance_mass(tree, ac) + constant * n * n
+    return result.estimate, result.weights, float(np.sqrt(result.variance / (mass / n)))
 
 
 def qhat_spectrum(qhat: np.ndarray):
@@ -350,26 +354,15 @@ def sbm_fgls(
     vals, U, D = qhat_spectrum(qhat)
     f_hat = U[z] / np.sqrt(D)[z][:, None]
     beta_hat = f_hat.T @ Y / n
-    # the leading eigenvalue is 1 by construction and stays: its constant
-    # spectral term shifts the covariance by a multiple of the all-ones
-    # matrix, which leaves the GLS weights untouched; clamping the rest
-    # keeps the solve definite
-    lam_clamped = np.clip(vals, -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-    lam_clamped[0] = min(vals[0], 1.0)
+    # the leading eigenvalue is 1 by construction: its spectral term is a
+    # multiple of the all-ones matrix, which leaves the GLS weights
+    # untouched; clamping the rest keeps the solve definite
+    lam_clamped = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
 
     s2 = float(Y.var(ddof=1))
-    dist = sample.tree.distance_matrix()
-    d = np.arange(int(dist.max()) + 1)
-    table = (beta_hat**2)[:, None] * np.power(lam_clamped[:, None], d[None, :])
-    gamma_table = table.sum(axis=0)
-    matrix = gamma_table[dist].copy()
-    matrix[np.diag_indices(n)] += s2
-    sigma = CovarianceMatrix(matrix=matrix, tree=sample.tree)
+    ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
     try:
-        result = gls_solve(sigma, Y)
-        mu = result.estimate
-        weights = result.weights
-        rse = float(np.sqrt(result.variance / (matrix.sum() / n)))
+        mu, weights, rse = _tree_gls(sample.tree, ac, Y, constant=float(beta_hat[0] ** 2))
     except SingularCovarianceError:
         notes.append("estimated covariance was singular; fell back to the sample mean")
         mu = float(Y.mean())
@@ -378,7 +371,7 @@ def sbm_fgls(
     return EstimateReport(
         estimator="sbm",
         mu_hat=mu,
-        eigenvalues=tuple(lam_clamped[1:]),
+        eigenvalues=tuple(lam_clamped),
         beta2=tuple(beta_hat[1:] ** 2),
         nugget=s2,
         rse=rse,
@@ -429,12 +422,8 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     ac = AutoCovariance.from_spectrum(beta, spec.eigenvalues)
     if n == 1:
         return _single_node_report("oracle_gls", sample.with_outcome_values(Y))
-    sigma = build_sigma(sample.tree, ac)
     try:
-        result = gls_solve(sigma, Y)
-        mu = result.estimate
-        weights = result.weights
-        rse = float(np.sqrt(result.variance / (sigma.matrix.sum() / n)))
+        mu, weights, rse = _tree_gls(sample.tree, ac, Y)
         notes = ()
     except SingularCovarianceError:
         mu = float(Y.mean())

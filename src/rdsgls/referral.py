@@ -4,7 +4,8 @@ A referral tree indexes the sampling process: node 0 is the seed, and
 ``parent[tau]`` recruited ``tau``.  Nodes are numbered breadth-first, so
 ``parent[tau] < tau`` always holds.  Distances between tree nodes drive
 every covariance matrix in the package, hence the emphasis here on exact
-distance distributions.
+distance distributions: dense ones as the reference, and level sweeps
+that apply distance powers and give the PGF in O(n) without them.
 """
 
 from __future__ import annotations
@@ -90,9 +91,29 @@ class ReferralTree:
         """Node ids grouped by depth, each group ascending."""
         if "levels" not in self._cache:
             depths = self.depths
-            levels = [np.flatnonzero(depths == k) for k in range(self.num_levels)]
-            self._cache["levels"] = levels
+            order = np.argsort(depths, kind="stable")
+            bounds = np.cumsum(np.bincount(depths))[:-1]
+            self._cache["levels"] = np.split(order, bounds)
         return self._cache["levels"]
+
+    def level_runs(self) -> list:
+        """Sibling runs per depth, for the level-vectorized tree sweeps.
+
+        Entry ``k - 1`` describes depth ``k >= 1`` as ``(nodes, parents,
+        heads, starts)``: the level's nodes sorted stably by parent, their
+        parents, the distinct parents, and the offset in ``nodes`` where
+        each parent's run of children starts (``np.add.reduceat`` form).
+        Levels need not be contiguous in node order.
+        """
+        if "runs" not in self._cache:
+            runs = []
+            for nodes in self.level_nodes()[1:]:
+                nodes = nodes[np.argsort(self.parent[nodes], kind="stable")]
+                parents = self.parent[nodes]
+                heads, starts = np.unique(parents, return_index=True)
+                runs.append((nodes, parents, heads, starts))
+            self._cache["runs"] = runs
+        return self._cache["runs"]
 
     def distance_matrix(self) -> np.ndarray:
         """Dense pairwise distance matrix (uint16).
@@ -258,6 +279,43 @@ def tree_distance_distribution(tree: ReferralTree) -> DistanceDistribution:
     out = DistanceDistribution(pmf=counts / float(n) ** 2, n=n)
     tree._cache["distpmf"] = out
     return out
+
+
+def distance_power_apply(tree: ReferralTree, lam, V) -> np.ndarray:
+    """Batched distance-power product: ``out[s, j] = sum_t lam[j]**d(s, t) V[t, j]``.
+
+    Two level sweeps (the tree sum-product pass): up,
+    ``u[s] = V[s] + lam sum_children u[c]``; down,
+    ``w[s] = (1 - lam^2) u[s] + lam w[parent]``.  O(n m) work for m
+    columns and no n x n buffer; ``0^0 = 1``, so ``lam = 0`` is the identity.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    if lam.ndim != 1 or V.shape != (tree.n, lam.shape[0]):
+        raise InvalidParametersError("V needs one row per node and one column per lambda")
+    runs = tree.level_runs()
+    w = V.copy()
+    for nodes, _, heads, starts in reversed(runs):
+        w[heads] += lam * np.add.reduceat(w[nodes], starts, axis=0)
+    # top-down in place: each level still holds its up-sweep values
+    for nodes, parents, _, _ in runs:
+        w[nodes] = (1.0 - lam * lam) * w[nodes] + lam * w[parents]
+    return w
+
+
+def tree_distance_pgf(tree: ReferralTree, xs) -> np.ndarray:
+    """Distance PGF ``E(x^D)`` over a grid by one batched sweep, O(n len(xs)).
+
+    Uses ``G(x) = 1' R_x 1 / n^2`` with ``R_x[s, t] = x^d(s, t)``; agrees
+    with ``tree_distance_distribution(tree).pgf_grid(xs)`` without the
+    dense distance matrix.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 1 or np.any(np.abs(xs) > 1.0):
+        raise InvalidParametersError("PGF arguments must form a 1-D grid in [-1, 1]")
+    n = tree.n
+    mass = distance_power_apply(tree, xs, np.ones((n, xs.shape[0]))).sum(axis=0)
+    return mass / float(n) ** 2
 
 
 def complete_binary_distance_distribution(levels: int) -> DistanceDistribution:

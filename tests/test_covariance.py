@@ -193,6 +193,13 @@ def test_gls_rejects_indefinite():
         r.gls_solve(bad, np.zeros(2))
 
 
+def test_covariance_matrix_rejects_asymmetric_and_nan():
+    tree = r.ReferralTree(np.array([-1, 0]))
+    for m in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(r.InvalidParametersError):
+            r.CovarianceMatrix(matrix=np.array(m), tree=tree)
+
+
 def test_gls_unbiased_over_replicates(chain09):
     tree = r.complete_binary_tree(6)
     y = np.array([1.0, 0.0])

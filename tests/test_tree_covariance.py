@@ -1,0 +1,119 @@
+"""The O(n) tree covariance kernel against the dense reference builders."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rdsgls as r
+from rdsgls.covariance import tree_covariance_mass, tree_gls_solve
+from rdsgls.referral import MAX_DENSE_NODES, distance_power_apply, tree_distance_pgf
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+lams = st.floats(-0.999, 0.999, allow_nan=False)
+loadings = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+
+
+@st.composite
+def trees(draw, max_n=40):
+    """Random recruitment trees: parent[t] < t only, so levels interleave."""
+    n = draw(st.integers(1, max_n))
+    picks = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n - 1, max_size=n - 1))
+    parent = np.array([-1] + [int(u * t) for t, u in enumerate(picks, start=1)])
+    return r.ReferralTree(parent)
+
+
+@PROPERTY
+@given(tree=trees(), lam=st.lists(lams, min_size=1, max_size=4), seed=st.integers(0, 2**16))
+def test_sweep_apply_matches_dense(tree, lam, seed):
+    V = np.random.default_rng(seed).normal(size=(tree.n, len(lam)))
+    out = distance_power_apply(tree, lam, V)
+    for j, x in enumerate(lam):
+        dense = r.build_sigma(tree, r.AutoCovariance(terms=((1.0, x),))).matrix @ V[:, j]
+        assert np.allclose(out[:, j], dense, rtol=0, atol=1e-10 * max(1.0, np.abs(dense).max()))
+
+
+@PROPERTY
+@given(
+    tree=trees(),
+    terms=st.lists(st.tuples(loadings, lams), min_size=1, max_size=4),
+    nugget=st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.1, 3.0)),
+)
+def test_tree_solve_matches_gls_solve(tree, terms, nugget):
+    ac = r.AutoCovariance(terms=tuple(terms), nugget=nugget)
+    sigma = r.build_sigma(tree, ac)
+    Y = np.linspace(-1.0, 2.0, tree.n)
+    if nugget == 0 and all(b2 == 0 for b2, _ in terms):
+        for solve in (lambda: r.gls_solve(sigma, Y), lambda: tree_gls_solve(tree, ac, Y)):
+            with pytest.raises(r.SingularCovarianceError):
+                solve()
+        return
+    dense = r.gls_solve(sigma, Y)
+    fast = tree_gls_solve(tree, ac, Y)
+    assert np.max(np.abs(fast.weights - dense.weights)) < 1e-9
+    assert abs(fast.estimate - dense.estimate) < 1e-8
+    assert abs(fast.variance - dense.variance) <= 1e-8 * dense.variance
+    mass = sigma.matrix.sum()
+    assert abs(tree_covariance_mass(tree, ac) - mass) <= 1e-10 * max(1.0, abs(mass))
+
+
+@PROPERTY
+@given(
+    tree=trees(),
+    terms=st.lists(st.tuples(loadings, lams), max_size=4),
+    nugget=st.floats(0.1, 3.0),
+    constant=st.floats(0.0, 3.0),
+)
+def test_constant_term_moves_only_the_variance(tree, terms, nugget, constant):
+    # the nugget keeps the dense reference well conditioned next to c 11'
+    ac = r.AutoCovariance(terms=tuple(terms), nugget=nugget)
+    Y = np.linspace(-1.0, 2.0, tree.n)
+    dense = r.gls_solve(r.CovarianceMatrix(r.build_sigma(tree, ac).matrix + constant, tree), Y)
+    fast = tree_gls_solve(tree, ac, Y, constant)
+    assert np.array_equal(fast.weights, tree_gls_solve(tree, ac, Y).weights)
+    assert np.max(np.abs(fast.weights - dense.weights)) < 1e-9
+    assert abs(fast.variance - dense.variance) <= 1e-8 * dense.variance
+
+
+@PROPERTY
+@given(tree=trees(max_n=60), xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_sweep_pgf_matches_distance_distribution(tree, xs):
+    expected = r.tree_distance_distribution(tree).pgf_grid(np.array(xs))
+    assert np.allclose(tree_distance_pgf(tree, xs), expected, rtol=0, atol=1e-12)
+
+
+def test_singular_node_block_falls_back_to_mean():
+    # one block and a constant outcome: Sigma is a multiple of 11', so the
+    # tree solve hits a singular block and sbm_fgls reports the fallback
+    tree = r.complete_binary_tree(4)
+    sample = r.RdsSample(
+        tree=tree, node=np.arange(tree.n), degree=np.ones(tree.n),
+        outcome=np.full(tree.n, 3.0), block=np.zeros(tree.n, dtype=int),
+    )
+    rep = r.sbm_fgls(sample)
+    assert rep.mu_hat == 3.0 and rep.rse is None
+    assert any("fell back" in w for w in rep.warnings)
+
+
+def test_estimators_past_the_dense_cap():
+    # every estimate here is O(n); none may hit the dense-matrix capacity cap
+    n = 12_000
+    assert n > MAX_DENSE_NODES
+    rng = np.random.default_rng(5)
+    parent = np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+    block = rng.integers(0, 3, n)
+    sample = r.RdsSample(
+        tree=r.ReferralTree(parent),
+        node=np.arange(n),
+        degree=rng.integers(1, 20, n).astype(float),
+        outcome=(rng.random(n) < 0.3 + 0.2 * block).astype(float),
+        block=block,
+    )
+    for report in (r.auto_fgls(sample), r.delta_fgls(sample), r.sbm_fgls(sample)):
+        assert np.isfinite(report.mu_hat) and np.isfinite(report.rse)
+    dataset = r.emit_diagnostics(sample)
+    assert dataset.warnings == ()
+    assert {p.estimator for p in dataset.points} == {"auto", "delta", "sbm_y", "sbm_z"}
+    assert all(np.isfinite(p.rse) for p in dataset.points)
+    assert np.all(np.isfinite(dataset.grey_rse))
