@@ -21,6 +21,7 @@ from .estimators import (
     mean_estimator,
     sbm_fgls,
     vh_estimator,
+    vh_reweight,
 )
 from .experiment import emit_diagnostics, figure1_ratio, run_rmse_experiment
 from .sampler import WalkConfig, rds_without_replacement
@@ -160,8 +161,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     sample = fileio.read_sample(args.sample)
     if args.reweight == "vh":
-        inv = 1.0 / sample.degree
-        sample = sample.with_outcome_values(sample.y / (inv.mean() * sample.degree))
+        sample = vh_reweight(sample)
     elif args.reweight == "fgls":
         sample = fgls_reweight(sample)
     if args.estimator == "sbm":

@@ -105,13 +105,28 @@ def mean_estimator(sample: RdsSample) -> EstimateReport:
     )
 
 
-def vh_estimator(sample: RdsSample) -> EstimateReport:
-    """Degree-weighted mean normalized by the harmonic mean of reported degrees."""
-    Y = sample.y
+def _positive_degrees(sample: RdsSample) -> np.ndarray:
     deg = sample.degree
     if np.any(~np.isfinite(deg)) or np.any(deg <= 0):
         raise InvalidSampleError("reported degrees must be positive")
+    return deg
+
+
+def vh_reweight(sample: RdsSample) -> RdsSample:
+    """Outcomes divided by degree sampling weights, normalized by their harmonic mean.
+
+    The single-term estimators run on this reweighted sample; its plain
+    mean is the VH estimate.
+    """
+    deg = _positive_degrees(sample)
     inv = 1.0 / deg
+    return sample.with_outcome_values(sample.y / (inv.mean() * deg))
+
+
+def vh_estimator(sample: RdsSample) -> EstimateReport:
+    """Degree-weighted mean normalized by the harmonic mean of reported degrees."""
+    Y = sample.y
+    inv = 1.0 / _positive_degrees(sample)
     weights = inv / inv.sum()
     return EstimateReport(
         estimator="vh",

@@ -26,6 +26,7 @@ from .estimators import (
     mean_estimator,
     sbm_fgls,
     vh_estimator,
+    vh_reweight,
 )
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
@@ -172,8 +173,7 @@ def apply_estimator(name: str, sample: RdsSample) -> EstimateReport:
     if name == "vh":
         return vh_estimator(sample)
     if name in ("auto", "delta"):
-        inv = 1.0 / sample.degree
-        reweighted = sample.with_outcome_values(sample.y / (inv.mean() * sample.degree))
+        reweighted = vh_reweight(sample)
         return auto_fgls(reweighted) if name == "auto" else delta_fgls(reweighted)
     if name == "sbm_y":
         labels = _encode_outcome_blocks(sample.y)

@@ -223,7 +223,7 @@ def read_sample(path) -> RdsSample:
         header = next(reader, None)
         if header != SAMPLE_HEADER:
             raise ParseError(path, 1, f"sample file must start with {','.join(SAMPLE_HEADER)}")
-        parents, pops, ys, degs, blocks = [], [], [], [], []
+        parents, pops, ys, degs, blocks, blank_lines = [], [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 6:
                 raise ParseError(path, lineno, "expected 6 columns")
@@ -233,14 +233,24 @@ def read_sample(path) -> RdsSample:
                     raise ParseError(path, lineno, "nodes must appear in order")
                 parents.append(int(row[1]))
                 pops.append(int(row[2]))
-                ys.append(float(row[3]) if row[3] != "" else np.nan)
+                if row[3]:
+                    ys.append(float(row[3]))
+                else:
+                    ys.append(np.nan)
+                    blank_lines.append(lineno)
                 degs.append(float(row[4]))
                 blocks.append(row[5])
             except ValueError:
                 raise ParseError(path, lineno, "malformed numeric field") from None
     tree = ReferralTree(np.asarray(parents, dtype=np.int64))
-    y = np.asarray(ys)
-    outcome = None if np.all(np.isnan(y)) else y
+    if 0 < len(blank_lines) < len(ys):
+        raise ParseError(path, blank_lines[0], "y is blank here but given on other rows")
+    outcome = None if blank_lines else np.asarray(ys)
+    degree = np.asarray(degs)
+    for name, values in (("y", outcome), ("degree", degree)):
+        if values is not None and not np.isfinite(values).all():
+            first = int(np.argmin(np.isfinite(values)))
+            raise ParseError(path, 2 + first, f"{name} must be finite")
     block_arr = None
     if any(b != "" for b in blocks):
         names = sorted(set(blocks))
@@ -249,7 +259,7 @@ def read_sample(path) -> RdsSample:
     return RdsSample(
         tree=tree,
         node=np.asarray(pops, dtype=np.int64),
-        degree=np.asarray(degs),
+        degree=degree,
         outcome=outcome,
         block=block_arr,
     )

@@ -8,6 +8,8 @@ chains.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import (
     InvalidParametersError,
     ReversibilityError,
 )
-from .seeding import STREAM_NETWORK, as_rng
+from .seeding import STREAM_NETWORK, as_rng, derive_rng
 
 MAX_DENSE_N = 2_000
 """Dense N x N operators are only materialized up to this many nodes."""
@@ -335,47 +337,93 @@ def expected_transition_model(params: DcSbmParams) -> TransitionModel:
     return TransitionModel(P=P, pi=pi_star, graph=graph)
 
 
+_DRAW_CHUNK = 1_000_000
+"""Uniforms per row chunk of a block-pair rectangle (8 MB); the draw does not depend on it."""
+
+
+def _draw_workers() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_hits(u01, ri, iv, b, theta, theta_max, upper):
+    """Pairs (i, j) of one row chunk whose uniform falls below B theta_i theta_j.
+
+    Rounded multiplication is monotone, so a uniform below the exact
+    probability is also below the row bound ``b * (theta_i * theta_max)``:
+    the bound only picks candidates and the exact comparison, written as in
+    the dense form ``b * outer(theta_ri, theta_iv)``, decides each one.
+    """
+    bound = b * (theta[ri] * theta_max)
+    flat = np.flatnonzero(u01.reshape(len(ri), len(iv)) < bound[:, None])
+    ii, jj = np.divmod(flat, len(iv))
+    rows, cols = ri[ii], iv[jj]
+    hit = u01[flat] < b * (theta[rows] * theta[cols])
+    if upper:
+        # keep i < j only (upper triangle of the block)
+        hit &= rows < cols
+    return rows[hit], cols[hit]
+
+
 def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
     """Draw an unweighted graph: edge {i,j} present w.p. theta_i theta_j B[z_i,z_j].
 
     No self-loops; independent edges; deterministic given the seed.  The
     draw may contain isolated nodes: callers restrict to the largest
     connected component before sampling walks.
+
+    One uniform is consumed per cell of each block-pair rectangle, row by
+    row, block pairs in order.  Each row chunk therefore reads a known
+    offset range of the seed's network stream, and the chunks are drawn on
+    a thread pool sized to the usable cores: the graph is the same for a
+    seed on any core count.  Draws of at most one chunk, and a Generator
+    argument, are consumed in order on the calling thread.
     """
-    rng = as_rng(rng_seed, STREAM_NETWORK)
     z = params.z
     theta = params.theta
     n = params.num_nodes
     order = np.argsort(z, kind="stable")
     starts = np.searchsorted(z[order], np.arange(params.num_blocks))
     ends = np.searchsorted(z[order], np.arange(params.num_blocks), side="right")
-    rows_all, cols_all = [], []
-    chunk = 4_000_000
+    chunks = []  # (stream offset, rows, columns, B[u, v], max column theta, same block)
+    offset = 0
     for u in range(params.num_blocks):
         iu = order[starts[u] : ends[u]]
         for v in range(u, params.num_blocks):
-            if params.B[u, v] == 0:
+            b = params.B[u, v]
+            if b == 0:
                 continue
             iv = order[starts[v] : ends[v]]
-            # row-chunked Bernoulli over the block pair
-            rows_per = max(1, chunk // max(len(iv), 1))
+            theta_max = theta[iv].max()
+            rows_per = max(1, _DRAW_CHUNK // len(iv))
             for lo in range(0, len(iu), rows_per):
                 ri = iu[lo : lo + rows_per]
-                prob = params.B[u, v] * np.outer(theta[ri], theta[iv])
-                hit = rng.random(prob.shape) < prob
-                if u == v:
-                    # keep i < j only (upper triangle of the block)
-                    ii, jj = np.nonzero(hit)
-                    keep = ri[ii] < iv[jj]
-                    rows_all.append(ri[ii[keep]])
-                    cols_all.append(iv[jj[keep]])
-                else:
-                    ii, jj = np.nonzero(hit)
-                    rows_all.append(ri[ii])
-                    cols_all.append(iv[jj])
-    if rows_all:
-        r = np.concatenate(rows_all)
-        c = np.concatenate(cols_all)
+                chunks.append((offset, ri, iv, b, theta_max, u == v))
+                offset += len(ri) * len(iv)
+
+    workers = min(_draw_workers(), len(chunks))
+    if isinstance(rng_seed, np.random.Generator) or offset <= _DRAW_CHUNK or workers <= 1:
+        rng = as_rng(rng_seed, STREAM_NETWORK)
+        pieces = [
+            _chunk_hits(rng.random(len(ri) * len(iv)), ri, iv, b, theta, theta_max, upper)
+            for _, ri, iv, b, theta_max, upper in chunks
+        ]
+    else:
+        seed = int(rng_seed)
+
+        def draw(chunk):
+            start, ri, iv, b, theta_max, upper = chunk
+            u01 = derive_rng(seed, STREAM_NETWORK, offset=start).random(len(ri) * len(iv))
+            return _chunk_hits(u01, ri, iv, b, theta, theta_max, upper)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pieces = list(pool.map(draw, chunks))
+
+    if pieces:
+        r = np.concatenate([rows for rows, _ in pieces])
+        c = np.concatenate([cols for _, cols in pieces])
     else:
         r = np.empty(0, dtype=np.int64)
         c = np.empty(0, dtype=np.int64)

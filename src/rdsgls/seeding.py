@@ -21,10 +21,19 @@ STREAM_NETWORK = 2
 STREAM_OUTCOME = 3
 
 
-def derive_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Return the generator for stream ``stream`` of ``seed``."""
+def derive_rng(seed: int, stream: int = 0, offset: int = 0) -> np.random.Generator:
+    """Return the generator for stream ``stream`` of ``seed``.
+
+    With ``offset`` the generator starts ``offset`` 64-bit draws into the
+    stream, so ``derive_rng(s, k, offset=o).random(m)`` equals
+    ``derive_rng(s, k).random(o + m)[o:]`` (one draw per double).  Philox
+    emits four draws per counter step: the counter jumps to ``offset // 4``
+    and the remaining ``offset % 4`` draws are discarded.
+    """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
-    return np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(key=key, counter=offset // 4)
+    bitgen.random_raw(offset % 4)
+    return np.random.Generator(bitgen)
 
 
 def as_rng(seed_or_rng, stream: int = 0) -> np.random.Generator:

@@ -167,3 +167,36 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("RDSGLS_SEED", "4242")
     assert _resolve_seed(None) == 4242
     assert _resolve_seed(7) == 7
+
+
+def _fixture_with(tmp_path, line, column, value):
+    """Copy of the VH fixture with one cell replaced (line 2 is the first record)."""
+    rows = [row.split(",") for row in (DATA / "vh_fixture.csv").read_text().splitlines()]
+    rows[line - 1][column] = value
+    path = tmp_path / "sample.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    return path
+
+
+def test_estimate_rejects_blank_or_nonfinite_cells(tmp_path, capsys):
+    cases = [(4, 3, ""), (3, 3, "nan"), (5, 3, "inf"), (6, 4, "nan"), (2, 4, "-inf")]
+    for line, column, value in cases:
+        sample = _fixture_with(tmp_path, line, column, value)
+        for estimator in ("mean", "auto", "delta"):
+            out = tmp_path / "r.json"
+            code = dispatch(["estimate", "--sample", str(sample), "--estimator", estimator,
+                             "--out", str(out)])
+            assert code == 2
+            assert f"sample.csv:{line}:" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_estimate_vh_reweight_rejects_zero_degree(tmp_path, capsys):
+    sample = _fixture_with(tmp_path, 3, 4, "0")
+    for estimator in ("auto", "delta"):
+        out = tmp_path / "r.json"
+        code = dispatch(["estimate", "--sample", str(sample), "--estimator", estimator,
+                         "--reweight", "vh", "--out", str(out)])
+        assert code == 2
+        assert "reported degrees must be positive" in capsys.readouterr().err
+        assert not out.exists()

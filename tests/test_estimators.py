@@ -52,6 +52,14 @@ def test_vh_rejects_zero_degree():
         r.vh_estimator(s)
 
 
+@pytest.mark.parametrize("name", ["auto", "delta"])
+def test_vh_reweighted_estimators_reject_zero_degree(name):
+    tree = r.complete_binary_tree(3)
+    s = make_sample(tree, np.arange(tree.n, dtype=float), degree=[1.0, 0.0] + [2.0] * (tree.n - 2))
+    with pytest.raises(r.InvalidSampleError):
+        r.apply_estimator(name, s)
+
+
 def test_vh_unbiased_on_regular_graph():
     # 4-cycle: all degrees equal and pi uniform, so mu_true = mean(y)
     W = np.zeros((4, 4))

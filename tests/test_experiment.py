@@ -1,8 +1,12 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import rdsgls as r
+from rdsgls import netmodel
 from rdsgls.presets import OFFSPRING_SURVEY, table1_dcsbm
 
 
@@ -94,6 +98,19 @@ def test_rmse_parallel_matches_serial():
     parallel = r.run_rmse_experiment(small_config(replicates=8, jobs=2))
     for a, b in zip(serial.rows, parallel.rows):
         assert a == b
+
+
+def test_parallel_matches_serial_after_threaded_draw():
+    # small draw chunks send the population draw through worker threads,
+    # which must be gone before the replicate pool forks
+    before = threading.active_count()
+    with mock.patch.object(netmodel, "_DRAW_CHUNK", 997), \
+            mock.patch.object(netmodel, "_draw_workers", lambda: 2):
+        serial = r.run_rmse_experiment(small_config(replicates=6))
+        parallel = r.run_rmse_experiment(small_config(replicates=6, jobs=2))
+    assert threading.active_count() == before
+    assert serial.rows == parallel.rows
+    assert serial.rows == r.run_rmse_experiment(small_config(replicates=6)).rows
 
 
 def test_single_block_network_estimators_close():

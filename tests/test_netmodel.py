@@ -1,9 +1,18 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdsgls as r
 from conftest import random_dcsbm
-from rdsgls.presets import table1_symmetrized, two_state_chain
+from rdsgls import netmodel
+from rdsgls.netmodel import WeightedGraph
+from rdsgls.presets import table1_dcsbm, table1_symmetrized, two_state_chain
+from rdsgls.seeding import STREAM_NETWORK, as_rng, derive_rng
 
 
 def test_triangle_transition(triangle_model):
@@ -278,3 +287,108 @@ def test_largest_component_prunes_isolated():
     assert kept.tolist() == [0, 1, 2, 3]
     assert sub.num_nodes == 4
     assert sub.degrees.min() > 0
+
+
+def dense_dcsbm_sample(params, rng_seed):
+    """Reference draw: the full n x n probability product per row chunk, in stream order."""
+    rng = as_rng(rng_seed, STREAM_NETWORK)
+    z = params.z
+    theta = params.theta
+    n = params.num_nodes
+    order = np.argsort(z, kind="stable")
+    starts = np.searchsorted(z[order], np.arange(params.num_blocks))
+    ends = np.searchsorted(z[order], np.arange(params.num_blocks), side="right")
+    rows_all, cols_all = [], []
+    chunk = 4_000_000
+    for u in range(params.num_blocks):
+        iu = order[starts[u] : ends[u]]
+        for v in range(u, params.num_blocks):
+            if params.B[u, v] == 0:
+                continue
+            iv = order[starts[v] : ends[v]]
+            # row-chunked Bernoulli over the block pair
+            rows_per = max(1, chunk // max(len(iv), 1))
+            for lo in range(0, len(iu), rows_per):
+                ri = iu[lo : lo + rows_per]
+                prob = params.B[u, v] * np.outer(theta[ri], theta[iv])
+                hit = rng.random(prob.shape) < prob
+                if u == v:
+                    # keep i < j only (upper triangle of the block)
+                    ii, jj = np.nonzero(hit)
+                    keep = ri[ii] < iv[jj]
+                    rows_all.append(ri[ii[keep]])
+                    cols_all.append(iv[jj[keep]])
+                else:
+                    ii, jj = np.nonzero(hit)
+                    rows_all.append(ri[ii])
+                    cols_all.append(iv[jj])
+    if rows_all:
+        r = np.concatenate(rows_all)
+        c = np.concatenate(cols_all)
+    else:
+        r = np.empty(0, dtype=np.int64)
+        c = np.empty(0, dtype=np.int64)
+    data = np.ones(2 * len(r))
+    mat = sp.csr_array(
+        (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(n, n)
+    )
+    return WeightedGraph.from_weights(mat, allow_isolated=True)
+
+
+def assert_same_graph(a, b):
+    for x, y in ((a.weights.indptr, b.weights.indptr), (a.weights.indices, b.weights.indices),
+                 (a.weights.data, b.weights.data), (a.degrees, b.degrees)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@st.composite
+def blockmodels(draw):
+    """Blockmodels with single-node and odd-size blocks and zero affinities."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        return random_dcsbm(rng)
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    K = len(sizes)
+    z = rng.permutation(np.repeat(np.arange(K), sizes))
+    theta = rng.random(z.size) + 0.2
+    theta = theta / np.bincount(z, weights=theta, minlength=K)[z]
+    B = rng.random((K, K)) + 0.1
+    B = 0.5 * (B + B.T)
+    zeros = np.triu(rng.random((K, K)) < draw(st.sampled_from([0.0, 0.3, 0.7])))
+    B[zeros | zeros.T] = 0.0
+    worst = 0.0
+    for u in range(K):
+        tu = np.sort(theta[z == u])[::-1]
+        for v in range(K):
+            tv = np.sort(theta[z == v])[::-1]
+            second = tu[1] if tu.size > 1 else 0.0
+            worst = max(worst, tu[0] * (second if u == v else tv[0]) * B[u, v])
+    if worst > 0:
+        B = B * (draw(st.sampled_from([0.3, 0.9, 1.0])) / worst)
+    return r.DcSbmParams(z=z, theta=theta, B=B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=blockmodels(), seed=st.integers(0, 2**63), chunk=st.sampled_from([1, 3, 5, 7, 13, 64]))
+def test_dcsbm_sample_matches_dense_draw(params, seed, chunk):
+    # small chunks put boundaries mid Philox block and spread rows over threads
+    expected = dense_dcsbm_sample(params, seed)
+    with mock.patch.object(netmodel, "_DRAW_CHUNK", chunk), \
+            mock.patch.object(netmodel, "_draw_workers", lambda: 3):
+        assert_same_graph(r.dcsbm_sample(params, seed), expected)
+        streamed = r.dcsbm_sample(params, derive_rng(seed, STREAM_NETWORK))
+    assert_same_graph(streamed, expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_dcsbm_sample_digest(workers):
+    # recorded from the dense row-chunked draw; pins the graph for seed 7
+    params = table1_dcsbm(5000, 30, rng_seed=7)
+    with mock.patch.object(netmodel, "_draw_workers", lambda: workers):
+        graph = r.dcsbm_sample(params, 7)
+    h = hashlib.sha256()
+    for a in (graph.weights.indptr, graph.weights.indices, graph.weights.data, graph.degrees):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == "dba500d6806ad751819e94be87c084ecd05433a08de4904fc5db6a45ba420ebb"
