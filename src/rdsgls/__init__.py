@@ -13,7 +13,6 @@ from .covariance import (
     GlsResult,
     build_sigma,
     critical_threshold,
-    gamma_eval,
     gls_solve,
     one_sigma_inv_one_ranktwo,
     ranktwo_inverse_apply,
@@ -45,8 +44,10 @@ from .errors import (
     SingularCovarianceError,
 )
 from .estimators import (
+    ESTIMATORS,
     EstimateReport,
     LagStatistics,
+    apply_estimator,
     auto_fgls,
     delta_fgls,
     fgls_reweight,
@@ -54,6 +55,7 @@ from .estimators import (
     mean_estimator,
     oracle_gls,
     qhat_spectrum,
+    reweight,
     sbm_fgls,
     vh_estimator,
 )
@@ -63,7 +65,6 @@ from .experiment import (
     OutcomeSpec,
     RmseRow,
     RmseTable,
-    apply_estimator,
     emit_diagnostics,
     figure1_ratio,
     run_rmse_experiment,

@@ -14,25 +14,14 @@ import warnings
 
 from . import fileio
 from .errors import RdsglsError
-from .estimators import (
-    auto_fgls,
-    delta_fgls,
-    fgls_reweight,
-    mean_estimator,
-    sbm_fgls,
-    vh_estimator,
-    vh_reweight,
-)
+from .estimators import ESTIMATORS, REWEIGHTINGS, reweight
 from .experiment import emit_diagnostics, figure1_ratio, run_rmse_experiment
 from .sampler import WalkConfig, rds_without_replacement
 from .seeding import DEFAULT_SEED
 
-PLAIN_ESTIMATORS = {
-    "mean": mean_estimator,
-    "vh": vh_estimator,
-    "auto": auto_fgls,
-    "delta": delta_fgls,
-}
+# the table's estimators by the name their reports carry: sbm_y and sbm_z
+# share the blockmodel estimator "sbm", which runs on the sample's blocks here
+PLAIN_ESTIMATORS = {name.split("_")[0]: recipe.estimate for name, recipe in ESTIMATORS.items()}
 
 
 def _resolve_seed(value) -> int:
@@ -82,11 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--estimator",
         required=True,
-        choices=sorted(PLAIN_ESTIMATORS) + ["sbm"],
+        choices=list(PLAIN_ESTIMATORS),
     )
     e.add_argument(
         "--reweight",
-        choices=["none", "vh", "fgls"],
+        choices=REWEIGHTINGS,
         default="none",
         help="divide outcomes by estimated sampling weights first",
     )
@@ -145,7 +134,6 @@ def _cmd_simulate(args) -> int:
     if seed_rule.lstrip("-").isdigit():
         seed_rule = int(seed_rule)
     cfg = WalkConfig(
-        mode="without_replacement",
         offspring_pmf=fileio._parse_pmf(args.offspring),
         target_n=args.target,
         seed_rule=seed_rule,
@@ -160,14 +148,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     sample = fileio.read_sample(args.sample)
-    if args.reweight == "vh":
-        sample = vh_reweight(sample)
-    elif args.reweight == "fgls":
-        sample = fgls_reweight(sample)
-    if args.estimator == "sbm":
-        report = sbm_fgls(sample)
-    else:
-        report = PLAIN_ESTIMATORS[args.estimator](sample)
+    report = PLAIN_ESTIMATORS[args.estimator](reweight(sample, args.reweight))
     fileio.write_report(report, args.out)
     return 0
 

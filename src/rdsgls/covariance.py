@@ -71,7 +71,10 @@ class AutoCovariance:
         return cls(terms=tuple(terms), nugget=nugget)
 
     def gamma(self, d: int) -> float:
-        return gamma_eval(self, d)
+        """Autocovariance at integer lag d (0^0 = 1)."""
+        if d < 0:
+            raise InvalidParametersError("lag must be nonnegative")
+        return float(self.gamma_table(d)[d])
 
     def gamma_table(self, max_d: int) -> np.ndarray:
         """gamma evaluated on 0..max_d at once."""
@@ -124,18 +127,6 @@ class GlsResult:
             raise InvalidParametersError("GLS weights must sum to one")
         if not self.variance > 0:
             raise SingularCovarianceError("GLS variance must be positive")
-
-
-def gamma_eval(ac: AutoCovariance, d: int) -> float:
-    """Autocovariance at integer lag d (0^0 = 1)."""
-    if d < 0:
-        raise InvalidParametersError("lag must be nonnegative")
-    total = 0.0
-    for b2, lam in ac.terms:
-        total += b2 * (1.0 if d == 0 else lam**d)
-    if d == 0:
-        total += ac.nugget
-    return total
 
 
 def build_sigma(tree: ReferralTree, ac: AutoCovariance) -> CovarianceMatrix:

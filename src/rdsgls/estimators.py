@@ -3,13 +3,15 @@
 Ranges from the plain sample mean through degree-weighted estimators to
 feasible GLS: covariances estimated from the sample itself, either via a
 blockmodel plug-in over observed labels or via single-geometric-term fits
-to lag statistics.
+to lag statistics.  ``ESTIMATORS`` names each of them together with the
+reweighting step that runs first.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,6 @@ class EstimateReport:
     n: int = 0
     K: int | None = None
     warnings: tuple = ()
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.weights is not None:
@@ -110,17 +111,6 @@ def _positive_degrees(sample: RdsSample) -> np.ndarray:
     if np.any(~np.isfinite(deg)) or np.any(deg <= 0):
         raise InvalidSampleError("reported degrees must be positive")
     return deg
-
-
-def vh_reweight(sample: RdsSample) -> RdsSample:
-    """Outcomes divided by degree sampling weights, normalized by their harmonic mean.
-
-    The single-term estimators run on this reweighted sample; its plain
-    mean is the VH estimate.
-    """
-    deg = _positive_degrees(sample)
-    inv = 1.0 / deg
-    return sample.with_outcome_values(sample.y / (inv.mean() * deg))
 
 
 def vh_estimator(sample: RdsSample) -> EstimateReport:
@@ -397,33 +387,6 @@ def sbm_fgls(
     )
 
 
-def fgls_reweight(
-    sample: RdsSample,
-    labels: np.ndarray | None = None,
-    K: int | None = None,
-) -> RdsSample:
-    """Replace outcomes with sampling-weight-adjusted ones.
-
-    The normalizing constant (the stationary mean of 1/degree) is itself
-    estimated by the blockmodel GLS on the inverse degrees; if that
-    estimate is not positive the plain harmonic mean takes over.
-    """
-    deg = sample.degree
-    if np.any(~np.isfinite(deg)) or np.any(deg <= 0):
-        raise InvalidSampleError("reported degrees must be positive")
-    inv = 1.0 / deg
-    h_inv = sbm_fgls(sample.with_outcome_values(inv), labels, K).mu_hat
-    if not np.isfinite(h_inv) or h_inv <= 0:
-        warnings.warn(
-            "GLS estimate of the inverse-degree mean was not positive; "
-            "using the harmonic mean instead",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        h_inv = float(inv.mean())
-    return sample.with_outcome_values(sample.y / (h_inv * deg))
-
-
 def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> EstimateReport:
     """GLS under the exact walk covariance (simulation-only reference).
 
@@ -455,3 +418,83 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
         n=n,
         warnings=notes,
     )
+
+
+def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -> RdsSample:
+    """Outcomes divided by estimated sampling weights, the first step of every estimator.
+
+    ``none`` leaves the sample as it is.  ``vh`` divides by the reported
+    degrees normalized by their harmonic mean, so the plain mean of the
+    result is the VH estimate.  ``fgls`` estimates that normalizer (the
+    stationary mean of 1/degree) by the blockmodel GLS on the inverse
+    degrees over ``labels`` (default: the sample's blocks); if that
+    estimate is not positive the plain harmonic mean takes over.  Both
+    reject non-positive degrees.
+    """
+    if policy == "none":
+        return sample
+    deg = _positive_degrees(sample)
+    inv = 1.0 / deg
+    if policy == "vh":
+        h_inv = inv.mean()
+    elif policy == "fgls":
+        h_inv = sbm_fgls(sample.with_outcome_values(inv), labels).mu_hat
+        if not np.isfinite(h_inv) or h_inv <= 0:
+            warnings.warn(
+                "GLS estimate of the inverse-degree mean was not positive; "
+                "using the harmonic mean instead",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            h_inv = float(inv.mean())
+    else:
+        raise InvalidParametersError(f"unknown reweighting {policy!r}")
+    return sample.with_outcome_values(sample.y / (h_inv * deg))
+
+
+def fgls_reweight(sample: RdsSample, labels: np.ndarray | None = None) -> RdsSample:
+    """``reweight(sample, "fgls", labels)``."""
+    return reweight(sample, "fgls", labels)
+
+
+def _encode_outcome_blocks(sample: RdsSample) -> np.ndarray:
+    """Block labels from the distinct outcome values, in sorted order."""
+    uniq = np.unique(sample.y)
+    if uniq.size > 32:
+        raise InvalidParametersError("outcome takes too many distinct values to define blocks")
+    return np.searchsorted(uniq, sample.y)
+
+
+class Recipe(NamedTuple):
+    """A named estimator: reweight the outcomes, then estimate.
+
+    ``labels`` maps a sample to the block labels that both the ``fgls``
+    reweighting and the blockmodel estimator use; without it they use the
+    sample's own blocks.
+    """
+
+    reweight: str
+    estimate: Callable[..., EstimateReport]
+    labels: Callable[[RdsSample], np.ndarray] | None = None
+
+
+ESTIMATORS = {
+    "mean": Recipe("none", mean_estimator),
+    "vh": Recipe("none", vh_estimator),
+    "auto": Recipe("vh", auto_fgls),
+    "delta": Recipe("vh", delta_fgls),
+    "sbm_y": Recipe("fgls", sbm_fgls, _encode_outcome_blocks),
+    "sbm_z": Recipe("fgls", sbm_fgls),
+}
+REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.values()))
+
+
+def apply_estimator(name: str, sample: RdsSample) -> EstimateReport:
+    """Run the named estimator of ``ESTIMATORS`` on its reweighted sample."""
+    if name not in ESTIMATORS:
+        raise InvalidParametersError(f"unknown estimator {name!r}")
+    policy, estimate, labels = ESTIMATORS[name]
+    if labels is None:
+        return estimate(reweight(sample, policy))
+    blocks = labels(sample)
+    return estimate(reweight(sample, policy, blocks), blocks)

@@ -18,16 +18,7 @@ import numpy as np
 from .covariance import one_sigma_inv_one_ranktwo
 from .diagnostics import GREY_LINE_GRID, DiagnosticPoint, ranktwo_rse_curve
 from .errors import InvalidParametersError, SamplingFailedError
-from .estimators import (
-    EstimateReport,
-    auto_fgls,
-    delta_fgls,
-    fgls_reweight,
-    mean_estimator,
-    sbm_fgls,
-    vh_estimator,
-    vh_reweight,
-)
+from .estimators import ESTIMATORS, apply_estimator
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
     outcome_bernoulli,
@@ -37,8 +28,6 @@ from .presets import (
 from .referral import complete_binary_distance_distribution
 from .sampler import RdsSample, WalkConfig, rds_without_replacement
 from .seeding import STREAM_OUTCOME, as_rng
-
-ESTIMATOR_NAMES = ("mean", "vh", "auto", "delta", "sbm_y", "sbm_z")
 
 # two-group chain facts: staying probability p gives eigenvalue 2p - 1,
 # and a balanced 0/1 outcome has squared loading 1/4
@@ -89,7 +78,7 @@ class ExperimentConfig:
             raise InvalidParametersError("provide exactly one of dcsbm or graph")
         if self.replicates < 1:
             raise InvalidParametersError("replicates must be >= 1")
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
+        unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise InvalidParametersError(f"unknown estimators: {sorted(unknown)}")
         if self.walk.target_n < max(self.sizes):
@@ -148,40 +137,6 @@ def figure1_ratio(p_values, levels) -> list:
                 }
             )
     return rows
-
-
-def _encode_outcome_blocks(values: np.ndarray) -> np.ndarray:
-    uniq = np.unique(values)
-    if uniq.size > 32:
-        raise InvalidParametersError(
-            "outcome takes too many distinct values to define blocks"
-        )
-    return np.searchsorted(uniq, values)
-
-
-def apply_estimator(name: str, sample: RdsSample) -> EstimateReport:
-    """Run one named estimator with its reweighting policy.
-
-    The single-term estimators work on degree-weighted outcomes with the
-    plain harmonic-mean normalizer; the blockmodel estimators estimate
-    the normalizer itself by GLS before reweighting.  ``sbm_y`` builds
-    blocks from the observed outcome values, ``sbm_z`` uses the sample's
-    block labels.
-    """
-    if name == "mean":
-        return mean_estimator(sample)
-    if name == "vh":
-        return vh_estimator(sample)
-    if name in ("auto", "delta"):
-        reweighted = vh_reweight(sample)
-        return auto_fgls(reweighted) if name == "auto" else delta_fgls(reweighted)
-    if name == "sbm_y":
-        labels = _encode_outcome_blocks(sample.y)
-        return sbm_fgls(fgls_reweight(sample, labels), labels)
-    if name == "sbm_z":
-        labels = sample.block
-        return sbm_fgls(fgls_reweight(sample, labels), labels)
-    raise InvalidParametersError(f"unknown estimator {name!r}")
 
 
 # replicate context shared with forked workers
@@ -313,6 +268,10 @@ def run_rmse_experiment(cfg: ExperimentConfig) -> RmseTable:
     return RmseTable(rows=tuple(rows), mu_true=mu_true)
 
 
+# the estimators that fit a covariance: every one that reweights first
+_FITTED = tuple(name for name, recipe in ESTIMATORS.items() if recipe.reweight != "none")
+
+
 @dataclass(frozen=True)
 class DiagnosticDataset:
     """Point cloud plus reference curve for one sample's diagnostic plot."""
@@ -335,7 +294,7 @@ def emit_diagnostics(sample: RdsSample) -> DiagnosticDataset:
     notes = []
     points = []
     n = sample.n
-    for name in ("auto", "delta", "sbm_y", "sbm_z"):
+    for name in _FITTED:
         try:
             report = apply_estimator(name, sample)
         except Exception as exc:  # per-point downgrade by design

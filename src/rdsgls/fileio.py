@@ -69,8 +69,8 @@ def read_edge_list(path, num_nodes: int | None = None, allow_isolated: bool = Fa
                 raise ParseError(path, lineno, str(exc)) from None
             if i < 0 or j < 0:
                 raise ParseError(path, lineno, "node ids must be nonnegative")
-            if w <= 0:
-                raise ParseError(path, lineno, "edge weight must be positive")
+            if not 0 < w < np.inf:
+                raise ParseError(path, lineno, "edge weight must be positive and finite")
             edges.append((i, j, w))
             max_id = max(max_id, i, j)
     n = num_nodes if num_nodes is not None else max_id + 1
@@ -153,6 +153,10 @@ def read_attributes(path):
                 raise ParseError(
                     path, int(p) + 2, f"column {name!r} must be numeric"
                 ) from None
+        finite = np.isfinite(col)
+        if not finite.all():
+            first = int(pos[np.argmin(finite)])
+            raise ParseError(path, first + 2, f"column {name!r} must be finite")
         outcomes[name] = col
     return blocks, block_names, outcomes
 
@@ -387,7 +391,6 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     walk_sec = parser["walk"] if parser.has_section("walk") else {}
     preferential = float(walk_sec.get("preferential_weight", 1.0))
     walk = WalkConfig(
-        mode="without_replacement",
         offspring_pmf=_parse_pmf(str(walk_sec.get("offspring", "survey"))),
         target_n=max(sizes),
         seed_rule=str(walk_sec.get("seed_rule", "degree_proportional")),

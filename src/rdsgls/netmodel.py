@@ -69,8 +69,8 @@ class WeightedGraph:
             i, j, w = int(i), int(j), float(w)
             if not (0 <= i < num_nodes and 0 <= j < num_nodes):
                 raise InvalidParametersError(f"edge ({i},{j}) outside 0..{num_nodes - 1}")
-            if w <= 0:
-                raise InvalidParametersError(f"edge ({i},{j}) has non-positive weight")
+            if not 0 < w < np.inf:
+                raise InvalidParametersError(f"edge ({i},{j}) weight must be positive and finite")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise InvalidParametersError(f"duplicate edge ({i},{j})")
@@ -107,11 +107,6 @@ class WeightedGraph:
     @property
     def isolated_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.degrees == 0)
-
-    def neighbors(self, i: int):
-        """(neighbor ids, weights) for node i."""
-        lo, hi = self.weights.indptr[i], self.weights.indptr[i + 1]
-        return self.weights.indices[lo:hi], self.weights.data[lo:hi]
 
     def edge_list(self):
         """Unordered edges as (i, j, w) with i <= j, sorted."""

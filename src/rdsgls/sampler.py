@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     InvalidParametersError,
+    InvalidSampleError,
     MissingLabelError,
     ReversibilityError,
     SamplingFailedError,
@@ -46,9 +47,10 @@ class RdsSample:
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "degree", np.asarray(self.degree, dtype=np.float64))
         if self.outcome is not None:
-            object.__setattr__(
-                self, "outcome", np.asarray(self.outcome, dtype=np.float64)
-            )
+            outcome = np.asarray(self.outcome, dtype=np.float64)
+            if not np.isfinite(outcome).all():
+                raise InvalidSampleError("outcomes must be finite")
+            object.__setattr__(self, "outcome", outcome)
         if self.block is not None:
             object.__setattr__(self, "block", np.asarray(self.block, dtype=np.int64))
         n = self.tree.n
@@ -99,21 +101,17 @@ class WalkConfig:
     explicit node id for deterministic replays.
     """
 
-    mode: str = "without_replacement"
     offspring_pmf: tuple = ()
     target_n: int = 1
     seed_rule: object = "degree_proportional"
     max_restarts: int = 1000
 
     def __post_init__(self):
-        if self.mode not in ("with_replacement", "without_replacement"):
-            raise InvalidParametersError(f"unknown mode {self.mode!r}")
         if self.target_n < 1:
             raise InvalidParametersError("target_n must be >= 1")
-        if self.mode == "without_replacement":
-            pmf = np.asarray(self.offspring_pmf, dtype=np.float64)
-            if pmf.ndim != 1 or pmf.size == 0 or pmf.min() < 0 or abs(pmf.sum() - 1) > 1e-9:
-                raise InvalidParametersError("offspring_pmf must be a probability vector")
+        pmf = np.asarray(self.offspring_pmf, dtype=np.float64)
+        if pmf.ndim != 1 or pmf.size == 0 or not (pmf.min() >= 0 and abs(pmf.sum() - 1) <= 1e-9):
+            raise InvalidParametersError("offspring_pmf must be a probability vector")
         if not isinstance(self.seed_rule, (int, np.integer)) and self.seed_rule not in SEED_RULES:
             raise InvalidParametersError(f"unknown seed rule {self.seed_rule!r}")
 
@@ -225,8 +223,6 @@ def rds_without_replacement(
     Returns ``(sample, restarts)``; the realized referral tree rides along
     as ``sample.tree``.
     """
-    if cfg.mode != "without_replacement":
-        raise InvalidParametersError("config mode must be without_replacement")
     target = cfg.target_n
     if target > graph.num_nodes:
         raise InvalidParametersError(

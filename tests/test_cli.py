@@ -200,3 +200,39 @@ def test_estimate_vh_reweight_rejects_zero_degree(tmp_path, capsys):
         assert code == 2
         assert "reported degrees must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_experiment_rejects_nonfinite_attribute(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    n = 120
+    W = np.triu((rng.random((n, n)) < 0.12).astype(float), 1)
+    edges = tmp_path / "g.txt"
+    fileio.write_edge_list(r.WeightedGraph.from_dense(W + W.T, allow_isolated=True), edges)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[network]\nsource = edgelist\nedges = g.txt\nattributes = a.csv\n"
+        "[outcomes]\ntrait = column:trait\n"
+        "[estimators]\nnames = mean vh auto delta\n"
+        "[walk]\noffspring = survey\nseed_rule = uniform\n"
+        "[run]\nsizes = 25\nreplicates = 3\nseed = 5\n"
+    )
+    for value in (np.nan, np.inf):
+        trait = rng.integers(0, 2, n).astype(float)
+        trait[37] = value
+        fileio.write_attributes(tmp_path / "a.csv", outcomes={"trait": trait})
+        out = tmp_path / "rmse.csv"
+        assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "a.csv:39: column 'trait' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_simulate_rejects_nonfinite_edge_weight(tmp_path, capsys):
+    edges = tmp_path / "e.txt"
+    for value in ("inf", "nan"):
+        edges.write_text(f"0 1\n1 2 {value}\n2 0\n")
+        out = tmp_path / "s.csv"
+        code = dispatch(["simulate", "--edges", str(edges), "--target", "2", "--seed", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert "e.txt:2: edge weight must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,18 +7,18 @@ from conftest import random_tree
 
 def test_gamma_eval_single_term():
     ac = r.AutoCovariance(terms=((0.25, 0.8),))
-    assert abs(r.gamma_eval(ac, 2) - 0.16) < 1e-15
+    assert abs(ac.gamma(2) - 0.16) < 1e-15
 
 
 def test_gamma_eval_two_terms():
     ac = r.AutoCovariance(terms=((0.2, 0.5), (0.1, -0.3)))
-    assert abs(r.gamma_eval(ac, 1) - 0.07) < 1e-15
+    assert abs(ac.gamma(1) - 0.07) < 1e-15
 
 
 def test_gamma_eval_nugget_only_at_lag_zero():
     ac = r.AutoCovariance(terms=((0.25, 0.8),), nugget=0.1)
-    assert abs(r.gamma_eval(ac, 0) - 0.35) < 1e-15
-    assert abs(r.gamma_eval(ac, 1) - 0.20) < 1e-15
+    assert abs(ac.gamma(0) - 0.35) < 1e-15
+    assert abs(ac.gamma(1) - 0.20) < 1e-15
 
 
 def test_gamma_bounded_by_lag_zero():
@@ -28,9 +28,9 @@ def test_gamma_bounded_by_lag_zero():
             (rng.random(), rng.uniform(-0.95, 0.95)) for _ in range(rng.integers(1, 4))
         )
         ac = r.AutoCovariance(terms=terms, nugget=rng.random() * 0.1)
-        g0 = r.gamma_eval(ac, 0)
+        g0 = ac.gamma(0)
         for d in range(1, 40):
-            assert abs(r.gamma_eval(ac, d)) <= g0 + 1e-12
+            assert abs(ac.gamma(d)) <= g0 + 1e-12
 
 
 def test_autocovariance_rejects_unit_eigenvalue():

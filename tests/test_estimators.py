@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls.presets import table1_fixture_sample, two_state_chain
@@ -373,3 +377,62 @@ def test_report_weights_sum_to_one(chain09):
         r.sbm_fgls(s),
     ):
         assert abs(rep.weights.sum() - 1.0) < 1e-10
+
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def labeled_samples(draw):
+    """Random recruitment trees with positive degrees, three blocks and a few outcome levels."""
+    n = draw(st.integers(3, 120))
+    picks = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n - 1, max_size=n - 1))
+    parent = np.array([-1] + [int(u * t) for t, u in enumerate(picks, start=1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return r.RdsSample(
+        tree=r.ReferralTree(parent),
+        node=np.arange(n),
+        degree=rng.integers(1, 40, n).astype(float),
+        outcome=rng.integers(0, draw(st.integers(1, 5)), n) * draw(st.floats(0.1, 3.0)),
+        block=rng.integers(0, 3, n),
+    )
+
+
+def _run(name, sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return r.apply_estimator(name, sample)
+
+
+@PROPERTY
+@given(sample=labeled_samples())
+@pytest.mark.parametrize("name", list(r.ESTIMATORS))
+def test_table_weights_finite_and_normalized(name, sample):
+    weights = _run(name, sample).weights
+    assert np.isfinite(weights).all()
+    assert abs(weights.sum() - 1.0) < 1e-10
+
+
+@PROPERTY
+@given(sample=labeled_samples(), a=st.floats(0.01, 100.0))
+@pytest.mark.parametrize("name", [name for name in r.ESTIMATORS if name != "delta"])
+def test_table_scale_equivariance(name, sample, a):
+    # delta is left out: its n^-1/2 smoothing term is not scale-free
+    mu = _run(name, sample).mu_hat
+    scaled = _run(name, sample.with_outcome_values(a * sample.y)).mu_hat
+    assert abs(scaled - a * mu) <= 1e-9 * max(1.0, a * np.abs(sample.y).max())
+
+
+@PROPERTY
+@given(sample=labeled_samples(), b=st.floats(-100.0, 100.0))
+@pytest.mark.parametrize("name", ["mean", "vh"])
+def test_table_shift_equivariance(name, sample, b):
+    mu = _run(name, sample).mu_hat
+    shifted = _run(name, sample.with_outcome_values(sample.y + b)).mu_hat
+    assert abs(shifted - (mu + b)) <= 1e-9 * max(1.0, abs(b), np.abs(sample.y).max())
+
+
+def test_reweight_rejects_unknown_policy():
+    s = make_sample(r.complete_binary_tree(2), [0.0, 1.0, 1.0])
+    with pytest.raises(r.InvalidParametersError, match="unknown reweighting"):
+        r.reweight(s, "harmonic")

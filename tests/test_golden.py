@@ -1,0 +1,75 @@
+"""Byte-for-byte pins of every estimator output on one committed sample.
+
+``data/golden_sample.csv`` is the n = 200 sample written by
+``fileio.write_sample`` from ``table1_dcsbm(1000, 20, rng_seed=11)``: the
+network drawn with seed 11, its largest component sampled with the
+``fast`` offspring law, seed 11, outcome ``y = (z != 2)`` and the block
+labels attached.  The digests were recorded before the estimator table
+replaced the per-caller dispatch code.
+"""
+
+import hashlib
+import warnings
+from pathlib import Path
+
+import pytest
+
+import rdsgls as r
+from rdsgls import fileio
+from rdsgls.cli import dispatch
+
+SAMPLE = Path(__file__).parent / "data" / "golden_sample.csv"
+
+REPORT_SHA256 = {
+    ("mean", "none"): "b7726fe336ed4c2e728c3377cc0c1ae0d2a6471abc33cf37a54454c3af59115e",
+    ("mean", "vh"): "f5978ae5df9a1ed99196567a83312c4b4674059b188b73db3abff441e9ae3625",
+    ("mean", "fgls"): "2e1860da563944cff6782a7c0611837bd2c0a3d94afa34d5f806f60f6bc4cf61",
+    ("vh", "none"): "ec4ca3fd25d734c2958ab8bd6702c7ec768b989a407c50c791884bbd16459f60",
+    ("vh", "vh"): "3cd6424f0b2df2987f8303befbe4ae297b0b13f0cc8144be4e8f67a61d511cc7",
+    ("vh", "fgls"): "c3970f950f414ac668ebdad95e924833c6ebf695442d585c93d1415f61d86ef0",
+    ("auto", "none"): "4fa8c15f358ffe892dbf29700499d4da46e82ccdac376df6f776166221dc5a4d",
+    ("auto", "vh"): "993d306eb0b048626cc0aacbfc6ce963b15a3047115c17e5a22a1783bfb631a4",
+    ("auto", "fgls"): "17b5caa2b1f014b581dcf2cd9aa3d7e549552bad8744ac775338d0b7957f9a08",
+    ("delta", "none"): "c65b09c291d69041333e4f056d6ee3048c8c5578ca08e74969c00c2cb427f749",
+    ("delta", "vh"): "3946e02036931b558a5eade2306c924d8d71f9c9b5ab959bc8d8014033754746",
+    ("delta", "fgls"): "be4a654baa498ba4d8cc0c7bd3d586d53082091dc4aa6ca80539a07e0a8e677e",
+    ("sbm", "none"): "7645e59ccd90df6d97d91b64f5a42438a9fb261cecfdf606a7bfe327e7ea1ddd",
+    ("sbm", "vh"): "c135813db1d8dbdfbd7db1fac2d9314ef79a500e86e75e2e70cf98e26082249d",
+    ("sbm", "fgls"): "ce367b1758898117e46bc3168a54d20264c52f44fd13d1389c968f4966f66139",
+}
+DIAGNOSE_SHA256 = "b58bb1f8af25c3cbca5bcda2a28e11d9f15c1ffb6e3068ac5d44ad1cfaf32397"
+MU_HAT_REPR = {
+    "mean": "0.67",
+    "vh": "0.6574498807472086",
+    "auto": "0.5058284367436426",
+    "delta": "0.6376056068833169",
+    "sbm_y": "0.549473405375681",
+    "sbm_z": "0.541008136283597",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(("estimator", "reweight"), sorted(REPORT_SHA256))
+def test_estimate_report_bytes(tmp_path, estimator, reweight):
+    out = tmp_path / "report.json"
+    code = dispatch(["estimate", "--sample", str(SAMPLE), "--estimator", estimator,
+                     "--reweight", reweight, "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == REPORT_SHA256[(estimator, reweight)]
+
+
+def test_diagnose_csv_bytes(tmp_path):
+    out = tmp_path / "diagnostics.csv"
+    assert dispatch(["diagnose", "--sample", str(SAMPLE), "--out", str(out)]) == 0
+    assert _sha256(out) == DIAGNOSE_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(MU_HAT_REPR))
+def test_apply_estimator_mu_hat(name):
+    sample = fileio.read_sample(SAMPLE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert repr(r.apply_estimator(name, sample).mu_hat) == MU_HAT_REPR[name]

@@ -45,6 +45,12 @@ def test_duplicate_edge_rejected():
         r.WeightedGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)])
 
 
+def test_nonfinite_edge_weight_rejected():
+    for w in (np.inf, np.nan, 0.0):
+        with pytest.raises(r.InvalidParametersError, match="positive and finite"):
+            r.WeightedGraph.from_edges(2, [(0, 1, w)])
+
+
 def test_row_sums_and_detailed_balance():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -224,12 +224,28 @@ def test_referral_counts_requires_labels():
 
 
 def test_walkconfig_validation():
-    with pytest.raises(r.InvalidParametersError):
-        r.WalkConfig(offspring_pmf=(0.5, 0.4), target_n=5)
+    for pmf in ((0.5, 0.4), (np.nan, 1.0), (np.inf, 0.0)):
+        with pytest.raises(r.InvalidParametersError):
+            r.WalkConfig(offspring_pmf=pmf, target_n=5)
     with pytest.raises(r.InvalidParametersError):
         r.WalkConfig(offspring_pmf=(0.5, 0.5), target_n=0)
     with pytest.raises(r.InvalidParametersError):
         r.WalkConfig(offspring_pmf=(0.5, 0.5), target_n=2, seed_rule="degreeish")
+
+
+def test_sample_rejects_nonfinite_outcomes():
+    tree = r.complete_binary_tree(3)
+    y = np.arange(tree.n, dtype=float)
+    y[4] = np.nan
+    with pytest.raises(r.InvalidSampleError, match="outcomes must be finite"):
+        r.RdsSample(tree=tree, node=np.arange(tree.n), degree=np.ones(tree.n), outcome=y)
+    sample = r.RdsSample(tree=tree, node=np.arange(tree.n), degree=np.full(tree.n, np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        y[4] = bad
+        with pytest.raises(r.InvalidSampleError):
+            sample.with_outcome(y)
+        with pytest.raises(r.InvalidSampleError):
+            sample.with_outcome_values(y)
 
 
 def test_prefix_sample_consistency(chain09):
