@@ -8,6 +8,7 @@ on standard error, one line each.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -41,7 +42,9 @@ def _parse_levels(text: str):
     return [int(v) for v in text.replace(",", " ").split()]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rdsgls",
         description="Referral sampling simulator and GLS estimator toolkit",

@@ -243,9 +243,16 @@ def tree_gls_solve(
     z[:, 0] = 1.0
     F = np.empty_like(S)  # S_c^{-1} E, kept for back substitution
     runs = tree.level_runs()
+    # every non-root leaf keeps its degree-1 starting block, the same for
+    # all of them: invert it once (node n - 1 is always such a leaf)
+    leaf = tree.degrees == 1
     try:
+        leaf_inv = np.linalg.inv(S[-1])
         for nodes, _, heads, starts in reversed(runs):
-            inv = np.linalg.inv(S[nodes])
+            inv = np.empty((nodes.shape[0], K + 1, K + 1))
+            at_leaf = leaf[nodes]
+            inv[at_leaf] = leaf_inv
+            inv[~at_leaf] = np.linalg.inv(S[nodes[~at_leaf]])
             a = np.einsum("mij,mj->mi", inv, z[nodes])
             z[nodes] = a
             F[nodes] = f = inv * e

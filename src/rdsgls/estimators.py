@@ -148,14 +148,28 @@ def lag_statistics(sample: RdsSample, m: float) -> LagStatistics:
     gp_sq = np.sum((Y[deep] - Y[gp]) ** 2)
     gp_count = deep.size
 
-    sib_sq = 0.0
-    sib_count = 0
-    for kid_list in tree.children:
-        c = len(kid_list)
-        if c >= 2:
-            yk = Y[kid_list]
-            sib_sq += 2.0 * (c * np.sum(yk**2) - np.sum(yk) ** 2)
-            sib_count += c * (c - 1)
+    # siblings: per parent, c (c - 1) ordered pairs with squared differences
+    # summing to 2 (c sum y^2 - (sum y)^2); bincount adds in node order,
+    # which is np.sum's order for fewer than 8 terms
+    y_kids = Y[kids]
+    c = np.bincount(parents, minlength=n)
+    s1 = np.bincount(parents, weights=y_kids, minlength=n)
+    s2 = np.bincount(parents, weights=y_kids**2, minlength=n)
+    wide = np.flatnonzero(c >= 8)
+    if wide.size:
+        # np.sum adds 8 or more terms pairwise: keep its order there
+        by_parent = kids[np.argsort(parents, kind="stable")]
+        ends = np.cumsum(c)
+        for p in wide:
+            yk = Y[by_parent[ends[p] - c[p] : ends[p]]]
+            s1[p] = np.sum(yk)
+            s2[p] = np.sum(yk**2)
+    groups = c >= 2
+    # float_power calls the C library's pow, as ** on a NumPy scalar does;
+    # ** on an array multiplies, which rounds differently about once in 1,200
+    terms = 2.0 * (c[groups] * s2[groups] - np.float_power(s1[groups], 2))
+    sib_sq = float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    sib_count = int(c @ (c - 1))
     d2_count = 2 * gp_count + sib_count
     if d2_count == 0:
         raise InsufficientDepthError("tree has no node pairs at distance 2")
@@ -272,9 +286,16 @@ def delta_fgls(sample: RdsSample) -> EstimateReport:
     )
 
 
-def _tree_gls(tree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0):
-    """Estimate, weights and printed-variant RSE under ``ac`` plus ``constant`` 11'."""
+def _tree_gls(
+    tree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0, with_rse: bool = True
+):
+    """Estimate, weights and printed-variant RSE under ``ac`` plus ``constant`` 11'.
+
+    Without ``with_rse`` the RSE is None and its covariance-mass sweep is skipped.
+    """
     result = tree_gls_solve(tree, ac, Y, constant)
+    if not with_rse:
+        return result.estimate, result.weights, None
     n = tree.n
     mass = tree_covariance_mass(tree, ac) + constant * n * n
     return result.estimate, result.weights, float(np.sqrt(result.variance / (mass / n)))
@@ -322,6 +343,11 @@ def sbm_fgls(
     solve stays definite.  ``qhat`` overrides the counting step for
     verification work.
     """
+    return _blockmodel_gls(sample, labels, K, qhat, with_rse=True)
+
+
+def _blockmodel_gls(sample, labels, K, qhat, with_rse: bool) -> EstimateReport:
+    """``sbm_fgls``; without ``with_rse`` the report carries no RSE."""
     Y = sample.y
     n = sample.n
     if labels is None:
@@ -367,7 +393,9 @@ def sbm_fgls(
     s2 = float(Y.var(ddof=1))
     ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
     try:
-        mu, weights, rse = _tree_gls(sample.tree, ac, Y, constant=float(beta_hat[0] ** 2))
+        mu, weights, rse = _tree_gls(
+            sample.tree, ac, Y, constant=float(beta_hat[0] ** 2), with_rse=with_rse
+        )
     except SingularCovarianceError:
         notes.append("estimated covariance was singular; fell back to the sample mean")
         mu = float(Y.mean())
@@ -438,7 +466,8 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     if policy == "vh":
         h_inv = inv.mean()
     elif policy == "fgls":
-        h_inv = sbm_fgls(sample.with_outcome_values(inv), labels).mu_hat
+        weighted = sample.with_outcome_values(inv)
+        h_inv = _blockmodel_gls(weighted, labels, None, None, with_rse=False).mu_hat
         if not np.isfinite(h_inv) or h_inv <= 0:
             warnings.warn(
                 "GLS estimate of the inverse-degree mean was not positive; "

@@ -83,6 +83,10 @@ class ExperimentConfig:
             raise InvalidParametersError(f"unknown estimators: {sorted(unknown)}")
         if self.walk.target_n < max(self.sizes):
             raise InvalidParametersError("walk target_n must cover the largest size")
+        if not (np.isfinite(self.preferential_weight) and self.preferential_weight > 0):
+            raise InvalidParametersError(
+                f"preferential_weight must be finite and positive, got {self.preferential_weight}"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,13 @@ MAX_DENSE_NODES = 10_000
 MAX_DIAMETER = 65_535
 """Distances are stored as 16-bit integers."""
 
+# tree_distance_pgf sweeps an n x width float64 block at a time: one that
+# fits in cache runs faster than one n x len(grid) sweep at large n.  The
+# floor keeps every grid of up to 64 points (each estimator's eigenvalues,
+# a single RSE value) in one block.
+_PGF_BLOCK_BYTES = 1 << 20
+_PGF_MIN_BLOCK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class ReferralTree:
@@ -54,11 +61,20 @@ class ReferralTree:
 
     @property
     def depths(self) -> np.ndarray:
-        """Depth of each node (root = 0)."""
+        """Depth of each node (root = 0).
+
+        Pointer doubling: ``d[t]`` counts the edges from ``t`` up to
+        ``anc[t]``, and each pass jumps every node to its ancestor's
+        ancestor, so O(n log depth) work even on a path.
+        """
         if "depths" not in self._cache:
-            d = np.zeros(self.n, dtype=np.int64)
-            for tau in range(1, self.n):
-                d[tau] = d[self.parent[tau]] + 1
+            anc = self.parent.copy()
+            anc[0] = 0
+            d = np.ones(self.n, dtype=np.int64)
+            d[0] = 0
+            while anc.any():
+                d += d[anc]
+                anc = anc[anc]
             self._cache["depths"] = d
         return self._cache["depths"]
 
@@ -304,17 +320,24 @@ def distance_power_apply(tree: ReferralTree, lam, V) -> np.ndarray:
 
 
 def tree_distance_pgf(tree: ReferralTree, xs) -> np.ndarray:
-    """Distance PGF ``E(x^D)`` over a grid by one batched sweep, O(n len(xs)).
+    """Distance PGF ``E(x^D)`` over a grid by batched sweeps, O(n len(xs)).
 
     Uses ``G(x) = 1' R_x 1 / n^2`` with ``R_x[s, t] = x^d(s, t)``; agrees
     with ``tree_distance_distribution(tree).pgf_grid(xs)`` without the
-    dense distance matrix.
+    dense distance matrix.  The grid is swept in column blocks of about
+    ``_PGF_BLOCK_BYTES``, never narrower than ``_PGF_MIN_BLOCK`` columns.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or np.any(np.abs(xs) > 1.0):
         raise InvalidParametersError("PGF arguments must form a 1-D grid in [-1, 1]")
     n = tree.n
-    mass = distance_power_apply(tree, xs, np.ones((n, xs.shape[0]))).sum(axis=0)
+    width = max(_PGF_MIN_BLOCK, _PGF_BLOCK_BYTES // (8 * n))
+    mass = np.empty(xs.shape[0])
+    for lo in range(0, xs.shape[0], width):
+        block = xs[lo : lo + width]
+        mass[lo : lo + width] = distance_power_apply(
+            tree, block, np.ones((n, block.shape[0]))
+        ).sum(axis=0)
     return mass / float(n) ** 2
 
 

@@ -2,9 +2,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rdsgls as r
-from rdsgls import fileio
+from rdsgls import cli, fileio
 from rdsgls.cli import dispatch
 
 DATA = Path(__file__).parent / "data"
@@ -26,6 +27,55 @@ def test_estimate_vh_golden(tmp_path):
 def test_usage_error_returns_one():
     assert dispatch(["estimate", "--sample", "x.csv"]) == 1
     assert dispatch(["no-such-command"]) == 1
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
+    out = tmp_path / "out"
+    sample = str(DATA / "vh_fixture.csv")
+    calls = [
+        ["estimate", "--sample", sample],
+        ["estimate", "--sample", sample, "--estimator", "vh", "--out", str(out)],
+        ["no-such-command"],
+        ["figure1", "--p", "0.6,0.9", "--levels", "5..7", "--out", str(out)],
+        ["estimate", "--sample", sample, "--estimator", "median", "--out", str(out)],
+        ["diagnose", "--sample", sample, "--out", str(out)],
+        ["estimate", "--sample", sample, "--estimator", "auto", "--reweight", "vh",
+         "--out", str(out)],
+        ["estimate", "--sample", str(tmp_path / "missing.csv"), "--estimator", "vh",
+         "--out", str(out)],
+        ["--help"],
+    ]
+
+    def run(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out.unlink(missing_ok=True)
+            code = dispatch(argv)
+            written = out.read_bytes() if out.exists() else None
+            seen.append((code, capsys.readouterr(), written))
+        return seen
+
+    fresh = run(fresh=True)
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 0, 1, 0, 0, 2, 0]
+    assert run(fresh=False) == fresh
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "0", "-1"])
+def test_experiment_rejects_bad_preferential_weight(tmp_path, capsys, weight):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[network]\nsource = dcsbm\nnodes = 200\nexpected_degree = 10\ntheta = uniform\n"
+        "[outcomes]\naligned = block_values:1,1,0\n"
+        "[estimators]\nnames = mean vh\n"
+        f"[walk]\noffspring = survey\nseed_rule = uniform\npreferential_weight = {weight}\n"
+        "[run]\nsizes = 30\nreplicates = 3\nseed = 8\n"
+    )
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "preferential_weight must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_error_returns_two(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdsgls as r
+from conftest import random_tree
 from rdsgls.presets import table1_fixture_sample, two_state_chain
 
 
@@ -430,6 +431,91 @@ def test_table_shift_equivariance(name, sample, b):
     mu = _run(name, sample).mu_hat
     shifted = _run(name, sample.with_outcome_values(sample.y + b)).mu_hat
     assert abs(shifted - (mu + b)) <= 1e-9 * max(1.0, abs(b), np.abs(sample.y).max())
+
+
+def _lag_statistics_loop(sample, m):
+    """``lag_statistics`` as it was before the sibling sums were vectorized (the oracle)."""
+    Y = sample.y
+    n = sample.n
+    if n < 3:
+        raise r.InsufficientDepthError("lag-2 statistics need at least 3 nodes")
+    tree = sample.tree
+    parents = tree.parent[1:]
+    kids = np.arange(1, n)
+    resid = Y - m
+
+    gamma0 = float(np.mean(resid**2))
+    prod1 = resid[parents] * resid[kids]
+    gamma1 = float(prod1.mean())
+    delta1 = float(np.mean((Y[parents] - Y[kids]) ** 2))
+
+    # distance-2 pairs: grandparent-grandchild plus siblings
+    deep = kids[parents > 0]
+    gp = tree.parent[parents[parents > 0]]
+    gp_sq = np.sum((Y[deep] - Y[gp]) ** 2)
+    gp_count = deep.size
+
+    sib_sq = 0.0
+    sib_count = 0
+    for kid_list in tree.children:
+        c = len(kid_list)
+        if c >= 2:
+            yk = Y[kid_list]
+            sib_sq += 2.0 * (c * np.sum(yk**2) - np.sum(yk) ** 2)
+            sib_count += c * (c - 1)
+    d2_count = 2 * gp_count + sib_count
+    if d2_count == 0:
+        raise r.InsufficientDepthError("tree has no node pairs at distance 2")
+    delta2 = float((2.0 * gp_sq + sib_sq) / d2_count)
+    return r.LagStatistics(
+        gamma0=gamma0,
+        gamma1=gamma1,
+        delta1=delta1,
+        delta2=delta2,
+        counts={0: n, 1: 2 * (n - 1), 2: d2_count},
+    )
+
+
+@st.composite
+def lag_samples(draw):
+    """Random recruitment trees, or stars with up to 50 children, with rough outcomes."""
+    n = draw(st.integers(3, 51))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        tree = random_tree(rng, draw(st.integers(3, 200)))
+    else:
+        tree = r.ReferralTree(np.array([-1] + [0] * (n - 1)))
+    y = rng.normal(size=tree.n) * rng.integers(1, 100, tree.n) / 7.0
+    return make_sample(tree, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=lag_samples(), m=st.floats(-5.0, 5.0))
+def test_lag_statistics_equal_the_sibling_loop(sample, m):
+    # bit for bit, also for sibling groups of 8 or more, where np.sum adds pairwise
+    assert r.lag_statistics(sample, m) == _lag_statistics_loop(sample, m)
+
+
+def test_lag_statistics_square_sums_as_the_loop_did():
+    # the loop squared NumPy scalars, which calls the C library's pow; for some
+    # x that differs from x * x in the last bit, and a two-child star isolates it
+    xs = np.random.default_rng(0).normal(size=20_000)
+    differ = [x for x in xs if x**2 != x * x]
+    for x in differ[:5]:
+        sample = make_sample(r.ReferralTree(np.array([-1, 0, 0])), [0.0, x, 0.0])
+        assert r.lag_statistics(sample, 0.0) == _lag_statistics_loop(sample, 0.0)
+
+
+@PROPERTY
+@given(sample=labeled_samples())
+def test_fgls_reweight_uses_the_blockmodel_estimate(sample):
+    inverse = sample.with_outcome_values(1.0 / sample.degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        h_inv = r.sbm_fgls(inverse).mu_hat
+        out = r.reweight(sample, "fgls").y
+    if np.isfinite(h_inv) and h_inv > 0:
+        assert np.array_equal(out, sample.y / (h_inv * sample.degree))
 
 
 def test_reweight_rejects_unknown_policy():

@@ -161,6 +161,12 @@ def test_preferential_flag_changes_sampling_not_degrees():
     assert len(table.rows) == len(cfg.estimators) * len(cfg.sizes) * len(cfg.outcomes)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0, -1.0])
+def test_preferential_weight_must_be_finite_and_positive(weight):
+    with pytest.raises(r.InvalidParametersError, match="preferential_weight"):
+        small_config(preferential_weight=weight)
+
+
 def test_emit_diagnostics_point_structure():
     params = table1_dcsbm(500, expected_degree=14.0, rng_seed=5)
     graph, kept = r.dcsbm_sample(params, 5).largest_component()

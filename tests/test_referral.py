@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdsgls as r
 from conftest import random_tree
@@ -41,6 +45,33 @@ def test_degree_sum_is_twice_edges():
     for _ in range(20):
         tree = random_tree(rng, int(rng.integers(2, 120)))
         assert tree.degrees.sum() == 2 * (tree.n - 1)
+
+
+def _depths_loop(parent):
+    """``ReferralTree.depths`` as it was before pointer doubling (the oracle)."""
+    d = np.zeros(len(parent), dtype=np.int64)
+    for tau in range(1, len(parent)):
+        d[tau] = d[parent[tau]] + 1
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), reach=st.integers(1, 300))
+def test_depths_equal_the_loop(seed, n, reach):
+    # small reach gives deep, narrow trees; large reach bushy ones
+    rng = np.random.default_rng(seed)
+    parent = np.array([-1] + [int(rng.integers(max(0, t - reach), t)) for t in range(1, n)])
+    assert np.array_equal(r.ReferralTree(parent).depths, _depths_loop(parent))
+
+
+def test_depths_of_a_long_path():
+    # O(n log depth): a walk one level at a time would be O(n^2) here
+    parent = np.arange(-1, 49_999)
+    t0 = time.perf_counter()
+    depths = r.ReferralTree(parent).depths
+    assert time.perf_counter() - t0 < 1.0
+    assert np.array_equal(depths, _depths_loop(parent))
+    assert np.array_equal(depths, np.arange(50_000))
 
 
 def test_galton_watson_deterministic_offspring_is_binary():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls.covariance import tree_covariance_mass, tree_gls_solve
+from rdsgls.diagnostics import GREY_LINE_GRID
 from rdsgls.referral import MAX_DENSE_NODES, distance_power_apply, tree_distance_pgf
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -34,9 +35,18 @@ def test_sweep_apply_matches_dense(tree, lam, seed):
         assert np.allclose(out[:, j], dense, rtol=0, atol=1e-10 * max(1.0, np.abs(dense).max()))
 
 
+@st.composite
+def stars_and_paths(draw, max_n=40):
+    """Every non-root node a leaf, or a single leaf at the end of a path."""
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        return r.ReferralTree(np.array([-1] + [0] * (n - 1)))
+    return r.ReferralTree(np.arange(-1, n - 1))
+
+
 @PROPERTY
 @given(
-    tree=trees(),
+    tree=st.one_of(trees(), stars_and_paths()),
     terms=st.lists(st.tuples(loadings, lams), min_size=1, max_size=4),
     nugget=st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.1, 3.0)),
 )
@@ -81,6 +91,19 @@ def test_constant_term_moves_only_the_variance(tree, terms, nugget, constant):
 def test_sweep_pgf_matches_distance_distribution(tree, xs):
     expected = r.tree_distance_distribution(tree).pgf_grid(np.array(xs))
     assert np.allclose(tree_distance_pgf(tree, xs), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(800, 3000))
+def test_blocked_pgf_equals_one_sweep(seed, n):
+    # past n = 724 the 181-point grey-line grid no longer fits one column block
+    rng = np.random.default_rng(seed)
+    tree = r.ReferralTree(
+        np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+    )
+    grid = GREY_LINE_GRID
+    one_sweep = distance_power_apply(tree, grid, np.ones((n, grid.shape[0]))).sum(axis=0)
+    assert np.array_equal(tree_distance_pgf(tree, grid), one_sweep / float(n) ** 2)
 
 
 def test_singular_node_block_falls_back_to_mean():
