@@ -81,6 +81,12 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise InvalidParametersError(f"unknown estimators: {sorted(unknown)}")
+        if not self.sizes or min(self.sizes) < 1:
+            raise InvalidParametersError(
+                f"sizes must list one or more sample sizes >= 1, got {tuple(self.sizes)}"
+            )
+        if self.jobs < 1:
+            raise InvalidParametersError(f"jobs must be >= 1, got {self.jobs}")
         if self.walk.target_n < max(self.sizes):
             raise InvalidParametersError("walk target_n must cover the largest size")
         if not (np.isfinite(self.preferential_weight) and self.preferential_weight > 0):

@@ -392,7 +392,8 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     preferential = float(walk_sec.get("preferential_weight", 1.0))
     walk = WalkConfig(
         offspring_pmf=_parse_pmf(str(walk_sec.get("offspring", "survey"))),
-        target_n=max(sizes),
+        # at least 1, so that ExperimentConfig names empty or bad sizes itself
+        target_n=max((1, *sizes)),
         seed_rule=str(walk_sec.get("seed_rule", "degree_proportional")),
         max_restarts=int(walk_sec.get("max_restarts", 1000)),
     )

@@ -8,6 +8,7 @@ edge weights.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,8 +113,15 @@ class WalkConfig:
         pmf = np.asarray(self.offspring_pmf, dtype=np.float64)
         if pmf.ndim != 1 or pmf.size == 0 or not (pmf.min() >= 0 and abs(pmf.sum() - 1) <= 1e-9):
             raise InvalidParametersError("offspring_pmf must be a probability vector")
-        if not isinstance(self.seed_rule, (int, np.integer)) and self.seed_rule not in SEED_RULES:
+        if isinstance(self.seed_rule, (int, np.integer)):
+            if self.seed_rule < 0:
+                raise InvalidParametersError(
+                    f"seed_rule node id must be >= 0, got {self.seed_rule}"
+                )
+        elif self.seed_rule not in SEED_RULES:
             raise InvalidParametersError(f"unknown seed rule {self.seed_rule!r}")
+        if self.max_restarts < 0:
+            raise InvalidParametersError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
 
 def _check_irreducible(model: TransitionModel):
@@ -205,6 +213,28 @@ def _draw_seed(graph: WeightedGraph, rule, rng) -> int:
     return int(np.searchsorted(np.cumsum(w / total), rng.random(), side="right"))
 
 
+def _choice_without_replacement(p: np.ndarray, size: int, rng) -> list:
+    """The indices ``rng.choice(len(p), size, replace=False, p=p)`` returns.
+
+    NumPy's weighted draw without replacement, round for round: draw one
+    uniform per index still missing, zero the probability of the indices
+    found so far, invert the renormalized cdf, and keep the new indices in
+    the order they first appear.  The same uniforms are used in the same
+    order, so the generator ends in the same state, but without ``choice``'s
+    argument checks and its ``np.unique`` per round.  ``p`` must be positive.
+    """
+    p = p.copy()
+    found = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        if found:
+            p[found] = 0.0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+    return found
+
+
 def rds_without_replacement(
     graph: WeightedGraph,
     cfg: WalkConfig,
@@ -228,13 +258,17 @@ def rds_without_replacement(
         raise InvalidParametersError(
             f"target_n={target} exceeds the {graph.num_nodes}-node graph"
         )
+    if isinstance(cfg.seed_rule, (int, np.integer)) and cfg.seed_rule >= graph.num_nodes:
+        raise InvalidParametersError(
+            f"seed_rule node {cfg.seed_rule} is not in the {graph.num_nodes}-node graph"
+        )
     rng = as_rng(rng_seed, STREAM_WALK)
-    pmf = np.asarray(cfg.offspring_pmf, dtype=np.float64)
-    offspring_cdf = np.cumsum(pmf)
-    indptr = graph.weights.indptr
+    # bisect on a list finds what np.searchsorted(..., side="right") finds
+    offspring_cdf = np.cumsum(np.asarray(cfg.offspring_pmf, dtype=np.float64)).tolist()
+    indptr = graph.weights.indptr.tolist()
     indices = graph.weights.indices
     weights = graph.weights.data
-    contact_counts = np.diff(indptr)
+    contact_counts = np.diff(graph.weights.indptr)
 
     restarts = 0
     best = 0
@@ -247,25 +281,20 @@ def rds_without_replacement(
         frontier = 0
         while len(nodes) < target and frontier < len(nodes):
             who = nodes[frontier]
-            want = int(np.searchsorted(offspring_cdf, rng.random(), side="right"))
+            want = bisect.bisect_right(offspring_cdf, rng.random())
             if want > 0:
                 lo, hi = indptr[who], indptr[who + 1]
                 nbrs = indices[lo:hi]
-                eligible = nbrs[~in_sample[nbrs]]
+                fresh = ~in_sample[nbrs]
+                eligible = nbrs[fresh]
                 if eligible.size:
-                    if want >= eligible.size:
-                        chosen = eligible
-                    else:
-                        w = weights[lo:hi][~in_sample[nbrs]]
-                        chosen = rng.choice(
-                            eligible, size=want, replace=False, p=w / w.sum()
-                        )
-                    for c in chosen:
-                        if len(nodes) >= target:
-                            break
-                        in_sample[c] = True
-                        nodes.append(int(c))
-                        parent.append(frontier)
+                    if want < eligible.size:
+                        w = weights[lo:hi][fresh]
+                        eligible = eligible[_choice_without_replacement(w / w.sum(), want, rng)]
+                    chosen = eligible[: target - len(nodes)]
+                    in_sample[chosen] = True
+                    nodes.extend(chosen.tolist())
+                    parent.extend([frontier] * chosen.size)
             frontier += 1
         if len(nodes) >= target:
             tree = ReferralTree(np.asarray(parent, dtype=np.int64))

@@ -78,6 +78,50 @@ def test_experiment_rejects_bad_preferential_weight(tmp_path, capsys, weight):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("run", "flags", "field"),
+    [
+        ("sizes =", [], "sizes"),
+        ("sizes = 0", [], "sizes"),
+        ("sizes = 30 -5", [], "sizes"),
+        ("sizes = 30\njobs = 0", [], "jobs"),
+        ("sizes = 30\njobs = -3", [], "jobs"),
+        ("sizes = 30", ["--jobs", "0"], "jobs"),
+    ],
+)
+def test_experiment_rejects_bad_sizes_and_jobs(tmp_path, capsys, run, flags, field):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[network]\nsource = dcsbm\nnodes = 200\nexpected_degree = 10\ntheta = uniform\n"
+        "[outcomes]\naligned = block_values:1,1,0\n"
+        "[estimators]\nnames = mean vh\n"
+        "[walk]\noffspring = survey\nseed_rule = uniform\n"
+        f"[run]\n{run}\nreplicates = 3\nseed = 8\n"
+    )
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert f"error: {field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("flags", "field"),
+    [
+        (["--seed-rule", "-1"], "seed_rule node id"),
+        (["--seed-rule", "6"], "seed_rule node 6"),
+        (["--max-restarts", "-1"], "max_restarts"),
+    ],
+)
+def test_simulate_rejects_bad_walk_settings(tmp_path, capsys, flags, field):
+    edges = tmp_path / "edges.csv"
+    fileio.write_edge_list(r.WeightedGraph.from_dense(np.ones((6, 6)) - np.eye(6)), edges)
+    out = tmp_path / "sample.csv"
+    argv = ["simulate", "--edges", str(edges), "--target", "3", "--out", str(out), *flags]
+    assert dispatch(argv) == 2
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_error_returns_two(tmp_path):
     out = tmp_path / "r.json"
     code = dispatch(

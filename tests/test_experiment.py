@@ -167,6 +167,21 @@ def test_preferential_weight_must_be_finite_and_positive(weight):
         small_config(preferential_weight=weight)
 
 
+@pytest.mark.parametrize(
+    ("overrides", "field"),
+    [
+        ({"sizes": ()}, "sizes"),
+        ({"sizes": (0, 80)}, "sizes"),
+        ({"sizes": (40, -5)}, "sizes"),
+        ({"jobs": 0}, "jobs"),
+        ({"jobs": -3}, "jobs"),
+    ],
+)
+def test_sizes_and_jobs_are_validated(overrides, field):
+    with pytest.raises(r.InvalidParametersError, match=field):
+        small_config(**overrides)
+
+
 def test_emit_diagnostics_point_structure():
     params = table1_dcsbm(500, expected_degree=14.0, rng_seed=5)
     graph, kept = r.dcsbm_sample(params, 5).largest_component()

@@ -1,15 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import rdsgls as r
 from rdsgls.presets import (
+    OFFSPRING_PRESETS,
     block_sizes,
     table1_block_proportions,
+    table1_dcsbm,
     table1_fixture_sample,
     table1_symmetrized,
     uniform_theta,
 )
+from rdsgls.sampler import _choice_without_replacement
 
 
 def test_single_node_tree_draws_from_pi(triangle_model):
@@ -233,6 +240,49 @@ def test_walkconfig_validation():
         r.WalkConfig(offspring_pmf=(0.5, 0.5), target_n=2, seed_rule="degreeish")
 
 
+@pytest.mark.parametrize(
+    ("field", "value"), [("seed_rule", -1), ("seed_rule", np.int64(-3)), ("max_restarts", -1)]
+)
+def test_walkconfig_rejects_negative_settings(field, value):
+    with pytest.raises(r.InvalidParametersError, match=field):
+        r.WalkConfig(offspring_pmf=(0.5, 0.5), target_n=2, **{field: value})
+
+
+def test_seed_node_outside_graph_fails_before_drawing():
+    graph = r.WeightedGraph.from_dense(np.ones((6, 6)) - np.eye(6))
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    for node in (6, 1000):
+        cfg = r.WalkConfig(offspring_pmf=(0.0, 1.0), target_n=3, seed_rule=node)
+        with pytest.raises(r.InvalidParametersError, match="seed_rule node"):
+            r.rds_without_replacement(graph, cfg, rng)
+    assert repr(rng.bit_generator.state) == repr(before)
+    cfg = r.WalkConfig(offspring_pmf=(0.0, 1.0), target_n=3, seed_rule=5, max_restarts=0)
+    sample, restarts = r.rds_without_replacement(graph, cfg, rng)
+    assert sample.node[0] == 5 and restarts == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(2, 40),
+    seed=st.integers(0, 2**63),
+    bitgen=st.sampled_from([np.random.PCG64, np.random.Philox]),
+)
+def test_choice_emulation_matches_numpy(data, m, seed, bitgen):
+    # log-uniform weights over 24 decades force many rounds of redraws
+    exponents = data.draw(st.lists(st.floats(-12.0, 12.0), min_size=m, max_size=m))
+    w = 10.0 ** np.array(exponents)
+    p = w / w.sum()
+    size = data.draw(st.integers(1, m - 1))
+    ours = np.random.Generator(bitgen(seed))
+    numpys = np.random.Generator(bitgen(seed))
+    got = _choice_without_replacement(p, size, ours)
+    assert got == numpys.choice(m, size=size, replace=False, p=p).tolist()
+    # repr: a Philox state holds arrays
+    assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+
+
 def test_sample_rejects_nonfinite_outcomes():
     tree = r.complete_binary_tree(3)
     y = np.arange(tree.n, dtype=float)
@@ -256,3 +306,61 @@ def test_prefix_sample_consistency(chain09):
     assert np.array_equal(sub.node, sample.node[:10])
     assert np.array_equal(sub.outcome, sample.outcome[:10])
     assert np.array_equal(sub.block, sample.block[:10])
+
+
+# Digests of rds_without_replacement output recorded before the weighted
+# no-replacement draw stopped calling Generator.choice: the sampler must
+# keep drawing the same samples from the same seeds.
+DIGEST_SEEDS = (3, 17, 101, 2024)
+SAMPLER_SHA256 = {
+    (1.0, "fast"): "311a03643b0d78616f4a566afd869f75b85be8c31a230748573e306a3a579ce1",
+    (1.0, "slow"): "0d2963080f8dc452a0c7c8b8611ce4d3f19d7ae1596457e6295ea1aeae60a1c0",
+    (10.0, "fast"): "f74b22fc21780ae73632fb2b6f0ab3e478e09f2638144536ba0b9c52946f1f0c",
+    (10.0, "slow"): "710cb489d6fe26d79107cdeb46b36bd6c6568366c55216208abc529e678a02ad",
+}
+PASSED_GENERATOR_SHA256 = (
+    "15fe0f14579801e14a94628707c375f84b687a98d4c77fe9d169174b026c9e8b"
+)
+
+
+@pytest.fixture(scope="module")
+def digest_graph():
+    params = table1_dcsbm(600, expected_degree=20.0, rng_seed=5)
+    graph, kept = r.dcsbm_sample(params, 5).largest_component()
+    return graph, params.z[kept]
+
+
+def _feed(h, sample, restarts):
+    h.update(sample.tree.parent.astype("<i8").tobytes())
+    h.update(sample.node.astype("<i8").tobytes())
+    h.update(int(restarts).to_bytes(8, "little"))
+
+
+@pytest.mark.parametrize(("weight", "law"), sorted(SAMPLER_SHA256))
+def test_sampler_digest(digest_graph, weight, law):
+    graph, z = digest_graph
+    if weight != 1.0:
+        graph = graph.reweighted_within_blocks(z, weight)
+    h = hashlib.sha256()
+    for rule in ("uniform", "degree_proportional"):
+        cfg = r.WalkConfig(
+            offspring_pmf=tuple(OFFSPRING_PRESETS[law]), target_n=150, seed_rule=rule
+        )
+        for seed in DIGEST_SEEDS:
+            _feed(h, *r.rds_without_replacement(graph, cfg, seed))
+    assert h.hexdigest() == SAMPLER_SHA256[(weight, law)]
+
+
+def test_sampler_digest_passed_generator(digest_graph):
+    graph, z = digest_graph
+    rng = np.random.default_rng(42)
+    h = hashlib.sha256()
+    for g in (graph, graph.reweighted_within_blocks(z, 10.0)):
+        for law in ("fast", "slow"):
+            for rule in ("stationary_pi", "uniform", "degree_proportional"):
+                cfg = r.WalkConfig(
+                    offspring_pmf=tuple(OFFSPRING_PRESETS[law]), target_n=150, seed_rule=rule
+                )
+                _feed(h, *r.rds_without_replacement(g, cfg, rng))
+    h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == PASSED_GENERATOR_SHA256
