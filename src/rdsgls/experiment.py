@@ -8,7 +8,6 @@ single-sample diagnostic datasets.
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -149,43 +148,48 @@ def figure1_ratio(p_values, levels) -> list:
     return rows
 
 
-# replicate context shared with forked workers
-_CTX: dict = {}
+def _run_replicate(ctx: dict, r: int):
+    """Estimates keyed by (estimator, n, outcome) for replicate ``r``, or None.
 
-
-def _run_replicate(r: int):
-    cfg = _CTX["cfg"]
-    graph = _CTX["graph"]
-    z = _CTX["z"]
-    outcomes = _CTX["outcomes"]
-    seed = cfg.base_seed + r
+    ``ctx`` holds the config, the sampling graph, the block labels and the
+    outcome columns; the sampler reports contact counts of the sampling
+    graph, whose sparsity pattern preferential reweighting leaves alone.
+    """
+    cfg = ctx["cfg"]
     try:
-        sample, restarts = rds_without_replacement(graph, cfg.walk, seed)
+        sample, _ = rds_without_replacement(ctx["graph"], cfg.walk, cfg.base_seed + r)
     except SamplingFailedError:
-        return r, None, None
-    sample = sample.with_blocks(z)
-    if _CTX["contact_degrees"] is not None:
-        # preferential runs: estimators see unweighted contact counts
-        sample = RdsSample(
-            tree=sample.tree,
-            node=sample.node,
-            degree=_CTX["contact_degrees"][sample.node],
-            block=sample.block,
-        )
+        return None
+    sample = sample.with_blocks(ctx["z"])
     results = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n in cfg.sizes:
             sub = sample.prefix(n)
-            for out_name, yvec in outcomes.items():
+            for out_name, yvec in ctx["outcomes"].items():
                 labeled = sub.with_outcome(yvec)
                 for est in cfg.estimators:
                     results[(est, n, out_name)] = apply_estimator(est, labeled).mu_hat
-    return r, results, restarts
+    return results
+
+
+# the replicate context of a worker process, set once by its initializer
+_worker_ctx: dict = {}
+
+
+def _init_worker(ctx: dict):
+    _worker_ctx.update(ctx)
+
+
+def _run_worker_replicate(r: int):
+    return _run_replicate(_worker_ctx, r)
 
 
 def _prepare_population(cfg: ExperimentConfig):
-    """Network, labels, and realized outcome columns on the sampled frame."""
+    """Sampling graph, labels, and realized outcome columns on the sampled frame.
+
+    Preferential runs sample on the graph with same-block edges reweighted.
+    """
     if cfg.dcsbm is not None:
         raw = dcsbm_sample(cfg.dcsbm, cfg.base_seed)
         graph, kept = raw.largest_component()
@@ -204,6 +208,8 @@ def _prepare_population(cfg: ExperimentConfig):
             outcomes[name] = np.asarray(cfg.graph_outcomes[name], dtype=np.float64)[kept]
         else:
             outcomes[name] = spec.realize(z, rng)
+    if cfg.preferential_weight != 1.0:
+        graph = graph.reweighted_within_blocks(z, cfg.preferential_weight)
     return graph, z, outcomes
 
 
@@ -216,38 +222,19 @@ def run_rmse_experiment(cfg: ExperimentConfig) -> RmseTable:
     """
     graph, z, outcomes = _prepare_population(cfg)
     mu_true = {name: float(y.mean()) for name, y in outcomes.items()}
-
-    sampling_graph = graph
-    contact_degrees = None
-    if cfg.preferential_weight != 1.0:
-        sampling_graph = graph.reweighted_within_blocks(z, cfg.preferential_weight)
-        contact_degrees = np.diff(graph.weights.indptr).astype(np.float64)
-
-    _CTX.clear()
-    _CTX.update(
-        cfg=cfg,
-        graph=sampling_graph,
-        z=z,
-        outcomes=outcomes,
-        contact_degrees=contact_degrees,
-    )
-    try:
-        if cfg.jobs > 1:
-            mp = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=cfg.jobs, mp_context=mp) as pool:
-                outcomes_by_rep = list(pool.map(_run_replicate, range(cfg.replicates)))
-        else:
-            outcomes_by_rep = [_run_replicate(r) for r in range(cfg.replicates)]
-    finally:
-        _CTX.clear()
+    ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": outcomes}
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=cfg.jobs, initializer=_init_worker, initargs=(ctx,)
+        ) as pool:
+            per_replicate = list(pool.map(_run_worker_replicate, range(cfg.replicates)))
+    else:
+        per_replicate = [_run_replicate(ctx, r) for r in range(cfg.replicates)]
 
     estimates: dict = {}
-    failures = 0
-    for _, results, _restarts in sorted(outcomes_by_rep, key=lambda t: t[0]):
-        if results is None:
-            failures += 1
-            continue
-        for key, mu in results.items():
+    failures = sum(results is None for results in per_replicate)
+    for results in per_replicate:
+        for key, mu in (results or {}).items():
             estimates.setdefault(key, []).append(mu)
 
     rows = []

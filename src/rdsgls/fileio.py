@@ -50,7 +50,7 @@ def write_edge_list(graph: WeightedGraph, path):
                 fh.write(f"{i} {j} {CSV_FLOAT % w}\n")
 
 
-def read_edge_list(path, num_nodes: int | None = None, allow_isolated: bool = False):
+def read_edge_list(path, allow_isolated: bool = False):
     """Parse whitespace-separated 'u v [w]' lines into a graph."""
     edges = []
     max_id = -1
@@ -73,9 +73,8 @@ def read_edge_list(path, num_nodes: int | None = None, allow_isolated: bool = Fa
                 raise ParseError(path, lineno, "edge weight must be positive and finite")
             edges.append((i, j, w))
             max_id = max(max_id, i, j)
-    n = num_nodes if num_nodes is not None else max_id + 1
     try:
-        return WeightedGraph.from_edges(n, edges, allow_isolated=allow_isolated)
+        return WeightedGraph.from_edges(max_id + 1, edges, allow_isolated=allow_isolated)
     except InvalidParametersError as exc:
         raise ParseError(path, 0, str(exc)) from None
 
@@ -316,7 +315,9 @@ def write_rmse_table(table: RmseTable, path):
             writer.writerow([fmt_csv(v) for v in row])
 
 
-def write_diagnostics(dataset: DiagnosticDataset, path, variant="as_printed"):
+def write_diagnostics(dataset: DiagnosticDataset, path):
+    """Diagnostic points, then the grey curve; ``emit_diagnostics`` gives ``as_printed`` RSEs."""
+    variant = "as_printed"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "lambda_hat", "rse", "variant"])

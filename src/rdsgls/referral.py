@@ -31,6 +31,18 @@ _PGF_BLOCK_BYTES = 1 << 20
 _PGF_MIN_BLOCK = 64
 
 
+def probability_vector(pmf, name: str) -> np.ndarray:
+    """``pmf`` as a float64 vector of nonnegative entries summing to one.
+
+    Anything else, NaN and infinite entries included, raises an
+    ``InvalidParametersError`` that names ``name``.
+    """
+    pmf = np.asarray(pmf, dtype=np.float64)
+    if pmf.ndim != 1 or pmf.size == 0 or not np.all(pmf >= 0) or abs(pmf.sum() - 1.0) > 1e-9:
+        raise InvalidParametersError(f"{name} must be a probability vector")
+    return pmf
+
+
 @dataclass(frozen=True, eq=False)
 class ReferralTree:
     """Rooted tree with breadth-first node numbering.
@@ -134,9 +146,9 @@ class ReferralTree:
     def distance_matrix(self) -> np.ndarray:
         """Dense pairwise distance matrix (uint16).
 
-        Built row-by-row from the parent's row: the lowest common ancestor
-        of (tau, sigma) equals the one of (parent[tau], sigma) unless sigma
-        lies inside tau's subtree.  O(n^2) time and one n x n buffer.
+        Built row by row from the parent's row: every earlier node sigma
+        lies outside tau's subtree, so d(tau, sigma) = d(parent[tau], sigma)
+        + 1 for sigma < tau.  O(n^2) time and one n x n buffer.
         """
         if "dist" in self._cache:
             return self._cache["dist"]
@@ -145,44 +157,15 @@ class ReferralTree:
             raise CapacityError(
                 f"dense distance matrix requested for n={n} > {MAX_DENSE_NODES}"
             )
-        depths = self.depths.astype(np.int32)
-        if depths.max() * 2 > MAX_DIAMETER:
+        if self.depths.max() * 2 > MAX_DIAMETER:
             raise CapacityError("tree diameter exceeds the 16-bit distance type")
-        tin, tout = self._euler_intervals()
-        lca_depth = np.empty((n, n), dtype=np.uint16)
-        lca_depth[0, :] = 0
-        for tau in range(1, n):
-            row = lca_depth[self.parent[tau]].copy()
-            inside = (tin >= tin[tau]) & (tin <= tout[tau])
-            row[inside] = depths[tau]
-            lca_depth[tau] = row
-        # transform in place: d(tau, sigma) = dep[tau] + dep[sigma] - 2 lca
-        for tau in range(n):
-            lca_depth[tau] = (depths[tau] + depths - 2 * lca_depth[tau].astype(np.int32)).astype(
-                np.uint16
-            )
-        self._cache["dist"] = lca_depth
-        return lca_depth
-
-    def _euler_intervals(self):
-        """Preorder entry/exit counters; subtree(v) = [tin[v], tout[v]]."""
-        n = self.n
-        tin = np.zeros(n, dtype=np.int64)
-        tout = np.zeros(n, dtype=np.int64)
-        kids = self.children
-        clock = 0
-        stack = [(0, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                tout[node] = clock - 1
-                continue
-            tin[node] = clock
-            clock += 1
-            stack.append((node, True))
-            for c in reversed(kids[node]):
-                stack.append((c, False))
-        return tin, tout
+        dist = np.zeros((n, n), dtype=np.uint16)
+        for tau, par in enumerate(self.parent[1:].tolist(), start=1):
+            row = dist[par, :tau] + 1
+            dist[tau, :tau] = row
+            dist[:tau, tau] = row
+        self._cache["dist"] = dist
+        return dist
 
     def prefix(self, n: int) -> "ReferralTree":
         """First ``n`` nodes in breadth-first order (a valid subtree)."""
@@ -199,14 +182,7 @@ class DistanceDistribution:
     n: int
 
     def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=np.float64)
-        object.__setattr__(self, "pmf", pmf)
-        if abs(pmf.sum() - 1.0) > 1e-9 or pmf.min() < 0:
-            raise InvalidParametersError("distance pmf must be a probability vector")
-
-    @property
-    def diameter(self) -> int:
-        return len(self.pmf) - 1
+        object.__setattr__(self, "pmf", probability_vector(self.pmf, "distance pmf"))
 
     def pgf(self, x: float) -> float:
         return distance_pgf(self, x)
@@ -250,9 +226,7 @@ def galton_watson_tree(
 
     Returns ``(tree, restarts)``.
     """
-    pmf = np.asarray(offspring_pmf, dtype=np.float64)
-    if pmf.ndim != 1 or pmf.min() < 0 or abs(pmf.sum() - 1.0) > 1e-9:
-        raise InvalidParametersError("offspring pmf must be a probability vector")
+    pmf = probability_vector(offspring_pmf, "offspring_pmf")
     if target_n < 1:
         raise InvalidParametersError("target_n must be >= 1")
     rng = as_rng(rng_seed, STREAM_TREE)

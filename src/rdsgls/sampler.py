@@ -21,7 +21,7 @@ from .errors import (
     SamplingFailedError,
 )
 from .netmodel import TransitionModel, WeightedGraph
-from .referral import ReferralTree
+from .referral import ReferralTree, probability_vector
 from .seeding import STREAM_WALK, as_rng
 
 SEED_RULES = ("stationary_pi", "uniform", "degree_proportional")
@@ -110,9 +110,7 @@ class WalkConfig:
     def __post_init__(self):
         if self.target_n < 1:
             raise InvalidParametersError("target_n must be >= 1")
-        pmf = np.asarray(self.offspring_pmf, dtype=np.float64)
-        if pmf.ndim != 1 or pmf.size == 0 or not (pmf.min() >= 0 and abs(pmf.sum() - 1) <= 1e-9):
-            raise InvalidParametersError("offspring_pmf must be a probability vector")
+        probability_vector(self.offspring_pmf, "offspring_pmf")
         if isinstance(self.seed_rule, (int, np.integer)):
             if self.seed_rule < 0:
                 raise InvalidParametersError(

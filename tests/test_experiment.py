@@ -1,4 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +12,7 @@ import pytest
 from scipy import stats
 
 import rdsgls as r
+from rdsgls import fileio
 from rdsgls import netmodel
 from rdsgls.presets import OFFSPRING_SURVEY, table1_dcsbm
 
@@ -81,8 +88,6 @@ def test_rmse_table_identity():
 
 
 def test_rmse_determinism_bytes(tmp_path):
-    from rdsgls import fileio
-
     cfg = small_config(replicates=6)
     t1 = r.run_rmse_experiment(cfg)
     t2 = r.run_rmse_experiment(cfg)
@@ -159,6 +164,85 @@ def test_preferential_flag_changes_sampling_not_degrees():
     cfg = small_config(replicates=4, preferential_weight=10.0)
     table = r.run_rmse_experiment(cfg)
     assert len(table.rows) == len(cfg.estimators) * len(cfg.sizes) * len(cfg.outcomes)
+    # reweighting keeps the sparsity pattern, so a sample drawn on the
+    # reweighted graph reports the unweighted contact counts
+    graph, kept = r.dcsbm_sample(cfg.dcsbm, cfg.base_seed).largest_component()
+    reweighted = graph.reweighted_within_blocks(cfg.dcsbm.z[kept], 10.0)
+    assert np.array_equal(reweighted.weights.indptr, graph.weights.indptr)
+    assert np.array_equal(reweighted.weights.indices, graph.weights.indices)
+    assert not np.array_equal(reweighted.weights.data, graph.weights.data)
+    sample, _ = r.rds_without_replacement(reweighted, cfg.walk, 5)
+    contact = np.diff(graph.weights.indptr)[sample.node]
+    assert np.array_equal(sample.degree, contact)
+
+
+# SHA-256 of the weight-10 RMSE CSV below, recorded before the experiment
+# context became an explicit argument
+WEIGHT10_RMSE_SHA256 = "d5ef697801c292d6ea8b99aa0917287f4c461308e23253b43bce9ba162e7d708"
+
+
+def weight10_config(**overrides):
+    return small_config(
+        replicates=8,
+        preferential_weight=10.0,
+        estimators=("mean", "vh", "auto", "delta", "sbm_y", "sbm_z"),
+        **overrides,
+    )
+
+
+def rmse_csv_bytes(table, tmp_path, name="rmse.csv"):
+    path = tmp_path / name
+    fileio.write_rmse_table(table, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_weight10_rmse_digest(tmp_path, jobs):
+    data = rmse_csv_bytes(r.run_rmse_experiment(weight10_config(jobs=jobs)), tmp_path)
+    assert hashlib.sha256(data).hexdigest() == WEIGHT10_RMSE_SHA256
+
+
+def test_concurrent_threads_match_sequential_runs():
+    configs = [
+        small_config(replicates=6),
+        small_config(replicates=6, base_seed=977, preferential_weight=10.0,
+                     estimators=("mean", "vh")),
+    ]
+    sequential = [r.run_rmse_experiment(cfg).rows for cfg in configs]
+    start = threading.Barrier(len(configs))
+
+    def run(cfg):
+        start.wait()
+        return r.run_rmse_experiment(cfg).rows
+
+    with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+        concurrent = list(pool.map(run, configs))
+    assert concurrent == sequential
+
+
+SPAWN_SCRIPT = """
+import multiprocessing, sys
+sys.path.insert(0, sys.argv[1])
+from rdsgls import fileio, run_rmse_experiment
+from test_experiment import weight10_config
+
+multiprocessing.set_start_method("spawn")
+fileio.write_rmse_table(run_rmse_experiment(weight10_config(jobs=2)), sys.argv[2])
+"""
+
+
+def test_spawned_workers_give_the_serial_bytes(tmp_path):
+    serial = rmse_csv_bytes(r.run_rmse_experiment(weight10_config()), tmp_path)
+    out = tmp_path / "spawn.csv"
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    src = str(Path(r.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", SPAWN_SCRIPT, str(tests_dir), str(out)],
+        env=env, check=True, timeout=300,
+    )
+    assert out.read_bytes() == serial
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0, -1.0])

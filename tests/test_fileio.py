@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,22 @@ jobs = 1
     assert set(cfg.outcomes) == {"aligned", "corr", "unc"}
     table = r.run_rmse_experiment(cfg)
     assert len(table.rows) == 2 * 2 * 3
+
+
+def test_readme_config_loads_as_written(tmp_path):
+    # configparser keeps inline "; comments" in values, so the README's
+    # comments must sit on their own lines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "experiment.ini"
+    path.write_text(block)
+    cfg = fileio.load_experiment_config(path)
+    assert cfg.dcsbm is not None and cfg.dcsbm.num_nodes == 5000
+    assert cfg.sizes == (100, 500)
+    assert cfg.walk.seed_rule == "uniform"
+    assert cfg.preferential_weight == 1.0
+    assert cfg.estimators == ("mean", "vh", "auto", "delta", "sbm_y", "sbm_z")
+    assert set(cfg.outcomes) == {"aligned", "correlated", "uncorrelated"}
 
 
 def test_config_seed_override(tmp_path):

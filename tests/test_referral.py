@@ -2,8 +2,10 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 import rdsgls as r
 from conftest import random_tree
@@ -119,6 +121,15 @@ def test_galton_watson_impossible_target():
     assert err.value.restarts == 25
 
 
+@pytest.mark.parametrize("pmf", [[float("nan"), 1.0], [0.5, float("nan")], [float("inf"), 0.0]])
+def test_non_finite_offspring_pmf_fails_at_once(pmf):
+    # a NaN pmf must fail validation, not die out in every sampling attempt
+    with pytest.raises(r.InvalidParametersError, match="offspring_pmf"):
+        r.galton_watson_tree(pmf, 50, rng_seed=0)
+    with pytest.raises(r.InvalidParametersError, match="offspring_pmf"):
+        r.WalkConfig(offspring_pmf=tuple(pmf), target_n=50)
+
+
 def test_distance_distribution_single_node():
     dist = r.tree_distance_distribution(r.complete_binary_tree(1))
     assert dist.pmf.tolist() == [1.0]
@@ -188,6 +199,21 @@ def test_distance_matrix_symmetry_and_depth():
     assert np.all(np.diag(dmat) == 0)
     # distance to root equals depth
     assert np.array_equal(dmat[0], tree.depths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), reach=st.integers(1, 200))
+def test_distance_matrix_matches_shortest_paths(seed, n, reach):
+    # small reach gives deep, narrow trees (reach 1 is a path); large reach bushy ones
+    rng = np.random.default_rng(seed)
+    parent = np.array([-1] + [int(rng.integers(max(0, t - reach), t)) for t in range(1, n)])
+    tree = r.ReferralTree(parent)
+    child = np.arange(1, n)
+    adjacency = sp.csr_array((np.ones(n - 1), (child, parent[1:])), shape=(n, n))
+    expected = csgraph.shortest_path(adjacency, directed=False, unweighted=True)
+    dmat = tree.distance_matrix()
+    assert dmat.dtype == np.uint16
+    assert np.array_equal(dmat, expected.astype(np.int64))
 
 
 def test_prefix_is_valid_subtree():
