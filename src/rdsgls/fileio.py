@@ -1,4 +1,4 @@
-"""File formats: edge lists, attribute/sample/tree CSVs, reports, configs.
+"""File formats: edge lists, attribute and sample CSVs, reports, configs.
 
 Numeric formatting is pinned for reproducible artifacts: CSV floats carry
 10 significant digits, JSON floats 17.
@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,38 +162,6 @@ def read_attributes(path):
     return blocks, block_names, outcomes
 
 
-# ------------------------------------------------------------------ tree CSV
-
-
-def write_tree(tree: ReferralTree, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "parent"])
-        for tau in range(tree.n):
-            writer.writerow([tau, int(tree.parent[tau])])
-
-
-def read_tree(path) -> ReferralTree:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node", "parent"]:
-            raise ParseError(path, 1, "tree file must start with 'node,parent'")
-        parents = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                node, parent = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise ParseError(path, lineno, "expected integer node,parent") from None
-            if node != len(parents):
-                raise ParseError(path, lineno, "nodes must appear in order 0..n-1")
-            parents.append(parent)
-    try:
-        return ReferralTree(np.asarray(parents, dtype=np.int64))
-    except InvalidParametersError as exc:
-        raise ParseError(path, 0, str(exc)) from None
-
-
 # ---------------------------------------------------------------- sample CSV
 
 SAMPLE_HEADER = ["node", "parent", "pop_node", "y", "degree", "block"]
@@ -221,51 +191,127 @@ def write_sample(sample: RdsSample, path, block_names=None):
 
 
 def read_sample(path) -> RdsSample:
+    """Read a sample CSV as written by ``write_sample``.
+
+    The body is parsed column by column in numpy's C tokenizer. Anything
+    that tokenizer would not read exactly as ``csv``, ``int`` and ``float``
+    do goes to the row-by-row parser, which returns the same columns or
+    raises the ``ParseError`` naming the file and line.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SAMPLE_HEADER:
-            raise ParseError(path, 1, f"sample file must start with {','.join(SAMPLE_HEADER)}")
-        parents, pops, ys, degs, blocks, blank_lines = [], [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise ParseError(path, lineno, "expected 6 columns")
-            try:
-                node = int(row[0])
-                if node != len(parents):
-                    raise ParseError(path, lineno, "nodes must appear in order")
-                parents.append(int(row[1]))
-                pops.append(int(row[2]))
-                if row[3]:
-                    ys.append(float(row[3]))
-                else:
-                    ys.append(np.nan)
-                    blank_lines.append(lineno)
-                degs.append(float(row[4]))
-                blocks.append(row[5])
-            except ValueError:
-                raise ParseError(path, lineno, "malformed numeric field") from None
-    tree = ReferralTree(np.asarray(parents, dtype=np.int64))
-    if 0 < len(blank_lines) < len(ys):
-        raise ParseError(path, blank_lines[0], "y is blank here but given on other rows")
-    outcome = None if blank_lines else np.asarray(ys)
-    degree = np.asarray(degs)
-    for name, values in (("y", outcome), ("degree", degree)):
+        text = fh.read()
+    lines = io.StringIO(text, newline="")
+    rows = csv.reader(lines)
+    if next(rows, None) != SAMPLE_HEADER:
+        raise ParseError(path, 1, f"sample file must start with {','.join(SAMPLE_HEADER)}")
+    try:
+        columns = _sample_columns(text[lines.tell():])
+    except (ValueError, Warning):
+        columns = _sample_rows(path, rows)
+    return _sample_from_columns(path, *columns)
+
+
+_SAMPLE_NUMBERS = [
+    ("node", "i8"), ("parent", "i8"), ("pop_node", "i8"), ("y", "f8"), ("degree", "f8")
+]
+
+
+def _sample_columns(body):
+    """``(parent, pop_node, y or None, degree, block labels)`` read by ``np.loadtxt``.
+
+    Raises ``ValueError`` (or a warning, raised as an error) on any body
+    the row parser might read differently: quotes, bare carriage returns,
+    the separators \\x1c-\\x1f (whitespace to numpy's number parser, not to
+    ``int``/``float``), blank lines, rows that are not six fields wide,
+    nodes out of order, and numbers ``np.loadtxt`` rejects.
+    """
+    body = body.replace("\r\n", "\n")
+    if any(c in body for c in '"\r\x1c\x1d\x1e\x1f'):
+        raise ValueError("needs the csv module")
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # usecols ignores extra fields, so the comma count pins every row at six
+    if "" in lines or body.count(",") != 5 * len(lines):
+        raise ValueError("blank line or a row not six fields wide")
+
+    def load(usecols, dtype):
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          quotechar=None, usecols=usecols, ndmin=1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # empty input; numpy 1.24 reads "1.0" as an int
+        try:
+            numbers = load((0, 1, 2, 3, 4), _SAMPLE_NUMBERS)
+            y = np.ascontiguousarray(numbers["y"])
+        except ValueError:  # an outcome column left blank on every row
+            numbers = load((0, 1, 2, 4), [f for f in _SAMPLE_NUMBERS if f[0] != "y"])
+            if (load(3, object) != "").any():
+                raise
+            y = None
+        labels = load(5, object)
+    n = len(lines)
+    if labels.shape[0] != n or not np.array_equal(numbers["node"], np.arange(n)):
+        raise ValueError("nodes out of order")
+    parent, pop_node, degree = (
+        np.ascontiguousarray(numbers[name]) for name in ("parent", "pop_node", "degree")
+    )
+    return parent, pop_node, y, degree, labels
+
+
+def _sample_rows(path, rows):
+    """The same columns as ``_sample_columns``, parsed by ``csv`` row by row.
+
+    Raises the ``ParseError`` of the first malformed row. A partly blank
+    ``y`` column comes back masked where blank.
+    """
+    parents, pops, ys, degs, blocks, blank = [], [], [], [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 6:
+            raise ParseError(path, lineno, "expected 6 columns")
+        try:
+            node = int(row[0])
+            if node != len(parents):
+                raise ParseError(path, lineno, "nodes must appear in order")
+            parents.append(int(row[1]))
+            pops.append(int(row[2]))
+            ys.append(float(row[3]) if row[3] else np.nan)
+            blank.append(not row[3])
+            degs.append(float(row[4]))
+            blocks.append(row[5])
+        except ValueError:
+            raise ParseError(path, lineno, "malformed numeric field") from None
+    if not any(blank):
+        y = np.asarray(ys)
+    elif all(blank):
+        y = None
+    else:
+        y = np.ma.masked_array(ys, mask=blank)
+    return parents, pops, y, np.asarray(degs), np.array(blocks, dtype=object)
+
+
+def _sample_from_columns(path, parent, pop_node, y, degree, labels) -> RdsSample:
+    """Validate parsed sample columns; every error names the file and line."""
+    parent = np.asarray(parent, dtype=np.int64)
+    try:
+        tree = ReferralTree(parent)
+    except InvalidParametersError as exc:
+        ok = (parent >= 0) & (parent < np.arange(parent.shape[0]))
+        ok[:1] = parent[:1] == -1
+        first = int(np.argmin(ok)) if ok.size else 0
+        raise ParseError(path, 2 + first, str(exc)) from None
+    if np.ma.is_masked(y):
+        first = int(np.argmax(np.ma.getmaskarray(y)))
+        raise ParseError(path, 2 + first, "y is blank here but given on other rows")
+    for name, values in (("y", y), ("degree", degree)):
         if values is not None and not np.isfinite(values).all():
             first = int(np.argmin(np.isfinite(values)))
             raise ParseError(path, 2 + first, f"{name} must be finite")
-    block_arr = None
-    if any(b != "" for b in blocks):
-        names = sorted(set(blocks))
-        lookup = {name: k for k, name in enumerate(names)}
-        block_arr = np.array([lookup[b] for b in blocks], dtype=np.int64)
-    return RdsSample(
-        tree=tree,
-        node=np.asarray(pops, dtype=np.int64),
-        degree=degree,
-        outcome=outcome,
-        block=block_arr,
-    )
+    block = None
+    if (labels != "").any():
+        names = np.array(sorted(set(labels.tolist())), dtype=object)
+        block = np.searchsorted(names, labels)
+    return RdsSample(tree=tree, node=pop_node, degree=degree, outcome=y, block=block)
 
 
 # -------------------------------------------------------------------- JSON

@@ -285,6 +285,27 @@ def test_estimate_rejects_blank_or_nonfinite_cells(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_estimate_tree_errors_name_file_and_line(tmp_path, capsys):
+    header = "node,parent,pop_node,y,degree,block\n"
+    cases = [
+        ("", 2, "node 0 must be the root (parent -1)"),
+        ("0,0,7,1,3,a\n1,0,2,0,2,b\n", 2, "node 0 must be the root (parent -1)"),
+        ("0,-1,7,1,3,a\n1,0,2,0,2,b\n2,3,9,1,4,a\n3,1,4,0,1,b\n", 4,
+         "parent[tau] must name an earlier node for every tau > 0"),
+        ("0,-1,7,1,3,a\n1,-1,2,0,2,b\n", 3,
+         "parent[tau] must name an earlier node for every tau > 0"),
+    ]
+    sample = tmp_path / "sample.csv"
+    out = tmp_path / "r.json"
+    for body, line, message in cases:
+        sample.write_text(header + body)
+        code = dispatch(["estimate", "--sample", str(sample), "--estimator", "mean",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {sample}:{line}: {message}\n"
+        assert not out.exists()
+
+
 def test_estimate_vh_reweight_rejects_zero_degree(tmp_path, capsys):
     sample = _fixture_with(tmp_path, 3, 4, "0")
     for estimator in ("auto", "delta"):

@@ -1,7 +1,12 @@
+import csv
+import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls import fileio
@@ -59,22 +64,6 @@ def test_attributes_need_node_column(tmp_path):
         fileio.read_attributes(path)
 
 
-def test_tree_round_trip(tmp_path):
-    tree, _ = r.galton_watson_tree([0.2, 0.4, 0.4], 37, rng_seed=5)
-    path = tmp_path / "tree.csv"
-    fileio.write_tree(tree, path)
-    back = fileio.read_tree(path)
-    assert np.array_equal(back.parent, tree.parent)
-
-
-def test_tree_rejects_out_of_order(tmp_path):
-    path = tmp_path / "tree.csv"
-    path.write_text("node,parent\n0,-1\n2,0\n")
-    with pytest.raises(r.ParseError) as err:
-        fileio.read_tree(path)
-    assert err.value.lineno == 3
-
-
 def test_sample_round_trip(tmp_path, chain09):
     tree = r.complete_binary_tree(4)
     sample = r.markov_walk(tree, chain09, 3, y=np.array([1.0, 0.0]), blocks=np.array([0, 1]))
@@ -85,6 +74,203 @@ def test_sample_round_trip(tmp_path, chain09):
     assert np.allclose(back.outcome, sample.outcome)
     assert np.array_equal(back.block, sample.block)
     assert np.allclose(back.degree, sample.degree)
+
+
+# Malformed and unusual sample files. The expected results were recorded
+# from the row-by-row csv parser before the columnar fast path existed: an
+# error is (type, line, message), a parsed file is its arrays.
+SAMPLE_HEADER = "node,parent,pop_node,y,degree,block"
+SAMPLE_ROWS = ["0,-1,7,1,3,a", "1,0,2,0,2,b", "2,0,9,1,4,a", "3,1,4,0.5,1,b"]
+
+
+def _sample_text(*rows, sep="\n", tail="\n"):
+    return sep.join((SAMPLE_HEADER, *rows)) + tail
+
+
+def _swap(k, row):
+    rows = list(SAMPLE_ROWS)
+    rows[k] = row
+    return rows
+
+
+def _blank_column(k):
+    out = []
+    for row in SAMPLE_ROWS:
+        cells = row.split(",")
+        cells[k] = ""
+        out.append(",".join(cells))
+    return out
+
+
+SAMPLE_CASES = {
+    "wrong_header": "node,parent,pop,y,degree,block\n" + "\n".join(SAMPLE_ROWS) + "\n",
+    "five_columns": _sample_text(*_swap(1, "1,0,2,0,2")),
+    "seven_columns": _sample_text(*_swap(1, "1,0,2,0,2,b,x")),
+    "blank_middle_line": _sample_text(*SAMPLE_ROWS[:2], "", *SAMPLE_ROWS[2:]),
+    "trailing_blank_line": _sample_text(*SAMPLE_ROWS, tail="\n\n"),
+    "quoted_field": _sample_text(*_swap(1, '1,0,2,0,2,"b"')),
+    "nodes_out_of_order": _sample_text(*_swap(1, "2,0,2,0,2,b")),
+    "float_in_int_column": _sample_text(*_swap(2, "2,0,9.0,1,4,a")),
+    "underscore_digits": _sample_text(*_swap(2, "2,0,1_0,1,4_0,a")),
+    "blank_y_on_some_rows": _sample_text(*_swap(2, "2,0,9,,4,a")),
+    "nan_y": _sample_text(*_swap(2, "2,0,9,nan,4,a")),
+    "inf_y": _sample_text(*_swap(3, "3,1,4,inf,1,b")),
+    "nan_degree": _sample_text(*_swap(1, "1,0,2,0,nan,b")),
+    "inf_degree": _sample_text(*_swap(3, "3,1,4,0.5,-inf,b")),
+    "crlf_line_ends": _sample_text(*SAMPLE_ROWS, sep="\r\n", tail="\r\n"),
+    "lone_carriage_return": _sample_text(*SAMPLE_ROWS, sep="\r", tail="\r"),
+    "no_final_newline": _sample_text(*SAMPLE_ROWS, tail=""),
+    "blank_y_everywhere": _sample_text(*_blank_column(3)),
+    "blank_blocks_everywhere": _sample_text(*_blank_column(5)),
+    "some_blocks_blank": _sample_text(*_swap(0, "0,-1,7,1,3,")),
+    "leading_space_label": _sample_text(*_swap(0, "0,-1,7,1,3, a")),
+    "form_feed_label": _sample_text(*_swap(1, "1,0,2,0,2,b\x0cc")),
+    "nul_in_label": _sample_text(*_swap(1, "1,0,2,0,2,a\x00")),
+    "separator_in_label": _sample_text(*_swap(1, "1,0,2,0,2,\x1fb")),
+    "separator_in_number": _sample_text(*_swap(1, "1,0,2\x1c,0,2,b")),
+    "unicode_digit": _sample_text(*_swap(1, "1,0,٣,0,2,b")),
+    "huge_int": _sample_text(*_swap(1, "1,0,9223372036854775808,0,2,b")),
+}
+
+
+def _parsed(node=(7, 2, 9, 4), degree=(3.0, 2.0, 4.0, 1.0), outcome=(1.0, 0.0, 1.0, 0.5),
+            block=(0, 1, 0, 1)):
+    return {"parent": [-1, 0, 0, 1], "node": list(node), "degree": list(degree),
+            "outcome": None if outcome is None else list(outcome),
+            "block": None if block is None else list(block)}
+
+
+SAMPLE_EXPECTED = {
+    "wrong_header": ("ParseError", 1,
+                     "sample file must start with node,parent,pop_node,y,degree,block"),
+    "five_columns": ("ParseError", 3, "expected 6 columns"),
+    "seven_columns": ("ParseError", 3, "expected 6 columns"),
+    "blank_middle_line": ("ParseError", 4, "expected 6 columns"),
+    "trailing_blank_line": ("ParseError", 6, "expected 6 columns"),
+    "quoted_field": _parsed(),
+    "nodes_out_of_order": ("ParseError", 3, "nodes must appear in order"),
+    "float_in_int_column": ("ParseError", 4, "malformed numeric field"),
+    "underscore_digits": _parsed(node=(7, 2, 10, 4), degree=(3.0, 2.0, 40.0, 1.0)),
+    "blank_y_on_some_rows": ("ParseError", 4, "y is blank here but given on other rows"),
+    "nan_y": ("ParseError", 4, "y must be finite"),
+    "inf_y": ("ParseError", 5, "y must be finite"),
+    "nan_degree": ("ParseError", 3, "degree must be finite"),
+    "inf_degree": ("ParseError", 5, "degree must be finite"),
+    "crlf_line_ends": _parsed(),
+    "lone_carriage_return": _parsed(),
+    "no_final_newline": _parsed(),
+    "blank_y_everywhere": _parsed(outcome=None),
+    "blank_blocks_everywhere": _parsed(block=None),
+    "some_blocks_blank": _parsed(block=(0, 2, 1, 2)),
+    "leading_space_label": _parsed(block=(0, 2, 1, 2)),
+    "form_feed_label": _parsed(block=(0, 2, 0, 1)),
+    "nul_in_label": _parsed(block=(0, 1, 0, 2)),
+    "separator_in_label": _parsed(block=(1, 0, 1, 2)),
+    "separator_in_number": ("ParseError", 3, "malformed numeric field"),
+    "unicode_digit": _parsed(node=(7, 3, 9, 4)),
+    "huge_int": ("OverflowError", None, "Python int too large to convert to C long"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_read_sample_malformed_table(tmp_path, case):
+    path = tmp_path / "sample.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(SAMPLE_CASES[case])
+    expected = SAMPLE_EXPECTED[case]
+    if isinstance(expected, tuple):
+        kind, lineno, message = expected
+        with pytest.raises(Exception) as err:
+            fileio.read_sample(path)
+        assert type(err.value).__name__ == kind
+        assert getattr(err.value, "lineno", None) == lineno
+        prefix = "" if lineno is None else f"{path}:{lineno}: "
+        assert str(err.value) == prefix + message
+        return
+    sample = fileio.read_sample(path)
+    got = {
+        "parent": sample.tree.parent.tolist(),
+        "node": sample.node.tolist(),
+        "degree": sample.degree.tolist(),
+        "outcome": None if sample.outcome is None else sample.outcome.tolist(),
+        "block": None if sample.block is None else sample.block.tolist(),
+    }
+    assert got == expected
+
+
+def _read_by_rows(path):
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        return fileio._sample_from_columns(path, *fileio._sample_rows(path, rows))
+
+
+def _outcome(read, path):
+    """Arrays of a parsed sample, or the exception type and message."""
+    try:
+        sample = read(path)
+    except (r.RdsglsError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [
+        None if a is None else (a.dtype, a.tolist())
+        for a in (sample.tree.parent, sample.node, sample.degree, sample.outcome, sample.block)
+    ]
+
+
+_EXTREME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e-300, -0.0, 1e300, 0.0, 1.0]
+)
+_LABEL = st.text(max_size=6) | st.sampled_from(["a,b", '"q"', 'x"y', "\x0c", " lead", ""])
+
+
+@st.composite
+def _written_samples(draw):
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["path", "star", "random"]))
+    if shape == "path":
+        parent = np.arange(-1, n - 1)
+    elif shape == "star":
+        parent = np.r_[-1, np.zeros(n - 1, dtype=np.int64)]
+    else:
+        parent = np.array([-1] + [draw(st.integers(0, tau - 1)) for tau in range(1, n)])
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["none", "ints", "names"]))
+    names = None
+    block = None
+    if kind == "names":
+        names = draw(st.lists(_LABEL, min_size=1, max_size=4, unique=True))
+    if kind != "none":
+        block = column(st.integers(0, len(names) - 1 if names else 5))
+    sample = r.RdsSample(
+        tree=r.ReferralTree(parent),
+        node=column(st.integers(-(2**63), 2**63 - 1)),
+        degree=column(_EXTREME),
+        outcome=column(_EXTREME) if draw(st.booleans()) else None,
+        block=block,
+    )
+    return sample, names
+
+
+@settings(max_examples=150, deadline=None)
+@given(_written_samples())
+def test_read_sample_matches_row_parser(case):
+    sample, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        fileio.write_sample(sample, path, block_names=names)
+        assert _outcome(fileio.read_sample, path) == _outcome(_read_by_rows, path)
+        with open(path, newline="") as fh:
+            body = fh.read().split("\n", 1)[1]
+    try:
+        fast = fileio._sample_columns(body)
+    except (ValueError, Warning):
+        # only block names can hold what the row parser must read
+        assert names is not None
+        return
+    rows = fileio._sample_rows(path, csv.reader(io.StringIO(body, newline="")))
+    assert [None if c is None else np.asarray(c).tolist() for c in fast] == [
+        None if c is None else np.asarray(c).tolist() for c in rows
+    ]
 
 
 def test_report_json_golden_format():
