@@ -20,7 +20,7 @@ from .errors import (
     ReducedSystemError,
     SingularCovarianceError,
 )
-from .referral import ReferralTree, tree_distance_pgf
+from .referral import ReferralTree, distance_power_apply
 from .sampler import RdsSample
 
 LEADING_EIGENVALUE_TOL = 1e-9
@@ -277,7 +277,9 @@ def tree_covariance_mass(tree: ReferralTree, ac: AutoCovariance) -> float:
     """Total mass 1' Sigma 1 of ``build_sigma(tree, ac)`` by one batched sweep."""
     n = tree.n
     b2, lam = np.array(ac.terms, dtype=np.float64).reshape(-1, 2).T
-    return n * ac.nugget + n * n * float(b2 @ tree_distance_pgf(tree, lam))
+    ones = np.ones((n, lam.shape[0]))
+    pgf = distance_power_apply(tree, lam, ones).sum(axis=0) / float(n) ** 2
+    return n * ac.nugget + n * n * float(b2 @ pgf)
 
 
 def theorem2_limit(lam: float, beta2: float) -> float:

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    AutoCovariance,
-    CovarianceMatrix,
-    gls_solve,
-    one_sigma_inv_one_ranktwo,
-)
+from .covariance import AutoCovariance, CovarianceMatrix, gls_solve
 from .errors import InvalidParametersError, SingularCovarianceError
 from .referral import ReferralTree, tree_distance_pgf
 
@@ -83,7 +78,7 @@ def ranktwo_rse_curve(
 
     The loading scale cancels between numerator and denominator, so the
     curve depends only on the eigenvalue and the tree's distance PGF,
-    evaluated for the whole grid in one O(n len(grid)) sweep.
+    evaluated for the whole grid by ``tree_distance_pgf``.
     """
     if variant not in RSE_VARIANTS:
         raise InvalidParametersError(f"unknown RSE variant {variant!r}")
@@ -92,9 +87,8 @@ def ranktwo_rse_curve(
         raise SingularCovarianceError("grey-line eigenvalues must satisfy |lambda| < 1")
     n = tree.n
     pgf = tree_distance_pgf(tree, grid)
-    gls_var = np.array(
-        [1.0 / one_sigma_inv_one_ranktwo(n, 1.0, lam) for lam in grid]
-    )
+    # one_sigma_inv_one_ranktwo(n, 1.0, lam) for the whole grid, same operations
+    gls_var = 1.0 / (n * (1.0 - grid * (1.0 - 2.0 / n)) / (1.0 * (1.0 + grid)))
     # total mass of the unit-loading covariance is n^2 G(lambda)
     denom = n * pgf if variant == "as_printed" else pgf
     return np.sqrt(gls_var / denom)

@@ -214,6 +214,7 @@ def read_sample(path) -> RdsSample:
 _SAMPLE_NUMBERS = [
     ("node", "i8"), ("parent", "i8"), ("pop_node", "i8"), ("y", "f8"), ("degree", "f8")
 ]
+_INT64 = np.iinfo(np.int64)
 
 
 def _sample_columns(body):
@@ -273,8 +274,11 @@ def _sample_rows(path, rows):
             node = int(row[0])
             if node != len(parents):
                 raise ParseError(path, lineno, "nodes must appear in order")
-            parents.append(int(row[1]))
-            pops.append(int(row[2]))
+            parent, pop = int(row[1]), int(row[2])
+            if not _INT64.min <= min(parent, pop) <= max(parent, pop) <= _INT64.max:
+                raise ParseError(path, lineno, "integer outside the 64-bit range")
+            parents.append(parent)
+            pops.append(pop)
             ys.append(float(row[3]) if row[3] else np.nan)
             blank.append(not row[3])
             degs.append(float(row[4]))

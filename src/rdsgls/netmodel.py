@@ -56,9 +56,24 @@ class WeightedGraph:
         recomputed = np.asarray(w.sum(axis=1)).ravel()
         if not np.array_equal(recomputed, self.degrees):
             raise InvalidParametersError("stored degrees disagree with row sums")
+        self._check_isolated()
+
+    def _check_isolated(self):
         if not self.allow_isolated and self.num_nodes and self.degrees.min() <= 0:
             bad = int(np.argmin(self.degrees))
             raise DegenerateNodeError(f"node {bad} has zero degree")
+
+    @classmethod
+    def _from_symmetric(cls, mat, allow_isolated=False):
+        """``from_weights`` for the package's own symmetric float CSR output:
+        no copy and no symmetry or row-sum check (as costly as the rest of a
+        blockmodel draw at N = 100); zero degrees are still checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "weights", mat)
+        object.__setattr__(graph, "degrees", np.asarray(mat.sum(axis=1)).ravel())
+        object.__setattr__(graph, "allow_isolated", allow_isolated)
+        graph._check_isolated()
+        return graph
 
     @classmethod
     def from_edges(cls, num_nodes, edges, allow_isolated=False):
@@ -131,7 +146,7 @@ class WeightedGraph:
         keep = labels == int(np.argmax(sizes))
         kept = np.flatnonzero(keep)
         sub = self.weights[np.ix_(kept, kept)]
-        return WeightedGraph.from_weights(sp.csr_array(sub)), kept
+        return WeightedGraph._from_symmetric(sp.csr_array(sub)), kept
 
     def reweighted_within_blocks(self, z, weight):
         """Copy with every same-block edge given weight ``weight``.
@@ -426,7 +441,7 @@ def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
     mat = sp.csr_array(
         (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(n, n)
     )
-    return WeightedGraph.from_weights(mat, allow_isolated=True)
+    return WeightedGraph._from_symmetric(mat, allow_isolated=True)
 
 
 def spectral_decompose(model: TransitionModel) -> SpectralDecomp:

@@ -5,7 +5,7 @@ A referral tree indexes the sampling process: node 0 is the seed, and
 ``parent[tau] < tau`` always holds.  Distances between tree nodes drive
 every covariance matrix in the package, hence the emphasis here on exact
 distance distributions: dense ones as the reference, and level sweeps
-that apply distance powers and give the PGF in O(n) without them.
+that apply distance powers or count distances in O(n height) without them.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ MAX_DENSE_NODES = 10_000
 
 MAX_DIAMETER = 65_535
 """Distances are stored as 16-bit integers."""
-
-# tree_distance_pgf sweeps an n x width float64 block at a time: one that
-# fits in cache runs faster than one n x len(grid) sweep at large n.  The
-# floor keeps every grid of up to 64 points (each estimator's eigenvalues,
-# a single RSE value) in one block.
-_PGF_BLOCK_BYTES = 1 << 20
-_PGF_MIN_BLOCK = 64
 
 
 def probability_vector(pmf, name: str) -> np.ndarray:
@@ -255,20 +248,49 @@ def galton_watson_tree(
     )
 
 
+def distance_counts(tree: ReferralTree) -> np.ndarray:
+    """Ordered node pairs at each distance 0..2 height, exact int64 (cached).
+
+    The level sweeps of ``distance_power_apply`` with ``V = 1`` on
+    polynomials in x: row s ends as the coefficients of ``sum_t x^d(s, t)``,
+    and multiplying by x shifts a row one column right.  O(n height) time
+    in one n x (2 height + 1) buffer.
+    """
+    if "counts" not in tree._cache:
+        h = tree.num_levels - 1
+        # every coefficient, the (1 - x^2) u step included, lies in [-n, n]
+        poly = np.zeros((tree.n, 2 * h + 1), dtype=np.int32)
+        poly[:, 0] = 1
+        runs = tree.level_runs()
+        for k in range(h, 0, -1):  # up-sweep rows at depth k have degree <= h - k
+            nodes, _, heads, starts = runs[k - 1]
+            m = h - k + 1
+            poly[heads, 1 : m + 1] += np.add.reduceat(poly[nodes, :m], starts)
+        for nodes, parents, _, _ in runs:
+            w = poly[nodes]
+            w[:, 2:] -= poly[nodes, :-2]
+            w[:, 1:] += poly[parents, :-1]
+            poly[nodes] = w
+        tree._cache["counts"] = poly.sum(axis=0, dtype=np.int64)
+    return tree._cache["counts"]
+
+
 def tree_distance_distribution(tree: ReferralTree) -> DistanceDistribution:
-    """Exact distance pmf by full pairwise computation (O(n^2), cached)."""
-    if "distpmf" in tree._cache:
-        return tree._cache["distpmf"]
-    dist = tree.distance_matrix()
+    """Exact distance pmf from ``distance_counts``, O(n height).
+
+    Raises ``CapacityError`` when the count sweep's buffer would outgrow
+    the largest dense distance matrix (``MAX_DENSE_NODES``^2 16-bit
+    cells): a path past 5,000 nodes, or ~800,000 nodes at height 30.
+    """
     n = tree.n
-    counts = np.zeros(int(dist.max()) + 1, dtype=np.int64)
-    step = max(1, 2**22 // max(n, 1))
-    for start in range(0, n, step):
-        block = dist[start : start + step].astype(np.int64, copy=False)
-        counts += np.bincount(block.ravel(), minlength=len(counts))
-    out = DistanceDistribution(pmf=counts / float(n) ** 2, n=n)
-    tree._cache["distpmf"] = out
-    return out
+    if n * (4 * tree.num_levels - 2) > MAX_DENSE_NODES**2:
+        raise CapacityError(
+            f"distance counts for n={n} at height {tree.num_levels - 1} "
+            "exceed the dense-matrix memory budget"
+        )
+    counts = distance_counts(tree)
+    counts = counts[: np.flatnonzero(counts)[-1] + 1]
+    return DistanceDistribution(pmf=counts / float(n) ** 2, n=n)
 
 
 def distance_power_apply(tree: ReferralTree, lam, V) -> np.ndarray:
@@ -294,24 +316,21 @@ def distance_power_apply(tree: ReferralTree, lam, V) -> np.ndarray:
 
 
 def tree_distance_pgf(tree: ReferralTree, xs) -> np.ndarray:
-    """Distance PGF ``E(x^D)`` over a grid by batched sweeps, O(n len(xs)).
+    """Distance PGF ``E(x^D)`` over a grid of arguments in [-1, 1].
 
-    Uses ``G(x) = 1' R_x 1 / n^2`` with ``R_x[s, t] = x^d(s, t)``; agrees
-    with ``tree_distance_distribution(tree).pgf_grid(xs)`` without the
-    dense distance matrix.  The grid is swept in column blocks of about
-    ``_PGF_BLOCK_BYTES``, never narrower than ``_PGF_MIN_BLOCK`` columns.
+    A grid longer than the 2 height + 1 ``distance_counts`` evaluates them
+    as a polynomial; a shorter one (a few eigenvalues, or a path-like tree)
+    takes one O(n len(xs)) sweep of ``1' R_x 1 / n^2``, ``R_x[s, t] =
+    x^d(s, t)``.  Only those two sizes pick the branch, never the cache.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or np.any(np.abs(xs) > 1.0):
         raise InvalidParametersError("PGF arguments must form a 1-D grid in [-1, 1]")
     n = tree.n
-    width = max(_PGF_MIN_BLOCK, _PGF_BLOCK_BYTES // (8 * n))
-    mass = np.empty(xs.shape[0])
-    for lo in range(0, xs.shape[0], width):
-        block = xs[lo : lo + width]
-        mass[lo : lo + width] = distance_power_apply(
-            tree, block, np.ones((n, block.shape[0]))
-        ).sum(axis=0)
+    if xs.shape[0] > 2 * tree.num_levels - 1:
+        mass = np.polynomial.polynomial.polyval(xs, distance_counts(tree))
+    else:
+        mass = distance_power_apply(tree, xs, np.ones((n, xs.shape[0]))).sum(axis=0)
     return mass / float(n) ** 2
 
 

@@ -306,6 +306,19 @@ def test_estimate_tree_errors_name_file_and_line(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_estimate_rejects_integers_past_64_bits(tmp_path, capsys):
+    for line, column, value in ((3, 2, "9223372036854775808"), (4, 1, "-9223372036854775809")):
+        sample = _fixture_with(tmp_path, line, column, value)
+        out = tmp_path / "r.json"
+        code = dispatch(["estimate", "--sample", str(sample), "--estimator", "mean",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {sample}:{line}: integer outside the 64-bit range\n"
+        )
+        assert not out.exists()
+
+
 def test_estimate_vh_reweight_rejects_zero_degree(tmp_path, capsys):
     sample = _fixture_with(tmp_path, 3, 4, "0")
     for estimator in ("auto", "delta"):

@@ -3,6 +3,8 @@ import pytest
 
 import rdsgls as r
 from conftest import random_tree
+from rdsgls.diagnostics import GREY_LINE_GRID
+from rdsgls.referral import tree_distance_pgf
 
 
 def star_tree(n):
@@ -62,6 +64,18 @@ def test_curve_loading_free_via_dense_build():
             for lam in grid
         ]
         assert np.max(np.abs(np.asarray(dense) - curve)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 500])
+def test_curve_keeps_the_scalar_gls_variance_bits(n):
+    # the vectorized curve repeats one_sigma_inv_one_ranktwo's operations
+    tree = random_tree(np.random.default_rng(n), n)
+    grid = GREY_LINE_GRID
+    gls_var = np.array([1.0 / r.one_sigma_inv_one_ranktwo(n, 1.0, lam) for lam in grid])
+    pgf = tree_distance_pgf(tree, grid)
+    assert np.array_equal(r.ranktwo_rse_curve(tree, grid), np.sqrt(gls_var / (n * pgf)))
+    assert np.array_equal(r.ranktwo_rse_curve(tree, grid, "mean_variance"),
+                          np.sqrt(gls_var / pgf))
 
 
 def test_curve_monotone_on_511_binary():

@@ -130,6 +130,7 @@ SAMPLE_CASES = {
     "separator_in_number": _sample_text(*_swap(1, "1,0,2\x1c,0,2,b")),
     "unicode_digit": _sample_text(*_swap(1, "1,0,٣,0,2,b")),
     "huge_int": _sample_text(*_swap(1, "1,0,9223372036854775808,0,2,b")),
+    "huge_negative_parent": _sample_text(*_swap(2, "2,-9223372036854775809,9,1,4,a")),
 }
 
 
@@ -168,7 +169,8 @@ SAMPLE_EXPECTED = {
     "separator_in_label": _parsed(block=(1, 0, 1, 2)),
     "separator_in_number": ("ParseError", 3, "malformed numeric field"),
     "unicode_digit": _parsed(node=(7, 3, 9, 4)),
-    "huge_int": ("OverflowError", None, "Python int too large to convert to C long"),
+    "huge_int": ("ParseError", 3, "integer outside the 64-bit range"),
+    "huge_negative_parent": ("ParseError", 4, "integer outside the 64-bit range"),
 }
 
 

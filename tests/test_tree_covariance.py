@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 import rdsgls as r
 from rdsgls.covariance import tree_covariance_mass, tree_gls_solve
 from rdsgls.diagnostics import GREY_LINE_GRID
-from rdsgls.referral import MAX_DENSE_NODES, distance_power_apply, tree_distance_pgf
+from rdsgls.referral import (
+    MAX_DENSE_NODES,
+    distance_counts,
+    distance_power_apply,
+    tree_distance_pgf,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -33,6 +38,13 @@ def test_sweep_apply_matches_dense(tree, lam, seed):
     for j, x in enumerate(lam):
         dense = r.build_sigma(tree, r.AutoCovariance(terms=((1.0, x),))).matrix @ V[:, j]
         assert np.allclose(out[:, j], dense, rtol=0, atol=1e-10 * max(1.0, np.abs(dense).max()))
+
+
+def recursive_tree(rng, n):
+    """Random recursive tree: parent[t] uniform on 0..t-1."""
+    return r.ReferralTree(
+        np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+    )
 
 
 @st.composite
@@ -93,17 +105,70 @@ def test_sweep_pgf_matches_distance_distribution(tree, xs):
     assert np.allclose(tree_distance_pgf(tree, xs), expected, rtol=0, atol=1e-12)
 
 
+def dense_distance_distribution(tree):
+    """The dense pmf ``tree_distance_distribution`` used to build, as the oracle."""
+    dist = tree.distance_matrix()
+    n = tree.n
+    counts = np.zeros(int(dist.max()) + 1, dtype=np.int64)
+    step = max(1, 2**22 // max(n, 1))
+    for start in range(0, n, step):
+        block = dist[start : start + step].astype(np.int64, copy=False)
+        counts += np.bincount(block.ravel(), minlength=len(counts))
+    return r.DistanceDistribution(pmf=counts / float(n) ** 2, n=n)
+
+
+@PROPERTY
+@given(tree=st.one_of(trees(max_n=80), stars_and_paths(max_n=80)))
+def test_distance_counts_match_dense_bincount(tree):
+    counts = distance_counts(tree)
+    assert counts.dtype == np.int64 and counts.shape == (2 * tree.num_levels - 1,)
+    dense = np.bincount(tree.distance_matrix().ravel(), minlength=counts.shape[0])
+    assert np.array_equal(counts, dense)
+    assert np.array_equal(r.tree_distance_distribution(tree).pmf,
+                          dense_distance_distribution(tree).pmf)
+
+
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(800, 3000))
-def test_blocked_pgf_equals_one_sweep(seed, n):
-    # past n = 724 the 181-point grey-line grid no longer fits one column block
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 3000))
+def test_histogram_pgf_matches_sweep(seed, n):
     rng = np.random.default_rng(seed)
-    tree = r.ReferralTree(
-        np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
-    )
+    tree = recursive_tree(rng, n)
     grid = GREY_LINE_GRID
-    one_sweep = distance_power_apply(tree, grid, np.ones((n, grid.shape[0]))).sum(axis=0)
-    assert np.array_equal(tree_distance_pgf(tree, grid), one_sweep / float(n) ** 2)
+    assert grid.shape[0] > 2 * tree.num_levels - 1  # the histogram branch
+    sweep = distance_power_apply(tree, grid, np.ones((n, grid.shape[0]))).sum(axis=0)
+    assert np.allclose(tree_distance_pgf(tree, grid), sweep / float(n) ** 2, rtol=0, atol=1e-12)
+    assert np.array_equal(r.tree_distance_distribution(tree).pmf,
+                          dense_distance_distribution(tree).pmf)
+
+
+def test_path_takes_the_sweep():
+    n = 400
+    tree = r.ReferralTree(np.arange(-1, n - 1))
+    grid = GREY_LINE_GRID
+    sweep = distance_power_apply(tree, grid, np.ones((n, grid.shape[0]))).sum(axis=0)
+    assert np.array_equal(tree_distance_pgf(tree, grid), sweep / float(n) ** 2)
+    assert "counts" not in tree._cache  # no O(n^2) histogram was built
+
+
+def test_distance_distribution_past_the_dense_cap():
+    # the dense pmf raised CapacityError past MAX_DENSE_NODES
+    n = 50_000
+    assert n > MAX_DENSE_NODES
+    rng = np.random.default_rng(9)
+    tree = recursive_tree(rng, n)
+    dist = r.tree_distance_distribution(tree)
+    assert dist.n == n and dist.pmf[0] == n / float(n) ** 2
+    assert abs(dist.pmf.sum() - 1.0) < 1e-12
+    assert np.allclose(dist.pgf_grid(GREY_LINE_GRID), tree_distance_pgf(tree, GREY_LINE_GRID),
+                       rtol=0, atol=1e-12)
+
+
+def test_distance_distribution_refuses_a_deep_path():
+    # a path's histogram buffer grows as n^2: past 5,000 nodes it outgrows
+    # the dense matrix's memory budget and fails before allocating
+    with pytest.raises(r.CapacityError):
+        r.tree_distance_distribution(r.ReferralTree(np.arange(-1, 5_001)))
+    r.tree_distance_distribution(r.ReferralTree(np.arange(-1, 99)))
 
 
 def test_singular_node_block_falls_back_to_mean():
@@ -124,10 +189,10 @@ def test_estimators_past_the_dense_cap():
     n = 12_000
     assert n > MAX_DENSE_NODES
     rng = np.random.default_rng(5)
-    parent = np.concatenate(([-1], (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)))
+    tree = recursive_tree(rng, n)
     block = rng.integers(0, 3, n)
     sample = r.RdsSample(
-        tree=r.ReferralTree(parent),
+        tree=tree,
         node=np.arange(n),
         degree=rng.integers(1, 20, n).astype(float),
         outcome=(rng.random(n) < 0.3 + 0.2 * block).astype(float),
