@@ -88,7 +88,6 @@ from .referral import (
     ReferralTree,
     complete_binary_distance_distribution,
     complete_binary_tree,
-    distance_pgf,
     galton_watson_tree,
     tree_distance_distribution,
 )

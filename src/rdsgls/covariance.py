@@ -171,17 +171,20 @@ def ranktwo_solve_ones(tree: ReferralTree, beta2: float, lam: float) -> np.ndarr
     return (1.0 - lam * (tree.degrees - 1.0)) / (beta2 * (1.0 + lam))
 
 
-def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam: float) -> float:
+def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam):
     """1' Sigma^{-1} 1 for a single-term covariance on any n-node tree.
 
-    Topology drops out because tree degrees always sum to 2(n - 1).
+    Topology drops out because tree degrees always sum to 2(n - 1).  An
+    array of eigenvalues gives the array of values, one per eigenvalue.
     """
     if n < 1:
         raise InvalidParametersError("n must be >= 1")
     if beta2 <= 0:
         raise InvalidParametersError("beta2 must be positive")
-    if lam == -1.0 or abs(lam) > 1:
-        raise SingularCovarianceError(f"lambda = {lam} outside (-1, 1)")
+    outside = np.asarray(lam)
+    outside = outside[(outside == -1.0) | (np.abs(outside) > 1)]
+    if outside.size:
+        raise SingularCovarianceError(f"lambda = {outside[0]} outside (-1, 1)")
     return n * (1.0 - lam * (1.0 - 2.0 / n)) / (beta2 * (1.0 + lam))
 
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import AutoCovariance, CovarianceMatrix, gls_solve
+from .covariance import AutoCovariance, CovarianceMatrix, gls_solve, one_sigma_inv_one_ranktwo
 from .errors import InvalidParametersError, SingularCovarianceError
 from .referral import ReferralTree, tree_distance_pgf
 
-RSE_VARIANTS = ("as_printed", "mean_variance")
 GREY_LINE_GRID = np.linspace(-0.9, 0.9, 181)
 
 
@@ -53,50 +52,38 @@ class JensenResult:
     rhs: float
 
 
-def rse(sigma_hat: CovarianceMatrix, variant: str = "as_printed") -> float:
+def rse(sigma_hat: CovarianceMatrix) -> float:
     """Ratio of plug-in standard errors: GLS over sample mean.
 
-    ``as_printed`` divides the GLS variance by the total covariance mass
-    over n; ``mean_variance`` divides by mass over n^2 (the actual
-    variance of the sample mean), which restores RSE = 1 on the identity.
+    As printed in the paper: the GLS variance over the total covariance
+    mass divided by n (not n^2, the sample mean's actual variance), so the
+    identity covariance gives 1 / sqrt(n).
     """
-    if variant not in RSE_VARIANTS:
-        raise InvalidParametersError(f"unknown RSE variant {variant!r}")
     n = sigma_hat.n
     gls_var = gls_solve(sigma_hat, np.zeros(n)).variance
     mass = sigma_hat.matrix.sum()
-    denom = mass / n if variant == "as_printed" else mass / n**2
-    return float(np.sqrt(gls_var / denom))
+    return float(np.sqrt(gls_var / (mass / n)))
 
 
-def ranktwo_rse_curve(
-    tree: ReferralTree,
-    lambda_grid: np.ndarray,
-    variant: str = "as_printed",
-) -> np.ndarray:
+def ranktwo_rse_curve(tree: ReferralTree, lambda_grid: np.ndarray) -> np.ndarray:
     """RSE as a function of the eigenvalue under a single geometric term.
 
     The loading scale cancels between numerator and denominator, so the
     curve depends only on the eigenvalue and the tree's distance PGF,
     evaluated for the whole grid by ``tree_distance_pgf``.
     """
-    if variant not in RSE_VARIANTS:
-        raise InvalidParametersError(f"unknown RSE variant {variant!r}")
     grid = np.asarray(lambda_grid, dtype=np.float64)
     if np.any(np.abs(grid) >= 1):
         raise SingularCovarianceError("grey-line eigenvalues must satisfy |lambda| < 1")
     n = tree.n
-    pgf = tree_distance_pgf(tree, grid)
-    # one_sigma_inv_one_ranktwo(n, 1.0, lam) for the whole grid, same operations
-    gls_var = 1.0 / (n * (1.0 - grid * (1.0 - 2.0 / n)) / (1.0 * (1.0 + grid)))
+    gls_var = 1.0 / one_sigma_inv_one_ranktwo(n, 1.0, grid)
     # total mass of the unit-loading covariance is n^2 G(lambda)
-    denom = n * pgf if variant == "as_printed" else pgf
-    return np.sqrt(gls_var / denom)
+    return np.sqrt(gls_var / (n * tree_distance_pgf(tree, grid)))
 
 
-def ranktwo_rse_value(tree: ReferralTree, lam: float, variant: str = "as_printed") -> float:
+def ranktwo_rse_value(tree: ReferralTree, lam: float) -> float:
     """Single point of the single-term RSE curve."""
-    return float(ranktwo_rse_curve(tree, np.array([lam]), variant)[0])
+    return float(ranktwo_rse_curve(tree, np.array([lam]))[0])
 
 
 def jensen_check(gamma: AutoCovariance, tree: ReferralTree) -> JensenResult:

@@ -24,7 +24,7 @@ from .errors import (
     MissingLabelError,
     SingularCovarianceError,
 )
-from .netmodel import SpectralDecomp, _fix_signs, _spectral_order, beta_coefficients
+from .netmodel import SpectralDecomp, beta_coefficients, normalized_spectrum
 from .sampler import RdsSample, referral_counts
 
 EIGENVALUE_CLAMP = 0.999
@@ -301,36 +301,27 @@ def _tree_gls(
     return result.estimate, result.weights, float(np.sqrt(result.variance / (mass / n)))
 
 
-def qhat_spectrum(qhat: np.ndarray):
+def qhat_spectrum(counts: np.ndarray):
     """Steps shared by every blockmodel plug-in: symmetrize, normalize, decompose.
 
     Returns ``(eigenvalues, U, D)`` with the leading eigenvalue first and
-    D the row sums of the symmetrized matrix.  The input scale is
-    irrelevant: only relative referral frequencies matter.
+    D the row sums of the symmetrized referral matrix ``counts``.  The
+    input scale is irrelevant: only relative referral frequencies matter.
     """
-    qhat = np.asarray(qhat, dtype=np.float64)
-    if qhat.ndim != 2 or qhat.shape[0] != qhat.shape[1]:
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise InvalidParametersError("referral matrix must be square")
-    if qhat.sum() <= 0:
+    if counts.sum() <= 0:
         raise InvalidParametersError("referral matrix has no mass")
-    sym = 0.5 * (qhat + qhat.T)
+    sym = 0.5 * (counts + counts.T)
     D = sym.sum(axis=1)
     if D.min() <= 0:
         raise MissingLabelError("a block has no referrals in or out")
-    inv_sqrt = 1.0 / np.sqrt(D)
-    QL = inv_sqrt[:, None] * sym * inv_sqrt[None, :]
-    vals, U = np.linalg.eigh(0.5 * (QL + QL.T))
-    order = _spectral_order(vals)
-    return vals[order], _fix_signs(U[:, order]), D
+    _, vals, U = normalized_spectrum(sym, D)
+    return vals, U, D
 
 
-def sbm_fgls(
-    sample: RdsSample,
-    labels: np.ndarray | None = None,
-    K: int | None = None,
-    *,
-    qhat: np.ndarray | None = None,
-) -> EstimateReport:
+def sbm_fgls(sample: RdsSample, labels: np.ndarray | None = None) -> EstimateReport:
     """Blockmodel feasible GLS over an observed partition.
 
     Pipeline: referral frequencies between blocks -> symmetrized,
@@ -338,15 +329,14 @@ def sbm_fgls(
     loadings of the outcome -> plug-in autocovariance -> covariance with
     the outcome's sample variance as a diagonal regularizer -> GLS.
 
-    Blocks never visited by the sample are dropped (with a warning);
-    eigenvalues are clamped to +/-0.999 before the covariance build so the
-    solve stays definite.  ``qhat`` overrides the counting step for
-    verification work.
+    Labels run over 0..max(labels); blocks never visited by the sample
+    are dropped (with a warning).  Eigenvalues are clamped to +/-0.999
+    before the covariance build so the solve stays definite.
     """
-    return _blockmodel_gls(sample, labels, K, qhat, with_rse=True)
+    return _blockmodel_gls(sample, labels, with_rse=True)
 
 
-def _blockmodel_gls(sample, labels, K, qhat, with_rse: bool) -> EstimateReport:
+def _blockmodel_gls(sample, labels, with_rse: bool) -> EstimateReport:
     """``sbm_fgls``; without ``with_rse`` the report carries no RSE."""
     Y = sample.y
     n = sample.n
@@ -361,25 +351,23 @@ def _blockmodel_gls(sample, labels, K, qhat, with_rse: bool) -> EstimateReport:
         return _single_node_report("sbm", sample)
 
     notes = []
-    if K is None:
-        K = int(labels.max()) + 1
+    K = int(labels.max()) + 1
     present = np.unique(labels)
-    if present.min() < 0 or present.max() >= K:
-        raise MissingLabelError(f"labels must lie in 0..{K - 1}")
+    if present.min() < 0:
+        raise MissingLabelError("block labels must be nonnegative")
     if present.size < K:
         dropped = sorted(set(range(K)) - set(present.tolist()))
         notes.append(f"dropped blocks with no visits: {dropped}")
     z = np.searchsorted(present, labels)
     k_eff = present.size
 
-    if qhat is None:
-        relabeled = RdsSample(
-            tree=sample.tree, node=sample.node, degree=sample.degree,
-            outcome=sample.outcome, block=z,
-        )
-        qhat = referral_counts(relabeled, k_eff)
-    qhat = np.asarray(qhat, dtype=np.float64)
-    # pin the count scale so injected matrices behave like real frequencies
+    relabeled = RdsSample(
+        tree=sample.tree, node=sample.node, degree=sample.degree,
+        outcome=sample.outcome, block=z,
+    )
+    qhat = referral_counts(relabeled, k_eff)
+    # renormalize to the counts' own total (n - 1) / n: this can move the last
+    # bit of an entry, and the recorded report digests include it
     qhat = qhat * ((n - 1) / n / qhat.sum())
 
     vals, U, D = qhat_spectrum(qhat)
@@ -467,7 +455,7 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
         h_inv = inv.mean()
     elif policy == "fgls":
         weighted = sample.with_outcome_values(inv)
-        h_inv = _blockmodel_gls(weighted, labels, None, None, with_rse=False).mu_hat
+        h_inv = _blockmodel_gls(weighted, labels, with_rse=False).mu_hat
         if not np.isfinite(h_inv) or h_inv <= 0:
             warnings.warn(
                 "GLS estimate of the inverse-degree mean was not positive; "

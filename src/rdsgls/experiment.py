@@ -32,18 +32,35 @@ from .seeding import STREAM_OUTCOME, as_rng
 # and a balanced 0/1 outcome has squared loading 1/4
 TWO_GROUP_BETA2 = 0.25
 
+OUTCOME_KINDS = ("block_values", "block_bernoulli", "bernoulli", "column")
+
 
 @dataclass(frozen=True)
 class OutcomeSpec:
     """How to synthesize one outcome column on the population.
 
     kinds: ``block_values`` (deterministic per block), ``block_bernoulli``
-    (per-block rates), ``bernoulli`` (one global rate), ``column`` (taken
-    from a loaded attribute column).
+    (per-block rates), ``bernoulli`` (one global rate), ``column`` (the
+    loaded attribute column named by the one value).
     """
 
     kind: str
     values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in OUTCOME_KINDS:
+            raise InvalidParametersError(f"unknown outcome kind {self.kind!r}")
+        if self.kind == "column":
+            if len(self.values) != 1 or not self.values[0]:
+                raise InvalidParametersError("column outcomes name one attribute column")
+            return
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.size == 0 or not np.all(np.isfinite(values)):
+            raise InvalidParametersError(f"{self.kind} needs finite numeric values")
+        if self.kind == "bernoulli" and values.size != 1:
+            raise InvalidParametersError(f"bernoulli takes one rate, got {values.size}")
+        if self.kind != "block_values" and not np.all((values >= 0) & (values <= 1)):
+            raise InvalidParametersError(f"{self.kind} rates must lie in [0, 1]")
 
     def realize(self, z: np.ndarray, rng) -> np.ndarray:
         if self.kind == "block_values":
@@ -92,6 +109,24 @@ class ExperimentConfig:
             raise InvalidParametersError(
                 f"preferential_weight must be finite and positive, got {self.preferential_weight}"
             )
+        if self.dcsbm is not None:
+            num_blocks = self.dcsbm.num_blocks
+        elif self.graph_blocks is not None:
+            num_blocks = int(np.max(self.graph_blocks)) + 1
+        else:
+            num_blocks = 1
+        for name, spec in self.outcomes.items():
+            if spec.kind == "column":
+                if spec.values[0] not in self.graph_outcomes:
+                    raise InvalidParametersError(
+                        f"outcome {name!r}: the network has no attribute column "
+                        f"{spec.values[0]!r}"
+                    )
+            elif spec.kind != "bernoulli" and len(spec.values) != num_blocks:
+                raise InvalidParametersError(
+                    f"outcome {name!r}: {spec.kind} gives {len(spec.values)} values "
+                    f"for {num_blocks} blocks"
+                )
 
 
 @dataclass(frozen=True)
@@ -125,6 +160,9 @@ def figure1_ratio(p_values, levels) -> list:
     wins; past the growth threshold the mean's variance stops decaying
     and the ratio falls toward zero.
     """
+    levels = list(levels)
+    if not levels:
+        raise InvalidParametersError("levels must list one or more tree sizes")
     rows = []
     for L in levels:
         dist = complete_binary_distance_distribution(L)
@@ -134,7 +172,7 @@ def figure1_ratio(p_values, levels) -> list:
                 raise InvalidParametersError("p must lie in (1/2, 1)")
             lam = 2.0 * p - 1.0
             var_gls = 1.0 / one_sigma_inv_one_ranktwo(n, TWO_GROUP_BETA2, lam)
-            var_mean = TWO_GROUP_BETA2 * dist.pgf(lam)
+            var_mean = TWO_GROUP_BETA2 * float(dist.pgf_grid(np.array([lam]))[0])
             rows.append(
                 {
                     "p": p,
@@ -205,7 +243,8 @@ def _prepare_population(cfg: ExperimentConfig):
     outcomes = {}
     for name, spec in cfg.outcomes.items():
         if spec.kind == "column":
-            outcomes[name] = np.asarray(cfg.graph_outcomes[name], dtype=np.float64)[kept]
+            column = cfg.graph_outcomes[spec.values[0]]
+            outcomes[name] = np.asarray(column, dtype=np.float64)[kept]
         else:
             outcomes[name] = spec.realize(z, rng)
     if cfg.preferential_weight != 1.0:

@@ -19,12 +19,7 @@ from .errors import InvalidParametersError, ParseError
 from .estimators import EstimateReport
 from .experiment import DiagnosticDataset, ExperimentConfig, OutcomeSpec, RmseTable
 from .netmodel import DcSbmParams, WeightedGraph
-from .presets import (
-    OFFSPRING_PRESETS,
-    table1_block_matrix,
-    table1_block_proportions,
-    table1_dcsbm,
-)
+from .presets import OFFSPRING_PRESETS, table1_block_proportions, table1_symmetrized
 from .referral import ReferralTree
 from .sampler import RdsSample, WalkConfig
 from .seeding import STREAM_NETWORK, as_rng
@@ -401,18 +396,17 @@ def _parse_pmf(text: str) -> tuple:
     return values
 
 
-def _parse_outcome(text: str) -> OutcomeSpec:
+def _parse_outcome(name: str, text: str) -> OutcomeSpec:
     kind, _, args = text.partition(":")
     kind = kind.strip()
-    if kind == "column":
-        return OutcomeSpec(kind="column", values=(args.strip(),))
     try:
-        values = tuple(float(v) for v in args.replace(",", " ").split())
-    except ValueError:
-        raise InvalidParametersError(f"bad outcome spec {text!r}") from None
-    if kind not in ("block_values", "block_bernoulli", "bernoulli"):
-        raise InvalidParametersError(f"unknown outcome kind {kind!r}")
-    return OutcomeSpec(kind=kind, values=values)
+        if kind == "column":
+            values = (args.strip(),)
+        else:
+            values = tuple(float(v) for v in args.replace(",", " ").split())
+        return OutcomeSpec(kind=kind, values=values)
+    except ValueError as exc:
+        raise InvalidParametersError(f"outcome {name!r} = {text!r}: {exc}") from None
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -461,31 +455,21 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
         bm = str(net.get("block_matrix", "table1"))
         props = str(net.get("proportions", "table1"))
         theta_kind = str(net.get("theta", "gamma"))
-        if bm == "table1" and props == "table1":
-            dcsbm = table1_dcsbm(
-                nodes, degree, rng_seed=seed, heterogeneous=(theta_kind == "gamma")
-            )
-        else:
-            S = (
-                table1_block_matrix(nodes, degree)
-                if bm == "table1"
-                else _parse_matrix(bm)
-            )
-            if bm != "table1":
-                S = degree * nodes * S / S.sum()
-            p = (
-                table1_block_proportions()
-                if props == "table1"
-                else np.array([float(v) for v in props.split()])
-            )
-            sizes_z = presets.block_sizes(p, nodes)
-            z = np.repeat(np.arange(len(sizes_z)), sizes_z)
-            theta = (
-                presets.gamma_theta(z, as_rng(seed, STREAM_NETWORK))
-                if theta_kind == "gamma"
-                else presets.uniform_theta(z)
-            )
-            dcsbm = DcSbmParams(z=z, theta=theta, B=S)
+        S = table1_symmetrized() if bm == "table1" else _parse_matrix(bm)
+        S = presets.scaled_block_matrix(S, nodes, degree)
+        p = (
+            table1_block_proportions()
+            if props == "table1"
+            else np.array([float(v) for v in props.split()])
+        )
+        sizes_z = presets.block_sizes(p, nodes)
+        z = np.repeat(np.arange(len(sizes_z)), sizes_z)
+        theta = (
+            presets.gamma_theta(z, as_rng(seed, STREAM_NETWORK))
+            if theta_kind == "gamma"
+            else presets.uniform_theta(z)
+        )
+        dcsbm = DcSbmParams(z=z, theta=theta, B=S)
     elif source == "edgelist":
         graph = read_edge_list(base / net.get("edges"), allow_isolated=True)
         attrs = net.get("attributes")
@@ -497,7 +481,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     outcomes = {}
     if parser.has_section("outcomes"):
         for name, text in parser["outcomes"].items():
-            outcomes[name] = _parse_outcome(text)
+            outcomes[name] = _parse_outcome(name, text)
     if not outcomes:
         raise InvalidParametersError("config defines no outcomes")
 

@@ -465,6 +465,20 @@ def spectral_decompose(model: TransitionModel) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=vals, functions=funcs, pi=pi)
 
 
+def normalized_spectrum(S: np.ndarray, row: np.ndarray):
+    """Eigenpairs of D^{-1/2} S D^{-1/2} for a symmetric S with row sums D > 0.
+
+    Returns ``(S_L, eigenvalues, U)``: the normalized matrix, then its
+    eigenpairs leading first, each eigenvector's first non-negligible
+    coordinate positive.  Callers check the row sums first.
+    """
+    inv_sqrt = 1.0 / np.sqrt(row)
+    S_L = inv_sqrt[:, None] * S * inv_sqrt[None, :]
+    vals, U = np.linalg.eigh(0.5 * (S_L + S_L.T))
+    order = _spectral_order(vals)
+    return S_L, vals[order], _fix_signs(U[:, order])
+
+
 def blockmodel_spectrum(B: np.ndarray, z: np.ndarray) -> BlockSpectrum:
     """Spectrum of D_B^{-1/2} B D_B^{-1/2} and its per-node eigenfunctions.
 
@@ -480,12 +494,8 @@ def blockmodel_spectrum(B: np.ndarray, z: np.ndarray) -> BlockSpectrum:
     if row.min() <= 0:
         bad = int(np.argmin(row))
         raise DegenerateNodeError(f"block {bad} has zero row sum in B")
+    B_L, vals, U = normalized_spectrum(B, row)
     inv_sqrt = 1.0 / np.sqrt(row)
-    B_L = inv_sqrt[:, None] * B * inv_sqrt[None, :]
-    vals, U = np.linalg.eigh(0.5 * (B_L + B_L.T))
-    order = _spectral_order(vals)
-    vals = vals[order]
-    U = _fix_signs(U[:, order])
     m = float(B.sum())
     f_star = np.sqrt(m) * (U[z] * inv_sqrt[z][:, None])
     return BlockSpectrum(B_L=B_L, U=U, eigenvalues=vals, f_star=f_star, m=m)

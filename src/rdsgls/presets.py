@@ -59,13 +59,12 @@ def table1_block_proportions() -> np.ndarray:
     return rows / rows.sum()
 
 
-def table1_block_matrix(num_nodes: int, expected_degree: float = 30.0) -> np.ndarray:
-    """Affinity matrix scaled so the expected average degree is as requested.
+def scaled_block_matrix(S: np.ndarray, num_nodes: int, expected_degree: float) -> np.ndarray:
+    """Affinity matrix ``S`` scaled so the expected average degree is as requested.
 
     The average expected degree equals the total affinity mass over the
-    node count, hence the normalization by the table's total.
+    node count, hence the normalization by the matrix's total.
     """
-    S = table1_symmetrized()
     return expected_degree * num_nodes * S / S.sum()
 
 
@@ -115,7 +114,7 @@ def table1_dcsbm(
         theta = gamma_theta(z, rng)
     else:
         theta = uniform_theta(z)
-    B = table1_block_matrix(num_nodes, expected_degree)
+    B = scaled_block_matrix(table1_symmetrized(), num_nodes, expected_degree)
     return DcSbmParams(z=z, theta=theta, B=B)
 
 

@@ -20,9 +20,6 @@ from .seeding import STREAM_TREE, as_rng
 MAX_DENSE_NODES = 10_000
 """Largest tree for which the dense O(n^2) distance matrix is built."""
 
-MAX_DIAMETER = 65_535
-"""Distances are stored as 16-bit integers."""
-
 
 def probability_vector(pmf, name: str) -> np.ndarray:
     """``pmf`` as a float64 vector of nonnegative entries summing to one.
@@ -95,16 +92,6 @@ class ReferralTree:
         return self._cache["degrees"]
 
     @property
-    def children(self) -> list:
-        """Child lists in node order."""
-        if "children" not in self._cache:
-            kids = [[] for _ in range(self.n)]
-            for tau in range(1, self.n):
-                kids[self.parent[tau]].append(tau)
-            self._cache["children"] = kids
-        return self._cache["children"]
-
-    @property
     def num_levels(self) -> int:
         return int(self.depths.max()) + 1
 
@@ -141,7 +128,8 @@ class ReferralTree:
 
         Built row by row from the parent's row: every earlier node sigma
         lies outside tau's subtree, so d(tau, sigma) = d(parent[tau], sigma)
-        + 1 for sigma < tau.  O(n^2) time and one n x n buffer.
+        + 1 for sigma < tau.  O(n^2) time and one n x n buffer.  The
+        ``MAX_DENSE_NODES`` cap keeps every distance below 2^16.
         """
         if "dist" in self._cache:
             return self._cache["dist"]
@@ -150,8 +138,6 @@ class ReferralTree:
             raise CapacityError(
                 f"dense distance matrix requested for n={n} > {MAX_DENSE_NODES}"
             )
-        if self.depths.max() * 2 > MAX_DIAMETER:
-            raise CapacityError("tree diameter exceeds the 16-bit distance type")
         dist = np.zeros((n, n), dtype=np.uint16)
         for tau, par in enumerate(self.parent[1:].tolist(), start=1):
             row = dist[par, :tau] + 1
@@ -176,9 +162,6 @@ class DistanceDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "pmf", probability_vector(self.pmf, "distance pmf"))
-
-    def pgf(self, x: float) -> float:
-        return distance_pgf(self, x)
 
     def pgf_grid(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized PGF over a grid of arguments in [-1, 1]."""
@@ -355,10 +338,3 @@ def complete_binary_distance_distribution(levels: int) -> DistanceDistribution:
             for j2 in range(1, maxleg + 1):
                 counts[j1 + j2] += width * 2.0 * 2 ** (j1 - 1) * 2 ** (j2 - 1)
     return DistanceDistribution(pmf=counts / float(n) ** 2, n=n)
-
-
-def distance_pgf(dist: DistanceDistribution, x: float) -> float:
-    """Probability generating function E(x^D) with the 0^0 = 1 convention."""
-    if abs(x) > 1.0:
-        raise InvalidParametersError(f"PGF argument |x| <= 1 required, got {x}")
-    return float(dist.pgf_grid(np.array([x]))[0])

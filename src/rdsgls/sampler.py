@@ -315,7 +315,7 @@ def rds_without_replacement(
     )
 
 
-def referral_counts(sample: RdsSample, K: int) -> np.ndarray:
+def referral_counts(sample: RdsSample, num_blocks: int) -> np.ndarray:
     """Block-to-block referral frequencies over the tree edges, divided by n.
 
     Entry (u, v) counts tree edges whose parent is labeled u and child
@@ -325,10 +325,10 @@ def referral_counts(sample: RdsSample, K: int) -> np.ndarray:
     if sample.block is None:
         raise MissingLabelError("sample has no block labels")
     z = sample.block
-    if z.min() < 0 or z.max() >= K:
-        raise MissingLabelError(f"block labels must lie in 0..{K - 1}")
+    if z.min() < 0 or z.max() >= num_blocks:
+        raise MissingLabelError(f"block labels must lie in 0..{num_blocks - 1}")
     n = sample.n
-    Q = np.zeros((K, K), dtype=np.float64)
+    Q = np.zeros((num_blocks, num_blocks), dtype=np.float64)
     if n > 1:
         parents = sample.tree.parent[1:]
         np.add.at(Q, (z[parents], z[1:]), 1.0)

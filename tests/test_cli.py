@@ -147,6 +147,14 @@ def test_figure1_csv(tmp_path):
     assert all(0 < x < 1 for x in ratios)
 
 
+def test_figure1_rejects_empty_levels(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    code = dispatch(["figure1", "--p", "0.6,0.9", "--levels", "9..5", "--out", str(out)])
+    assert code == 2
+    assert "levels must list one or more tree sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
@@ -226,7 +234,8 @@ def test_experiment_cli(tmp_path):
     assert len(lines) == 3  # header + 2 estimators x 1 size x 1 outcome
 
 
-def test_experiment_edgelist_source(tmp_path):
+def _edgelist_config(tmp_path, outcomes):
+    """Experiment config over a 120-node random graph with two blocks and a 0/1 trait."""
     rng = np.random.default_rng(1)
     n = 120
     W = (rng.random((n, n)) < 0.12).astype(float)
@@ -243,14 +252,77 @@ def test_experiment_edgelist_source(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
         f"[network]\nsource = edgelist\nedges = {edges.name}\nattributes = {attrs.name}\n"
-        "[outcomes]\ntrait = column:trait\n"
+        f"[outcomes]\n{outcomes}\n"
         "[estimators]\nnames = vh sbm_z\n"
         "[walk]\noffspring = survey\nseed_rule = uniform\n"
         "[run]\nsizes = 25\nreplicates = 3\nseed = 5\n"
     )
+    return cfg
+
+
+def test_experiment_edgelist_source(tmp_path):
+    cfg = _edgelist_config(tmp_path, "trait = column:trait")
     out = tmp_path / "rmse.csv"
     assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_column_outcome_reads_the_named_column(tmp_path):
+    tables = {}
+    for name in ("trait", "mine"):
+        cfg = _edgelist_config(tmp_path, f"{name} = column:trait")
+        out = tmp_path / f"{name}.csv"
+        assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        tables[name] = out.read_text().replace(f",{name},", ",OUTCOME,")
+    assert tables["mine"] == tables["trait"]
+
+
+BAD_OUTCOMES = [  # (network source, [outcomes] line, expected error text)
+    ("edgelist", "trait = column:nope", "outcome 'trait': the network has no attribute column"
+     " 'nope'"),
+    ("dcsbm", "trait = column:trait", "outcome 'trait': the network has no attribute column"
+     " 'trait'"),
+    ("dcsbm", "trait = column:", "outcome 'trait' = 'column:': column outcomes name one"),
+    ("dcsbm", "aligned = block_values:1,1",
+     "outcome 'aligned': block_values gives 2 values for 3 blocks"),
+    ("dcsbm", "corr = block_bernoulli:0.7,0.1,0.9,0.2",
+     "outcome 'corr': block_bernoulli gives 4 values for 3 blocks"),
+    ("edgelist", "aligned = block_values:1,1,0",
+     "outcome 'aligned': block_values gives 3 values for 2 blocks"),
+    ("dcsbm", "u = bernoulli:", "outcome 'u' = 'bernoulli:': bernoulli needs finite numeric"),
+    ("dcsbm", "u = bernoulli:1.5", "outcome 'u' = 'bernoulli:1.5': bernoulli rates must lie"),
+    ("dcsbm", "u = bernoulli:0.2 0.3", "outcome 'u' = 'bernoulli:0.2 0.3': bernoulli takes one"),
+    ("dcsbm", "corr = block_bernoulli:0.7,-0.1,0.9", "block_bernoulli rates must lie in [0, 1]"),
+    ("dcsbm", "aligned = block_values:1,nan,0", "block_values needs finite numeric values"),
+    ("dcsbm", "aligned = block_values:1,1,-inf", "block_values needs finite numeric values"),
+    ("dcsbm", "aligned = block_values:1,one,0", "outcome 'aligned' = 'block_values:1,one,0'"),
+    ("dcsbm", "x = block_median:1,1,0", "outcome 'x' = 'block_median:1,1,0': unknown outcome"),
+]
+
+
+@pytest.mark.parametrize("command", ["experiment", "gen-graph"])
+@pytest.mark.parametrize(
+    ("network", "outcome", "message"), BAD_OUTCOMES,
+    ids=[outcome for _, outcome, _ in BAD_OUTCOMES],
+)
+def test_bad_outcome_specs_exit_two(tmp_path, capsys, command, network, outcome, message):
+    if network == "edgelist":
+        cfg = _edgelist_config(tmp_path, outcome)
+    else:
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[network]\nsource = dcsbm\nnodes = 200\nexpected_degree = 10\ntheta = uniform\n"
+            f"[outcomes]\n{outcome}\n"
+            "[run]\nsizes = 30\nreplicates = 3\nseed = 8\n"
+        )
+    outs = [tmp_path / "out.csv", tmp_path / "edges.txt", tmp_path / "attrs.csv"]
+    argv = {
+        "experiment": ["experiment", "--out", str(outs[0])],
+        "gen-graph": ["gen-graph", "--out-edges", str(outs[1]), "--out-attributes", str(outs[2])],
+    }[command]
+    assert dispatch([*argv, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(path.exists() for path in outs)
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

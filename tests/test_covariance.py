@@ -64,7 +64,7 @@ def test_build_sigma_mass_identity():
         sigma = r.build_sigma(tree, ac)
         dist = r.tree_distance_distribution(tree)
         expected = tree.n**2 * sum(
-            b2 * dist.pgf(lam) for b2, lam in terms
+            b2 * dist.pgf_grid([lam])[0] for b2, lam in terms
         ) + tree.n * nugget
         assert abs(sigma.matrix.sum() - expected) < 1e-7 * max(1.0, abs(expected))
 
@@ -151,6 +151,14 @@ def test_one_sigma_inv_one_topology_free():
 def test_one_sigma_inv_one_singularity():
     with pytest.raises(r.SingularCovarianceError):
         r.one_sigma_inv_one_ranktwo(5, 1.0, -1.0)
+    with pytest.raises(r.SingularCovarianceError, match="lambda = 1.5 outside"):
+        r.one_sigma_inv_one_ranktwo(5, 1.0, np.array([0.2, 1.5, -1.0]))
+
+
+def test_one_sigma_inv_one_array_matches_scalars():
+    lams = np.array([-0.9, -0.3, 0.0, 0.45, 0.8, 1.0])
+    want = [r.one_sigma_inv_one_ranktwo(17, 0.6, lam) for lam in lams.tolist()]
+    assert np.array_equal(r.one_sigma_inv_one_ranktwo(17, 0.6, lams), want)
 
 
 def test_gls_identity_covariance_is_mean():

@@ -16,29 +16,20 @@ def test_rse_identity_as_printed():
     assert abs(r.rse(sigma) - 0.5) < 1e-12
 
 
-def test_rse_identity_mean_variance():
-    sigma = r.CovarianceMatrix(matrix=np.eye(4), tree=star_tree(4))
-    assert abs(r.rse(sigma, "mean_variance") - 1.0) < 1e-12
-
-
 def test_rse_matches_ranktwo_curve():
     tree = r.complete_binary_tree(10)
     sigma = r.build_sigma(tree, r.AutoCovariance(terms=((0.37, 0.8),)))
-    for variant in ("as_printed", "mean_variance"):
-        dense = r.rse(sigma, variant)
-        curve = r.ranktwo_rse_value(tree, 0.8, variant)
-        assert abs(dense - curve) < 1e-10
+    assert abs(r.rse(sigma) - r.ranktwo_rse_value(tree, 0.8)) < 1e-10
 
 
 def test_rse_scale_invariance():
     rng = np.random.default_rng(0)
     tree = random_tree(rng, 40)
     sigma = r.build_sigma(tree, r.AutoCovariance(terms=((0.5, 0.4), (0.2, -0.2)), nugget=0.1))
-    for variant in ("as_printed", "mean_variance"):
-        base = r.rse(sigma, variant)
-        for c in (0.3, 2.0, 11.0):
-            scaled = r.CovarianceMatrix(matrix=c * sigma.matrix, tree=tree)
-            assert abs(r.rse(scaled, variant) - base) < 1e-12
+    base = r.rse(sigma)
+    for c in (0.3, 2.0, 11.0):
+        scaled = r.CovarianceMatrix(matrix=c * sigma.matrix, tree=tree)
+        assert abs(r.rse(scaled) - base) < 1e-12
 
 
 def test_rse_requires_positive_definite():
@@ -68,14 +59,12 @@ def test_curve_loading_free_via_dense_build():
 
 @pytest.mark.parametrize("n", [1, 2, 500])
 def test_curve_keeps_the_scalar_gls_variance_bits(n):
-    # the vectorized curve repeats one_sigma_inv_one_ranktwo's operations
+    # the curve's array call keeps the scalar one_sigma_inv_one_ranktwo's bits
     tree = random_tree(np.random.default_rng(n), n)
     grid = GREY_LINE_GRID
     gls_var = np.array([1.0 / r.one_sigma_inv_one_ranktwo(n, 1.0, lam) for lam in grid])
     pgf = tree_distance_pgf(tree, grid)
     assert np.array_equal(r.ranktwo_rse_curve(tree, grid), np.sqrt(gls_var / (n * pgf)))
-    assert np.array_equal(r.ranktwo_rse_curve(tree, grid, "mean_variance"),
-                          np.sqrt(gls_var / pgf))
 
 
 def test_curve_monotone_on_511_binary():

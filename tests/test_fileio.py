@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls import fileio
+from rdsgls.presets import table1_dcsbm
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -322,6 +323,24 @@ jobs = 1
     assert set(cfg.outcomes) == {"aligned", "corr", "unc"}
     table = r.run_rmse_experiment(cfg)
     assert len(table.rows) == 2 * 2 * 3
+
+
+@pytest.mark.parametrize("nodes", [200, 5000])
+@pytest.mark.parametrize("theta", ["gamma", "uniform"])
+@pytest.mark.parametrize("block_matrix", ["table1", "5 6 3; 6 46 4.5; 3 4.5 28"])
+def test_config_table1_network_is_table1_dcsbm(tmp_path, nodes, theta, block_matrix):
+    # the parsed matrix is the symmetrized table, so both spellings scale alike
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        f"[network]\nsource = dcsbm\nnodes = {nodes}\nexpected_degree = 30\n"
+        f"block_matrix = {block_matrix}\ntheta = {theta}\n"
+        "[outcomes]\na = bernoulli:0.5\n[run]\nsizes = 20\nreplicates = 1\nseed = 7\n"
+    )
+    got = fileio.load_experiment_config(path).dcsbm
+    want = table1_dcsbm(nodes, 30.0, rng_seed=7, heterogeneous=(theta == "gamma"))
+    for name in ("z", "theta", "B"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_readme_config_loads_as_written(tmp_path):

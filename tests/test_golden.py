@@ -38,6 +38,8 @@ REPORT_SHA256 = {
     ("sbm", "fgls"): "ce367b1758898117e46bc3168a54d20264c52f44fd13d1389c968f4966f66139",
 }
 DIAGNOSE_SHA256 = "b58bb1f8af25c3cbca5bcda2a28e11d9f15c1ffb6e3068ac5d44ad1cfaf32397"
+# the README's figure1 command
+FIGURE1_SHA256 = "80933d98f33730d7315115b549cec8585f64cb7c57eb4464d141c73f4176474c"
 MU_HAT_REPR = {
     "mean": "0.67",
     "vh": "0.6574498807472086",
@@ -65,6 +67,13 @@ def test_diagnose_csv_bytes(tmp_path):
     out = tmp_path / "diagnostics.csv"
     assert dispatch(["diagnose", "--sample", str(SAMPLE), "--out", str(out)]) == 0
     assert _sha256(out) == DIAGNOSE_SHA256
+
+
+def test_figure1_csv_bytes(tmp_path):
+    out = tmp_path / "ratios.csv"
+    argv = ["figure1", "--p", "0.6,0.75,0.9", "--levels", "5..15", "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert _sha256(out) == FIGURE1_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(MU_HAT_REPR))

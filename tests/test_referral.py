@@ -162,19 +162,20 @@ def test_pgf_at_one_and_zero():
     for _ in range(5):
         tree = random_tree(rng, int(rng.integers(2, 50)))
         dist = r.tree_distance_distribution(tree)
-        assert abs(r.distance_pgf(dist, 1.0) - 1.0) < 1e-12
-        assert abs(r.distance_pgf(dist, 0.0) - 1 / tree.n) < 1e-15
+        one, zero = dist.pgf_grid([1.0, 0.0])
+        assert abs(one - 1.0) < 1e-12
+        assert abs(zero - 1 / tree.n) < 1e-15
 
 
 def test_pgf_three_node_value():
     dist = r.tree_distance_distribution(r.complete_binary_tree(2))
-    assert abs(r.distance_pgf(dist, 0.5) - 5.5 / 9) < 1e-15
+    assert abs(dist.pgf_grid([0.5])[0] - 5.5 / 9) < 1e-15
 
 
 def test_pgf_domain_error():
     dist = r.tree_distance_distribution(r.complete_binary_tree(2))
     with pytest.raises(r.InvalidParametersError):
-        r.distance_pgf(dist, 1.5)
+        dist.pgf_grid([1.5])
 
 
 def test_quadratic_form_identity():
@@ -188,7 +189,7 @@ def test_quadratic_form_identity():
             form = np.power(lam, dmat)
             if lam == 0.0:
                 form = (dmat == 0).astype(np.float64)
-            assert abs(tree.n**2 * dist.pgf(lam) - form.sum()) < 1e-7
+            assert abs(tree.n**2 * dist.pgf_grid([lam])[0] - form.sum()) < 1e-7
 
 
 def test_distance_matrix_symmetry_and_depth():
