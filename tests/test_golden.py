@@ -40,6 +40,19 @@ REPORT_SHA256 = {
 DIAGNOSE_SHA256 = "b58bb1f8af25c3cbca5bcda2a28e11d9f15c1ffb6e3068ac5d44ad1cfaf32397"
 # the README's figure1 command
 FIGURE1_SHA256 = "80933d98f33730d7315115b549cec8585f64cb7c57eb4464d141c73f4176474c"
+# an `rdsgls experiment` run with every estimator, two sizes and three outcomes
+# on a 1,000-node Table-1 network: the CSV's digest, and the digest of the
+# RMSE rows' repr, which keeps every bit of each float
+EXPERIMENT_CONFIG = (
+    "[network]\nsource = dcsbm\nnodes = 1000\nexpected_degree = 20\n"
+    "[outcomes]\naligned = block_values:1,1,0\ncorrelated = block_bernoulli:0.7,0.1,0.9\n"
+    "uncorrelated = bernoulli:0.66\n"
+    "[estimators]\nnames = mean vh auto delta sbm_y sbm_z\n"
+    "[walk]\noffspring = fast\n"
+    "[run]\nsizes = 50 200\nreplicates = 8\nseed = 11\n"
+)
+RMSE_SHA256 = "6ce643d9423098cd5e7e6b4dde8f13589b6c95d81c0cb343ba1b0c15c8a7c8f4"
+RMSE_ROWS_REPR_SHA256 = "423caa86735bea0ac080da12a03733351545e98bed3f157708f7d7b2aa904d65"
 MU_HAT_REPR = {
     "mean": "0.67",
     "vh": "0.6574498807472086",
@@ -82,3 +95,20 @@ def test_apply_estimator_mu_hat(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert repr(r.apply_estimator(name, sample).mu_hat) == MU_HAT_REPR[name]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_experiment_rmse_csv_bytes(tmp_path, jobs):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(EXPERIMENT_CONFIG)
+    out = tmp_path / "rmse.csv"
+    argv = ["experiment", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
+    assert dispatch(argv) == 0
+    assert _sha256(out) == RMSE_SHA256
+
+
+def test_experiment_rmse_rows_repr(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(EXPERIMENT_CONFIG)
+    rows = r.run_rmse_experiment(fileio.load_experiment_config(cfg)).rows
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == RMSE_ROWS_REPR_SHA256
