@@ -182,7 +182,8 @@ def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam):
     if beta2 <= 0:
         raise InvalidParametersError("beta2 must be positive")
     outside = np.asarray(lam)
-    outside = outside[(outside == -1.0) | (np.abs(outside) > 1)]
+    # written as "not inside" so that NaN counts as outside
+    outside = outside[~((outside > -1.0) & (outside <= 1.0))]
     if outside.size:
         raise SingularCovarianceError(f"lambda = {outside[0]} outside (-1, 1)")
     return n * (1.0 - lam * (1.0 - 2.0 / n)) / (beta2 * (1.0 + lam))

@@ -73,7 +73,8 @@ def ranktwo_rse_curve(tree: ReferralTree, lambda_grid: np.ndarray) -> np.ndarray
     evaluated for the whole grid by ``tree_distance_pgf``.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
-    if np.any(np.abs(grid) >= 1):
+    # written as "not inside" so that NaN counts as outside
+    if not np.all((grid > -1) & (grid < 1)):
         raise SingularCovarianceError("grey-line eigenvalues must satisfy |lambda| < 1")
     n = tree.n
     gls_var = 1.0 / one_sigma_inv_one_ranktwo(n, 1.0, grid)

@@ -199,12 +199,13 @@ def _ranktwo_gls(tree, lam: float, Y: np.ndarray):
     return float(weights @ Y), weights
 
 
-def auto_fgls(sample: RdsSample) -> EstimateReport:
+def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     """Single-term feasible GLS from the lag-1 autocorrelation.
 
     Scans a grid of centering values m, fits (beta2, lambda) from the
     centered lag statistics, runs GLS under that covariance, and keeps the
-    m whose estimate is closest to itself (a relaxed fixed point).
+    m whose estimate is closest to itself (a relaxed fixed point).  Without
+    ``rse`` the report carries no RSE.
     """
     Y = sample.y
     n = sample.n
@@ -256,18 +257,19 @@ def auto_fgls(sample: RdsSample) -> EstimateReport:
         mu_hat=mu_best,
         eigenvalues=(lam_best,),
         beta2=(beta2_best,),
-        rse=ranktwo_rse_value(tree, lam_best),
+        rse=ranktwo_rse_value(tree, lam_best) if rse else None,
         weights=weights,
         n=n,
     )
 
 
-def delta_fgls(sample: RdsSample) -> EstimateReport:
+def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     """Single-term feasible GLS from squared differences at lags 1 and 2.
 
     Needs no centering: the lag ratio of mean squared differences
     identifies lambda, and the overall scale cancels in the GLS weights.
-    The denominator carries a 1/sqrt(n) smoothing term.
+    The denominator carries a 1/sqrt(n) smoothing term.  Without ``rse``
+    the report carries no RSE.
     """
     Y = sample.y
     n = sample.n
@@ -280,21 +282,21 @@ def delta_fgls(sample: RdsSample) -> EstimateReport:
         estimator="delta",
         mu_hat=mu,
         eigenvalues=(lam,),
-        rse=ranktwo_rse_value(sample.tree, lam),
+        rse=ranktwo_rse_value(sample.tree, lam) if rse else None,
         weights=weights,
         n=n,
     )
 
 
 def _tree_gls(
-    tree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0, with_rse: bool = True
+    tree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0, rse: bool = True
 ):
     """Estimate, weights and printed-variant RSE under ``ac`` plus ``constant`` 11'.
 
-    Without ``with_rse`` the RSE is None and its covariance-mass sweep is skipped.
+    Without ``rse`` the RSE is None and its covariance-mass sweep is skipped.
     """
     result = tree_gls_solve(tree, ac, Y, constant)
-    if not with_rse:
+    if not rse:
         return result.estimate, result.weights, None
     n = tree.n
     mass = tree_covariance_mass(tree, ac) + constant * n * n
@@ -321,7 +323,9 @@ def qhat_spectrum(counts: np.ndarray):
     return vals, U, D
 
 
-def sbm_fgls(sample: RdsSample, labels: np.ndarray | None = None) -> EstimateReport:
+def sbm_fgls(
+    sample: RdsSample, labels: np.ndarray | None = None, *, rse: bool = True
+) -> EstimateReport:
     """Blockmodel feasible GLS over an observed partition.
 
     Pipeline: referral frequencies between blocks -> symmetrized,
@@ -331,25 +335,38 @@ def sbm_fgls(sample: RdsSample, labels: np.ndarray | None = None) -> EstimateRep
 
     Labels run over 0..max(labels); blocks never visited by the sample
     are dropped (with a warning).  Eigenvalues are clamped to +/-0.999
-    before the covariance build so the solve stays definite.
+    before the covariance build so the solve stays definite.  Without
+    ``rse`` the report carries no RSE.
     """
-    return _blockmodel_gls(sample, labels, with_rse=True)
+    return _blockmodel_gls(sample, labels, rse)
 
 
-def _blockmodel_gls(sample, labels, with_rse: bool) -> EstimateReport:
-    """``sbm_fgls``; without ``with_rse`` the report carries no RSE."""
-    Y = sample.y
-    n = sample.n
+def _block_labels(sample: RdsSample, labels) -> np.ndarray:
+    """``labels``, or the sample's own blocks, as one int64 label per node."""
     if labels is None:
         if sample.block is None:
             raise MissingLabelError("sample has no block labels")
         labels = sample.block
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != n:
+    if labels.shape[0] != sample.n:
         raise InvalidParametersError("labels must cover every sampled node")
-    if n == 1:
-        return _single_node_report("sbm", sample)
+    return labels
 
+
+def _block_spectrum(sample: RdsSample, labels: np.ndarray):
+    """The outcome-free part of the blockmodel GLS over ``labels``.
+
+    Returns ``(k_eff, notes, eigenvalues, f_hat)``: the number of visited
+    blocks, the dropped-block note, the referral spectrum and the per-node
+    eigenfunctions.  Depends on the tree and the labels only, so it is
+    cached on the tree by the label bytes: the ``fgls`` reweighting and the
+    blockmodel estimator that follows it share one spectrum.
+    """
+    key = ("spectrum", labels.tobytes())
+    cache = sample.tree._cache
+    if key in cache:
+        return cache[key]
+    n = sample.n
     notes = []
     K = int(labels.max()) + 1
     present = np.unique(labels)
@@ -372,6 +389,22 @@ def _blockmodel_gls(sample, labels, with_rse: bool) -> EstimateReport:
 
     vals, U, D = qhat_spectrum(qhat)
     f_hat = U[z] / np.sqrt(D)[z][:, None]
+    vals.flags.writeable = False
+    f_hat.flags.writeable = False
+    cache[key] = (k_eff, tuple(notes), vals, f_hat)
+    return cache[key]
+
+
+def _blockmodel_gls(sample, labels, rse: bool) -> EstimateReport:
+    """``sbm_fgls``; without ``rse`` the report carries no RSE."""
+    Y = sample.y
+    n = sample.n
+    labels = _block_labels(sample, labels)
+    if n == 1:
+        return _single_node_report("sbm", sample)
+
+    k_eff, notes, vals, f_hat = _block_spectrum(sample, labels)
+    notes = list(notes)
     beta_hat = f_hat.T @ Y / n
     # the leading eigenvalue is 1 by construction: its spectral term is a
     # multiple of the all-ones matrix, which leaves the GLS weights
@@ -382,7 +415,7 @@ def _blockmodel_gls(sample, labels, with_rse: bool) -> EstimateReport:
     ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
     try:
         mu, weights, rse = _tree_gls(
-            sample.tree, ac, Y, constant=float(beta_hat[0] ** 2), with_rse=with_rse
+            sample.tree, ac, Y, constant=float(beta_hat[0] ** 2), rse=rse
         )
     except SingularCovarianceError:
         notes.append("estimated covariance was singular; fell back to the sample mean")
@@ -454,19 +487,32 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     if policy == "vh":
         h_inv = inv.mean()
     elif policy == "fgls":
-        weighted = sample.with_outcome_values(inv)
-        h_inv = _blockmodel_gls(weighted, labels, with_rse=False).mu_hat
-        if not np.isfinite(h_inv) or h_inv <= 0:
+        h_inv, fell_back = _inverse_degree_scale(sample, inv, _block_labels(sample, labels))
+        if fell_back:
             warnings.warn(
                 "GLS estimate of the inverse-degree mean was not positive; "
                 "using the harmonic mean instead",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            h_inv = float(inv.mean())
     else:
         raise InvalidParametersError(f"unknown reweighting {policy!r}")
     return sample.with_outcome_values(sample.y / (h_inv * deg))
+
+
+def _inverse_degree_scale(sample: RdsSample, inv: np.ndarray, labels: np.ndarray):
+    """The ``fgls`` normalizer of ``reweight`` and whether the harmonic mean took over.
+
+    Depends on the tree, the degrees and the labels but not on the
+    outcome, so it is cached on the tree by the label and degree bytes.
+    """
+    key = ("fgls_scale", labels.tobytes(), sample.degree.tobytes())
+    cache = sample.tree._cache
+    if key not in cache:
+        h_inv = _blockmodel_gls(sample.with_outcome_values(inv), labels, rse=False).mu_hat
+        fell_back = not np.isfinite(h_inv) or h_inv <= 0
+        cache[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
+    return cache[key]
 
 
 def fgls_reweight(sample: RdsSample, labels: np.ndarray | None = None) -> RdsSample:
@@ -506,12 +552,20 @@ ESTIMATORS = {
 REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.values()))
 
 
-def apply_estimator(name: str, sample: RdsSample) -> EstimateReport:
-    """Run the named estimator of ``ESTIMATORS`` on its reweighted sample."""
+def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
+    """Run the named estimator of ``ESTIMATORS`` on its reweighted sample.
+
+    Without ``rse`` the estimators that fit a covariance (every one that
+    reweights first) skip their RSE: ``auto`` and ``delta`` skip
+    ``ranktwo_rse_value``, ``sbm_y`` and ``sbm_z`` the
+    ``tree_covariance_mass`` sweep.  Their report's ``rse`` is then None;
+    every other field and the weights are the same bits.
+    """
     if name not in ESTIMATORS:
         raise InvalidParametersError(f"unknown estimator {name!r}")
     policy, estimate, labels = ESTIMATORS[name]
+    options = {} if policy == "none" else {"rse": rse}
     if labels is None:
-        return estimate(reweight(sample, policy))
+        return estimate(reweight(sample, policy), **options)
     blocks = labels(sample)
-    return estimate(reweight(sample, policy, blocks), blocks)
+    return estimate(reweight(sample, policy, blocks), blocks, **options)

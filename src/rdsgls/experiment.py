@@ -189,9 +189,10 @@ def figure1_ratio(p_values, levels) -> list:
 def _run_replicate(ctx: dict, r: int):
     """Estimates keyed by (estimator, n, outcome) for replicate ``r``, or None.
 
-    ``ctx`` holds the config, the sampling graph, the block labels and the
-    outcome columns; the sampler reports contact counts of the sampling
-    graph, whose sparsity pattern preferential reweighting leaves alone.
+    Only ``mu_hat`` is kept, so no estimator computes its RSE.  ``ctx``
+    holds the config, the sampling graph, the block labels and the outcome
+    columns; the sampler reports contact counts of the sampling graph,
+    whose sparsity pattern preferential reweighting leaves alone.
     """
     cfg = ctx["cfg"]
     try:
@@ -207,7 +208,9 @@ def _run_replicate(ctx: dict, r: int):
             for out_name, yvec in ctx["outcomes"].items():
                 labeled = sub.with_outcome(yvec)
                 for est in cfg.estimators:
-                    results[(est, n, out_name)] = apply_estimator(est, labeled).mu_hat
+                    results[(est, n, out_name)] = apply_estimator(
+                        est, labeled, rse=False
+                    ).mu_hat
     return results
 
 

@@ -20,7 +20,7 @@ from .estimators import EstimateReport
 from .experiment import DiagnosticDataset, ExperimentConfig, OutcomeSpec, RmseTable
 from .netmodel import DcSbmParams, WeightedGraph
 from .presets import OFFSPRING_PRESETS, table1_block_proportions, table1_symmetrized
-from .referral import ReferralTree
+from .referral import ReferralTree, probability_vector
 from .sampler import RdsSample, WalkConfig
 from .seeding import STREAM_NETWORK, as_rng
 
@@ -462,6 +462,11 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
             if props == "table1"
             else np.array([float(v) for v in props.split()])
         )
+        if p.shape != (S.shape[0],):
+            raise InvalidParametersError(
+                f"proportions gives {p.size} values for the {S.shape[0]} blocks of block_matrix"
+            )
+        p = probability_vector(p, "proportions")
         sizes_z = presets.block_sizes(p, nodes)
         z = np.repeat(np.arange(len(sizes_z)), sizes_z)
         theta = (

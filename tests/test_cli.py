@@ -436,3 +436,26 @@ def test_simulate_rejects_nonfinite_edge_weight(tmp_path, capsys):
         assert code == 2
         assert "e.txt:2: edge weight must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+BAD_PROPORTIONS = [
+    ("0.5 0.5", "proportions gives 2 values for the 3 blocks of block_matrix"),
+    ("-0.1 0.6 0.5", "proportions must be a probability vector"),
+    ("0.5 0.7 0.1", "proportions must be a probability vector"),
+]
+
+
+@pytest.mark.parametrize(("proportions", "message"), BAD_PROPORTIONS,
+                         ids=["length", "negative", "sum"])
+def test_bad_proportions_exit_two(tmp_path, capsys, proportions, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[network]\nsource = dcsbm\nnodes = 200\nexpected_degree = 10\ntheta = uniform\n"
+        f"proportions = {proportions}\n"
+        "[outcomes]\naligned = block_values:1,1,0\n"
+        "[run]\nsizes = 30\nreplicates = 3\nseed = 8\n"
+    )
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

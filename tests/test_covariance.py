@@ -153,6 +153,10 @@ def test_one_sigma_inv_one_singularity():
         r.one_sigma_inv_one_ranktwo(5, 1.0, -1.0)
     with pytest.raises(r.SingularCovarianceError, match="lambda = 1.5 outside"):
         r.one_sigma_inv_one_ranktwo(5, 1.0, np.array([0.2, 1.5, -1.0]))
+    with pytest.raises(r.SingularCovarianceError, match="lambda = nan outside"):
+        r.one_sigma_inv_one_ranktwo(5, 1.0, float("nan"))
+    with pytest.raises(r.SingularCovarianceError, match="lambda = nan outside"):
+        r.one_sigma_inv_one_ranktwo(5, 1.0, np.array([0.2, np.nan]))
 
 
 def test_one_sigma_inv_one_array_matches_scalars():

@@ -119,3 +119,12 @@ def test_jensen_negative_spectrum_skips_inequality():
 def test_diagnostic_point_requires_positive_rse():
     with pytest.raises(r.InvalidParametersError):
         r.DiagnosticPoint(estimator="auto", lambda_hat=0.5, rse=0.0, n=10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.0, -1.0])
+def test_curve_rejects_nan_and_unit_eigenvalues(bad):
+    tree = r.complete_binary_tree(3)
+    with pytest.raises(r.SingularCovarianceError, match="grey-line eigenvalues"):
+        r.ranktwo_rse_curve(tree, np.array([0.2, bad]))
+    with pytest.raises(r.SingularCovarianceError):
+        r.ranktwo_rse_value(tree, bad)

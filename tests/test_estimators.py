@@ -1,4 +1,6 @@
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import rdsgls as r
 from conftest import random_tree
+from rdsgls import estimators
 from rdsgls.presets import table1_fixture_sample, two_state_chain
 
 
@@ -513,3 +516,52 @@ def test_reweight_rejects_unknown_policy():
     s = make_sample(r.complete_binary_tree(2), [0.0, 1.0, 1.0])
     with pytest.raises(r.InvalidParametersError, match="unknown reweighting"):
         r.reweight(s, "harmonic")
+
+
+def _cold(sample):
+    """``sample`` on a copy of its tree, so nothing is cached yet."""
+    return replace(sample, tree=r.ReferralTree(sample.tree.parent.copy()))
+
+
+@PROPERTY
+@given(sample=labeled_samples())
+@pytest.mark.parametrize("name", list(r.ESTIMATORS))
+def test_skipping_the_rse_changes_nothing_else(name, sample):
+    full = _run(name, _cold(sample))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bare = r.apply_estimator(name, _cold(sample), rse=False)
+    assert bare.rse is None
+    assert bare.to_dict() == {**full.to_dict(), "rse": None}
+    assert repr(bare.mu_hat) == repr(full.mu_hat)
+    assert bare.weights.tobytes() == full.weights.tobytes()
+
+
+@PROPERTY
+@given(sample=labeled_samples())
+@pytest.mark.parametrize("name", list(r.ESTIMATORS))
+def test_warm_tree_cache_gives_the_cold_result(name, sample):
+    for other in r.ESTIMATORS:
+        _run(other, sample)
+    warm = _run(name, sample)
+    cold = _run(name, _cold(sample))
+    assert warm.to_dict() == cold.to_dict()
+    assert warm.weights.tobytes() == cold.weights.tobytes()
+
+
+def test_fgls_fallback_warns_on_every_call():
+    tree = r.complete_binary_tree(3)
+    s = make_sample(tree, np.arange(tree.n, dtype=float), degree=np.arange(1, tree.n + 1),
+                    block=np.arange(tree.n) % 2)
+    calls = []
+
+    def not_positive(sample, labels, rse):
+        calls.append(rse)
+        return r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n)
+
+    want = s.y / (np.mean(1.0 / s.degree) * s.degree)
+    with mock.patch.object(estimators, "_blockmodel_gls", not_positive):
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match="using the harmonic mean instead"):
+                assert np.array_equal(r.reweight(s, "fgls").y, want)
+    assert calls == [False]

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import rdsgls as r
-from rdsgls import fileio
+from rdsgls import estimators, fileio
 from rdsgls import netmodel
 from rdsgls.presets import OFFSPRING_SURVEY, table1_dcsbm
 
@@ -335,3 +335,39 @@ def test_rank_two_sample_diagnostics_near_grey_line(chain09):
             # blockmodel covariances carry the diagonal regularizer, which
             # lifts the plug-in RSE above the pure single-term curve
             assert on_line <= pt.rse < 3.0 * on_line, pt
+
+
+def test_replicates_skip_the_rse_and_share_each_spectrum():
+    cfg = small_config(estimators=tuple(r.ESTIMATORS), replicates=4)
+    calls = {"ranktwo_rse_value": 0, "tree_covariance_mass": 0, "qhat_spectrum": 0}
+
+    def counting(name):
+        real = getattr(estimators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.multiple(estimators, **{name: counting(name) for name in calls}):
+        r.run_rmse_experiment(cfg)
+    assert calls["ranktwo_rse_value"] == calls["tree_covariance_mass"] == 0
+
+    # one spectrum per replicate prefix and distinct label array: the block
+    # labels of sbm_z and the outcome-value labels of sbm_y
+    graph, z, outcomes = r.experiment._prepare_population(cfg)
+    partitions = 0
+    for rep in range(cfg.replicates):
+        try:
+            sample, _ = r.rds_without_replacement(graph, cfg.walk, cfg.base_seed + rep)
+        except r.SamplingFailedError:
+            continue
+        for n in cfg.sizes:
+            sub = sample.with_blocks(z).prefix(n)
+            labels = {sub.block.tobytes()}
+            for y in outcomes.values():
+                labels.add(r.ESTIMATORS["sbm_y"].labels(sub.with_outcome(y)).tobytes())
+            partitions += len(labels)
+    assert partitions > 0
+    assert calls["qhat_spectrum"] == partitions
