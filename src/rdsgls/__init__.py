@@ -9,11 +9,8 @@ Monte Carlo experiment harness.
 
 from .covariance import (
     AutoCovariance,
-    CovarianceMatrix,
     GlsResult,
-    build_sigma,
     critical_threshold,
-    gls_solve,
     one_sigma_inv_one_ranktwo,
     ranktwo_inverse_apply,
     ranktwo_solve_ones,
@@ -27,7 +24,6 @@ from .diagnostics import (
     jensen_check,
     ranktwo_rse_curve,
     ranktwo_rse_value,
-    rse,
 )
 from .errors import (
     CapacityError,
@@ -83,6 +79,7 @@ from .netmodel import (
     expected_transition_model,
     spectral_decompose,
 )
+from .reference import CovarianceMatrix, build_sigma, gls_solve, rse
 from .referral import (
     DistanceDistribution,
     ReferralTree,

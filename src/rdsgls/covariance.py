@@ -1,11 +1,11 @@
 """Covariance algebra for tree-indexed samples.
 
 The autocovariance of a stationary tree walk depends only on tree distance
-and decomposes over the walk spectrum.  This module builds the dense
-covariance (the reference), exploits the sparse closed-form inverse
-available in the single-geometric-term case, solves the generalized least
-squares system either densely or exactly along the tree in O(n), and
-carries the chain estimator whose variance certifies the 1/n rate.
+and decomposes over the walk spectrum.  This module exploits the sparse
+closed-form inverse available in the single-geometric-term case, solves
+the generalized least squares system exactly along the tree in O(n K^3),
+and carries the chain estimator whose variance certifies the 1/n rate.
+The dense n x n covariance lives only in ``rdsgls.reference``, the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidParametersError,
@@ -41,12 +40,12 @@ class AutoCovariance:
         terms = tuple((float(b2), float(lam)) for b2, lam in self.terms)
         object.__setattr__(self, "terms", terms)
         for b2, lam in terms:
-            if b2 < 0:
-                raise InvalidParametersError("squared loadings must be >= 0")
-            if abs(lam) >= 1:
-                raise SingularCovarianceError(f"|lambda| = {abs(lam)} >= 1")
-        if self.nugget < 0:
-            raise InvalidParametersError("nugget must be >= 0")
+            if not b2 >= 0:  # each check "not inside", so NaN counts as outside
+                raise InvalidParametersError(f"squared loading {b2} must be >= 0")
+            if not abs(lam) < 1:
+                raise SingularCovarianceError(f"|lambda| = {abs(lam)} is not < 1")
+        if not self.nugget >= 0:
+            raise InvalidParametersError(f"nugget {self.nugget} must be >= 0")
 
     @classmethod
     def from_spectrum(cls, beta: np.ndarray, eigenvalues: np.ndarray, nugget=0.0):
@@ -93,26 +92,6 @@ class AutoCovariance:
 
 
 @dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
-    """Dense covariance over tree nodes, tied to the tree it came from."""
-
-    matrix: np.ndarray
-    tree: ReferralTree
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (self.tree.n, self.tree.n):
-            raise InvalidParametersError("covariance shape must match the tree")
-        if not np.array_equal(m, m.T):
-            raise InvalidParametersError("covariance must be exactly symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.tree.n
-
-
-@dataclass(frozen=True, eq=False)
 class GlsResult:
     """Minimum-variance unbiased weighting of correlated observations."""
 
@@ -129,18 +108,11 @@ class GlsResult:
             raise SingularCovarianceError("GLS variance must be positive")
 
 
-def build_sigma(tree: ReferralTree, ac: AutoCovariance) -> CovarianceMatrix:
-    """Dense covariance: entry (s, t) is gamma evaluated at their tree distance."""
-    dist = tree.distance_matrix()
-    table = ac.gamma_table(int(dist.max()))
-    return CovarianceMatrix(matrix=table[dist], tree=tree)
-
-
 def _check_ranktwo_args(beta2: float, lam: float):
-    if beta2 <= 0:
+    if not beta2 > 0:
         raise InvalidParametersError("beta2 must be positive")
-    if abs(lam) >= 1:
-        raise SingularCovarianceError(f"|lambda| = {abs(lam)} >= 1: covariance singular")
+    if not abs(lam) < 1:
+        raise SingularCovarianceError(f"|lambda| = {abs(lam)} is not < 1: covariance singular")
 
 
 def ranktwo_inverse_apply(
@@ -179,7 +151,7 @@ def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam):
     """
     if n < 1:
         raise InvalidParametersError("n must be >= 1")
-    if beta2 <= 0:
+    if not beta2 > 0:
         raise InvalidParametersError("beta2 must be positive")
     outside = np.asarray(lam)
     # written as "not inside" so that NaN counts as outside
@@ -187,29 +159,6 @@ def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam):
     if outside.size:
         raise SingularCovarianceError(f"lambda = {outside[0]} outside (-1, 1)")
     return n * (1.0 - lam * (1.0 - 2.0 / n)) / (beta2 * (1.0 + lam))
-
-
-def gls_solve(sigma: CovarianceMatrix, Y: np.ndarray) -> GlsResult:
-    """Solve the unit-sum minimum-variance weighting via Cholesky.
-
-    Scale-invariant in Sigma up to the variance field: c Sigma yields the
-    same weights and estimate with variance scaled by c.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape[0] != sigma.n:
-        raise InvalidParametersError("outcome length must match covariance size")
-    try:
-        chol = scipy.linalg.cho_factor(sigma.matrix, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            "covariance is not positive definite; add a diagonal nugget"
-        ) from exc
-    x = scipy.linalg.cho_solve(chol, np.ones(sigma.n), check_finite=False)
-    total = x.sum()
-    if not total > 0:
-        raise SingularCovarianceError("1' Sigma^{-1} 1 must be positive")
-    weights = x / total
-    return GlsResult(estimate=float(weights @ Y), weights=weights, variance=1.0 / total)
 
 
 def tree_gls_solve(
@@ -286,15 +235,21 @@ def tree_covariance_mass(tree: ReferralTree, ac: AutoCovariance) -> float:
     return n * ac.nugget + n * n * float(b2 @ pgf)
 
 
+def printed_rse(gls_var: float, mass: float, n: int) -> float:
+    """The paper's printed RSE: mass over n, not n^2, so the identity gives 1 / sqrt(n)."""
+    return float(np.sqrt(gls_var / (mass / n)))
+
+
 def theorem2_limit(lam: float, beta2: float) -> float:
     """Large-n limit of n times the GLS variance under one geometric term."""
-    if abs(lam) >= 1:
-        raise SingularCovarianceError(f"|lambda| = {abs(lam)} >= 1")
+    _check_ranktwo_args(beta2, lam)
     return beta2 * (1.0 + lam) / (1.0 - lam)
 
 
 def critical_threshold(lam2: float) -> float:
     """Referral growth rate above which the sample mean loses the 1/n rate."""
+    if not abs(lam2) <= 1:
+        raise SingularCovarianceError(f"|lambda_2| = {abs(lam2)} is not <= 1")
     if lam2 == 0:
         return float("inf")
     return 1.0 / (lam2 * lam2)

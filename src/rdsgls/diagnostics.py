@@ -2,9 +2,9 @@
 
 The headline quantity is the ratio of plug-in standard errors between the
 GLS estimator and the plain mean, both under the same estimated
-covariance.  Under a single geometric term the ratio collapses to a
-function of the estimated eigenvalue alone, giving a reference curve
-every estimator's point can be compared against.
+covariance (``rdsgls.reference.rse`` computes it densely, as an oracle).
+Under a single geometric term the ratio collapses to a function of the
+estimated eigenvalue alone: a reference curve for every estimator's point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import AutoCovariance, CovarianceMatrix, gls_solve, one_sigma_inv_one_ranktwo
+from .covariance import AutoCovariance, one_sigma_inv_one_ranktwo
 from .errors import InvalidParametersError, SingularCovarianceError
 from .referral import ReferralTree, tree_distance_pgf
 
@@ -50,19 +50,6 @@ class JensenResult:
     inequality_holds: bool | None
     lhs: float
     rhs: float
-
-
-def rse(sigma_hat: CovarianceMatrix) -> float:
-    """Ratio of plug-in standard errors: GLS over sample mean.
-
-    As printed in the paper: the GLS variance over the total covariance
-    mass divided by n (not n^2, the sample mean's actual variance), so the
-    identity covariance gives 1 / sqrt(n).
-    """
-    n = sigma_hat.n
-    gls_var = gls_solve(sigma_hat, np.zeros(n)).variance
-    mass = sigma_hat.matrix.sum()
-    return float(np.sqrt(gls_var / (mass / n)))
 
 
 def ranktwo_rse_curve(tree: ReferralTree, lambda_grid: np.ndarray) -> np.ndarray:

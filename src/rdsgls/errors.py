@@ -18,7 +18,7 @@ class ReversibilityError(RdsglsError):
 
 
 class CapacityError(RdsglsError):
-    """A dense O(n^2) computation was requested above the configured size cap."""
+    """A computation was requested above its configured size or memory cap."""
 
 
 class SingularCovarianceError(RdsglsError):

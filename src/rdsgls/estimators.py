@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import AutoCovariance, tree_covariance_mass, tree_gls_solve
+from .covariance import AutoCovariance, printed_rse, tree_covariance_mass, tree_gls_solve
 from .diagnostics import ranktwo_rse_value
 from .errors import (
     InsufficientDepthError,
@@ -300,7 +300,7 @@ def _tree_gls(
         return result.estimate, result.weights, None
     n = tree.n
     mass = tree_covariance_mass(tree, ac) + constant * n * n
-    return result.estimate, result.weights, float(np.sqrt(result.variance / (mass / n)))
+    return result.estimate, result.weights, printed_rse(result.variance, mass, n)
 
 
 def qhat_spectrum(counts: np.ndarray):

@@ -3,9 +3,9 @@
 A referral tree indexes the sampling process: node 0 is the seed, and
 ``parent[tau]`` recruited ``tau``.  Nodes are numbered breadth-first, so
 ``parent[tau] < tau`` always holds.  Distances between tree nodes drive
-every covariance matrix in the package, hence the emphasis here on exact
-distance distributions: dense ones as the reference, and level sweeps
-that apply distance powers or count distances in O(n height) without them.
+every covariance in the package, hence the level sweeps here that apply
+distance powers or count distances exactly in O(n height).  The dense
+distance matrix serves only ``rdsgls.reference``, the n x n oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .seeding import STREAM_TREE, as_rng
 
 MAX_DENSE_NODES = 10_000
 """Largest tree for which the dense O(n^2) distance matrix is built."""
+
+MAX_COUNT_BUFFER_BYTES = 200_000_000
+"""Largest int32 n x (2 height + 1) buffer ``tree_distance_distribution`` allows."""
 
 
 def probability_vector(pmf, name: str) -> np.ndarray:
@@ -166,7 +169,7 @@ class DistanceDistribution:
     def pgf_grid(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized PGF over a grid of arguments in [-1, 1]."""
         xs = np.asarray(xs, dtype=np.float64)
-        if np.any(np.abs(xs) > 1.0):
+        if not np.all(np.abs(xs) <= 1.0):  # "not inside", so NaN is outside
             raise InvalidParametersError("PGF argument must satisfy |x| <= 1")
         d = np.arange(len(self.pmf))
         with np.errstate(invalid="ignore"):
@@ -261,15 +264,15 @@ def distance_counts(tree: ReferralTree) -> np.ndarray:
 def tree_distance_distribution(tree: ReferralTree) -> DistanceDistribution:
     """Exact distance pmf from ``distance_counts``, O(n height).
 
-    Raises ``CapacityError`` when the count sweep's buffer would outgrow
-    the largest dense distance matrix (``MAX_DENSE_NODES``^2 16-bit
-    cells): a path past 5,000 nodes, or ~800,000 nodes at height 30.
+    Raises ``CapacityError`` when the count sweep's int32 buffer would
+    pass ``MAX_COUNT_BUFFER_BYTES``: a path past 5,000 nodes, or ~800,000
+    nodes at height 30.
     """
-    n = tree.n
-    if n * (4 * tree.num_levels - 2) > MAX_DENSE_NODES**2:
+    n, h = tree.n, tree.num_levels - 1
+    if 4 * n * (2 * h + 1) > MAX_COUNT_BUFFER_BYTES:
         raise CapacityError(
-            f"distance counts for n={n} at height {tree.num_levels - 1} "
-            "exceed the dense-matrix memory budget"
+            f"distance counts for n={n} at height {h} need {4 * n * (2 * h + 1):,} "
+            f"bytes, over MAX_COUNT_BUFFER_BYTES = {MAX_COUNT_BUFFER_BYTES:,}"
         )
     counts = distance_counts(tree)
     counts = counts[: np.flatnonzero(counts)[-1] + 1]
@@ -307,7 +310,7 @@ def tree_distance_pgf(tree: ReferralTree, xs) -> np.ndarray:
     x^d(s, t)``.  Only those two sizes pick the branch, never the cache.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 1 or np.any(np.abs(xs) > 1.0):
+    if xs.ndim != 1 or not np.all(np.abs(xs) <= 1.0):  # NaN is outside
         raise InvalidParametersError("PGF arguments must form a 1-D grid in [-1, 1]")
     n = tree.n
     if xs.shape[0] > 2 * tree.num_levels - 1:
@@ -320,8 +323,9 @@ def tree_distance_pgf(tree: ReferralTree, xs) -> np.ndarray:
 def complete_binary_distance_distribution(levels: int) -> DistanceDistribution:
     """Closed-form distance pmf for the complete binary tree.
 
-    Counts ordered pairs by the depth of their lowest common ancestor;
-    O(levels^3) arithmetic, usable far beyond the dense-matrix cap.
+    Counts ordered pairs by lowest-common-ancestor depth in O(levels^3): the
+    path of ``figure1_ratio`` (the histogram refuses levels >= 21) and the
+    bit-for-bit test oracle of ``tree_distance_distribution``.
     """
     if levels < 1:
         raise InvalidParametersError("levels must be >= 1")

@@ -3,6 +3,7 @@ import pytest
 
 import rdsgls as r
 from conftest import random_tree
+from rdsgls.referral import tree_distance_pgf
 
 
 def test_gamma_eval_single_term():
@@ -36,6 +37,34 @@ def test_gamma_bounded_by_lag_zero():
 def test_autocovariance_rejects_unit_eigenvalue():
     with pytest.raises(r.SingularCovarianceError):
         r.AutoCovariance(terms=((0.5, 1.0),))
+
+
+NAN = float("nan")
+SINGULAR, INVALID = r.SingularCovarianceError, r.InvalidParametersError
+PATH3 = r.ReferralTree(np.array([-1, 0, 1]))
+NAN_CALLS = {
+    "autocov-eigenvalue": (lambda: r.AutoCovariance(terms=((1.0, NAN),)), SINGULAR),
+    "autocov-loading": (lambda: r.AutoCovariance(terms=((NAN, 0.5),)), INVALID),
+    "autocov-nugget": (lambda: r.AutoCovariance(terms=((1.0, 0.5),), nugget=NAN), INVALID),
+    "from-spectrum": (lambda: r.AutoCovariance.from_spectrum(np.ones(2), [1.0, NAN]), SINGULAR),
+    "inverse-apply-beta2": (lambda: r.ranktwo_inverse_apply(PATH3, NAN, 0.5, np.ones(3)), INVALID),
+    "inverse-apply-lam": (lambda: r.ranktwo_inverse_apply(PATH3, 1.0, NAN, np.ones(3)), SINGULAR),
+    "solve-ones-beta2": (lambda: r.ranktwo_solve_ones(PATH3, NAN, 0.5), INVALID),
+    "solve-ones-lam": (lambda: r.ranktwo_solve_ones(PATH3, 1.0, NAN), SINGULAR),
+    "one-sigma-inv-one-beta2": (lambda: r.one_sigma_inv_one_ranktwo(5, NAN, 0.5), INVALID),
+    "theorem2-beta2": (lambda: r.theorem2_limit(0.5, NAN), INVALID),
+    "theorem2-lam": (lambda: r.theorem2_limit(NAN, 0.5), SINGULAR),
+    "critical-threshold": (lambda: r.critical_threshold(NAN), SINGULAR),
+    "tree-pgf": (lambda: tree_distance_pgf(PATH3, [NAN]), INVALID),
+    "pmf-pgf-grid": (lambda: r.tree_distance_distribution(PATH3).pgf_grid([NAN]), INVALID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_parameters_raise_typed_errors(name):
+    call, error = NAN_CALLS[name]
+    with pytest.raises(error):
+        call()
 
 
 def test_build_sigma_two_node():
