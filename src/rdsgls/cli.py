@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen-graph, simulate, estimate, diagnose, experiment, figure1.
-Exit codes: 0 success, 1 usage error, 2 runtime error.  Warnings surface
-on standard error, one line each.
+Exit codes: 0 success, 1 usage error, 2 runtime error.  The notes of a
+run (sampler restarts, reweighting fallbacks, estimators that gave no
+diagnostic point) print to standard error as ``warning: <note>`` lines,
+one each, after the output file is written.  They come from the values
+the library returns; no command changes the warnings filters.
 """
 
 from __future__ import annotations
@@ -11,11 +14,10 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 
 from . import fileio
 from .errors import RdsglsError
-from .estimators import ESTIMATORS, REWEIGHTINGS, reweight
+from .estimators import ESTIMATORS, REWEIGHTINGS, _reweighted
 from .experiment import emit_diagnostics, figure1_ratio, run_rmse_experiment
 from .sampler import WalkConfig, rds_without_replacement
 from .seeding import DEFAULT_SEED
@@ -40,6 +42,11 @@ def _parse_levels(text: str):
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
     return [int(v) for v in text.replace(",", " ").split()]
+
+
+def _print_notes(notes):
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
 
 
 @functools.cache
@@ -143,25 +150,24 @@ def _cmd_simulate(args) -> int:
         max_restarts=args.max_restarts,
     )
     sample, restarts = rds_without_replacement(graph, cfg, seed, y=y, blocks=blocks)
-    if restarts:
-        warnings.warn(f"sampling restarted {restarts} times", RuntimeWarning)
     fileio.write_sample(sample, args.out)
+    if restarts:
+        _print_notes([f"sampling restarted {restarts} times"])
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    sample = fileio.read_sample(args.sample)
-    report = PLAIN_ESTIMATORS[args.estimator](reweight(sample, args.reweight))
-    fileio.write_report(report, args.out)
+    sample, notes = _reweighted(fileio.read_sample(args.sample), args.reweight)
+    fileio.write_report(PLAIN_ESTIMATORS[args.estimator](sample), args.out)
+    _print_notes(notes)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
     sample = fileio.read_sample(args.sample)
     dataset = emit_diagnostics(sample)
-    for note in dataset.warnings:
-        warnings.warn(note, RuntimeWarning)
     fileio.write_diagnostics(dataset, args.out)
+    _print_notes(dataset.warnings)
     return 0
 
 
@@ -202,12 +208,7 @@ def dispatch(argv) -> int:
         code = exc.code or 0
         return 0 if code == 0 else 1
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = _COMMANDS[args.command](args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return code
+        return _COMMANDS[args.command](args)
     except (RdsglsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

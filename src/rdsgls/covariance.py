@@ -40,12 +40,12 @@ class AutoCovariance:
         terms = tuple((float(b2), float(lam)) for b2, lam in self.terms)
         object.__setattr__(self, "terms", terms)
         for b2, lam in terms:
-            if not b2 >= 0:  # each check "not inside", so NaN counts as outside
-                raise InvalidParametersError(f"squared loading {b2} must be >= 0")
+            if not 0 <= b2 < np.inf:  # each check "not inside", so NaN counts as outside
+                raise InvalidParametersError(f"squared loading {b2} must be finite and >= 0")
             if not abs(lam) < 1:
                 raise SingularCovarianceError(f"|lambda| = {abs(lam)} is not < 1")
-        if not self.nugget >= 0:
-            raise InvalidParametersError(f"nugget {self.nugget} must be >= 0")
+        if not 0 <= self.nugget < np.inf:
+            raise InvalidParametersError(f"nugget {self.nugget} must be finite and >= 0")
 
     @classmethod
     def from_spectrum(cls, beta: np.ndarray, eigenvalues: np.ndarray, nugget=0.0):
@@ -109,8 +109,8 @@ class GlsResult:
 
 
 def _check_ranktwo_args(beta2: float, lam: float):
-    if not beta2 > 0:
-        raise InvalidParametersError("beta2 must be positive")
+    if not 0 < beta2 < np.inf:
+        raise InvalidParametersError("beta2 must be finite and positive")
     if not abs(lam) < 1:
         raise SingularCovarianceError(f"|lambda| = {abs(lam)} is not < 1: covariance singular")
 
@@ -151,8 +151,8 @@ def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam):
     """
     if n < 1:
         raise InvalidParametersError("n must be >= 1")
-    if not beta2 > 0:
-        raise InvalidParametersError("beta2 must be positive")
+    if not 0 < beta2 < np.inf:
+        raise InvalidParametersError("beta2 must be finite and positive")
     outside = np.asarray(lam)
     # written as "not inside" so that NaN counts as outside
     outside = outside[~((outside > -1.0) & (outside <= 1.0))]

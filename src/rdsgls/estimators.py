@@ -10,7 +10,7 @@ reweighting step that runs first.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -412,12 +412,14 @@ def _blockmodel_gls(sample, labels, rse: bool) -> EstimateReport:
     lam_clamped = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
 
     s2 = float(Y.var(ddof=1))
-    ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
     try:
+        # loadings or a nugget that overflow to inf are refused here; the
+        # solve they would feed is singular
+        ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
         mu, weights, rse = _tree_gls(
             sample.tree, ac, Y, constant=float(beta_hat[0] ** 2), rse=rse
         )
-    except SingularCovarianceError:
+    except (SingularCovarianceError, InvalidParametersError):
         notes.append("estimated covariance was singular; fell back to the sample mean")
         mu = float(Y.mean())
         weights = np.full(n, 1.0 / n)
@@ -469,6 +471,34 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     )
 
 
+FGLS_FALLBACK_NOTE = (
+    "GLS estimate of the inverse-degree mean was not positive; "
+    "using the harmonic mean instead"
+)
+
+
+def _reweighted(sample: RdsSample, policy: str, labels: np.ndarray | None = None):
+    """``reweight``'s sample and its notes: ``(sample, notes)``.
+
+    The notes are a tuple of strings, ``(FGLS_FALLBACK_NOTE,)`` when the
+    ``fgls`` normalizer fell back to the harmonic mean and empty otherwise.
+    """
+    if policy == "none":
+        return sample, ()
+    deg = _positive_degrees(sample)
+    inv = 1.0 / deg
+    notes = ()
+    if policy == "vh":
+        h_inv = inv.mean()
+    elif policy == "fgls":
+        h_inv, fell_back = _inverse_degree_scale(sample, inv, _block_labels(sample, labels))
+        if fell_back:
+            notes = (FGLS_FALLBACK_NOTE,)
+    else:
+        raise InvalidParametersError(f"unknown reweighting {policy!r}")
+    return sample.with_outcome_values(sample.y / (h_inv * deg)), notes
+
+
 def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -> RdsSample:
     """Outcomes divided by estimated sampling weights, the first step of every estimator.
 
@@ -477,27 +507,15 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     result is the VH estimate.  ``fgls`` estimates that normalizer (the
     stationary mean of 1/degree) by the blockmodel GLS on the inverse
     degrees over ``labels`` (default: the sample's blocks); if that
-    estimate is not positive the plain harmonic mean takes over.  Both
-    reject non-positive degrees.
+    estimate is not positive the plain harmonic mean takes over, with a
+    ``RuntimeWarning`` on every such call (``apply_estimator`` and the
+    command line carry that note as a value instead).  Both reject
+    non-positive degrees.
     """
-    if policy == "none":
-        return sample
-    deg = _positive_degrees(sample)
-    inv = 1.0 / deg
-    if policy == "vh":
-        h_inv = inv.mean()
-    elif policy == "fgls":
-        h_inv, fell_back = _inverse_degree_scale(sample, inv, _block_labels(sample, labels))
-        if fell_back:
-            warnings.warn(
-                "GLS estimate of the inverse-degree mean was not positive; "
-                "using the harmonic mean instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    else:
-        raise InvalidParametersError(f"unknown reweighting {policy!r}")
-    return sample.with_outcome_values(sample.y / (h_inv * deg))
+    out, notes = _reweighted(sample, policy, labels)
+    for note in notes:
+        warnings.warn(note, RuntimeWarning, stacklevel=2)
+    return out
 
 
 def _inverse_degree_scale(sample: RdsSample, inv: np.ndarray, labels: np.ndarray):
@@ -555,9 +573,10 @@ REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.valu
 def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     """Run the named estimator of ``ESTIMATORS`` on its reweighted sample.
 
-    Without ``rse`` the estimators that fit a covariance (every one that
-    reweights first) skip their RSE: ``auto`` and ``delta`` skip
-    ``ranktwo_rse_value``, ``sbm_y`` and ``sbm_z`` the
+    A reweighting note comes first in the report's ``warnings``; nothing
+    is warned.  Without ``rse`` the estimators that fit a covariance
+    (every one that reweights first) skip their RSE: ``auto`` and
+    ``delta`` skip ``ranktwo_rse_value``, ``sbm_y`` and ``sbm_z`` the
     ``tree_covariance_mass`` sweep.  Their report's ``rse`` is then None;
     every other field and the weights are the same bits.
     """
@@ -565,7 +584,9 @@ def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> Estima
         raise InvalidParametersError(f"unknown estimator {name!r}")
     policy, estimate, labels = ESTIMATORS[name]
     options = {} if policy == "none" else {"rse": rse}
-    if labels is None:
-        return estimate(reweight(sample, policy), **options)
-    blocks = labels(sample)
-    return estimate(reweight(sample, policy, blocks), blocks, **options)
+    blocks = () if labels is None else (labels(sample),)
+    reweighted, notes = _reweighted(sample, policy, *blocks)
+    report = estimate(reweighted, *blocks, **options)
+    if notes:
+        report = replace(report, warnings=notes + report.warnings)
+    return report

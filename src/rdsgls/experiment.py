@@ -8,7 +8,6 @@ single-sample diagnostic datasets.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from .covariance import one_sigma_inv_one_ranktwo
 from .diagnostics import GREY_LINE_GRID, DiagnosticPoint, ranktwo_rse_curve
 from .errors import InvalidParametersError, SamplingFailedError
-from .estimators import ESTIMATORS, apply_estimator
+from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, apply_estimator
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
     outcome_bernoulli,
@@ -201,16 +200,12 @@ def _run_replicate(ctx: dict, r: int):
         return None
     sample = sample.with_blocks(ctx["z"])
     results = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for n in cfg.sizes:
-            sub = sample.prefix(n)
-            for out_name, yvec in ctx["outcomes"].items():
-                labeled = sub.with_outcome(yvec)
-                for est in cfg.estimators:
-                    results[(est, n, out_name)] = apply_estimator(
-                        est, labeled, rse=False
-                    ).mu_hat
+    for n in cfg.sizes:
+        sub = sample.prefix(n)
+        for out_name, yvec in ctx["outcomes"].items():
+            labeled = sub.with_outcome(yvec)
+            for est in cfg.estimators:
+                results[(est, n, out_name)] = apply_estimator(est, labeled, rse=False).mu_hat
     return results
 
 
@@ -313,7 +308,11 @@ _FITTED = tuple(name for name, recipe in ESTIMATORS.items() if recipe.reweight !
 
 @dataclass(frozen=True)
 class DiagnosticDataset:
-    """Point cloud plus reference curve for one sample's diagnostic plot."""
+    """Point cloud plus reference curve for one sample's diagnostic plot.
+
+    ``warnings`` holds the reweighting fallback notes, then one note per
+    estimator that gave no point.
+    """
 
     points: tuple
     grey_grid: np.ndarray
@@ -327,9 +326,11 @@ def emit_diagnostics(sample: RdsSample) -> DiagnosticDataset:
     One point per estimated eigenvalue: one each for the two single-term
     estimators, one per non-leading eigenvalue for each blockmodel
     estimator (outcome blocks and demographic blocks).  Estimator failures
-    downgrade to warnings.  The grey reference curve spans the default
+    downgrade to notes, after the notes of reweightings that fell back to
+    the harmonic mean.  The grey reference curve spans the default
     eigenvalue grid.
     """
+    fallbacks = []
     notes = []
     points = []
     n = sample.n
@@ -339,6 +340,7 @@ def emit_diagnostics(sample: RdsSample) -> DiagnosticDataset:
         except Exception as exc:  # per-point downgrade by design
             notes.append(f"{name}: {exc}")
             continue
+        fallbacks.extend(note for note in report.warnings if note == FGLS_FALLBACK_NOTE)
         if report.rse is None or not report.eigenvalues:
             notes.append(f"{name}: no spectral point available")
             continue
@@ -351,5 +353,5 @@ def emit_diagnostics(sample: RdsSample) -> DiagnosticDataset:
         points=tuple(points),
         grey_grid=GREY_LINE_GRID.copy(),
         grey_rse=grey,
-        warnings=tuple(notes),
+        warnings=tuple(fallbacks + notes),
     )

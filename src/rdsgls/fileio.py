@@ -9,7 +9,6 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +190,9 @@ def read_sample(path) -> RdsSample:
     The body is parsed column by column in numpy's C tokenizer. Anything
     that tokenizer would not read exactly as ``csv``, ``int`` and ``float``
     do goes to the row-by-row parser, which returns the same columns or
-    raises the ``ParseError`` naming the file and line.
+    raises the ``ParseError`` naming the file and line; so does every body
+    on a numpy whose tokenizer reads ``9.0`` as an integer.  No warnings
+    filter is touched.
     """
     with open(path, newline="") as fh:
         text = fh.read()
@@ -201,7 +202,7 @@ def read_sample(path) -> RdsSample:
         raise ParseError(path, 1, f"sample file must start with {','.join(SAMPLE_HEADER)}")
     try:
         columns = _sample_columns(text[lines.tell():])
-    except (ValueError, Warning):
+    except ValueError:
         columns = _sample_rows(path, rows)
     return _sample_from_columns(path, *columns)
 
@@ -212,15 +213,34 @@ _SAMPLE_NUMBERS = [
 _INT64 = np.iinfo(np.int64)
 
 
+def _loadtxt_rejects_float_ints() -> bool:
+    """Whether ``np.loadtxt`` refuses ``9.0`` in an int64 column, as numpy 2 does.
+
+    NumPy 1.24-1.26 only warn (an error under ``-W error``) and read 9.
+    """
+    try:
+        np.loadtxt(["9.0"], dtype=np.int64)
+    except (ValueError, Warning) as exc:
+        return isinstance(exc, ValueError)
+    return False
+
+
+# decided once: a numpy that reads 9.0 as 9 sends every body to the row parser
+_LOADTXT_EXACT = _loadtxt_rejects_float_ints()
+
+
 def _sample_columns(body):
     """``(parent, pop_node, y or None, degree, block labels)`` read by ``np.loadtxt``.
 
-    Raises ``ValueError`` (or a warning, raised as an error) on any body
-    the row parser might read differently: quotes, bare carriage returns,
-    the separators \\x1c-\\x1f (whitespace to numpy's number parser, not to
-    ``int``/``float``), blank lines, rows that are not six fields wide,
-    nodes out of order, and numbers ``np.loadtxt`` rejects.
+    Raises ``ValueError`` on any body the row parser might read
+    differently: every body when ``_LOADTXT_EXACT`` is false, an empty
+    body, quotes, bare carriage returns, the separators \\x1c-\\x1f
+    (whitespace to numpy's number parser, not to ``int``/``float``), blank
+    lines, rows that are not six fields wide, nodes out of order, and
+    numbers ``np.loadtxt`` rejects.
     """
+    if not _LOADTXT_EXACT:
+        raise ValueError("np.loadtxt reads 9.0 as an integer here")
     body = body.replace("\r\n", "\n")
     if any(c in body for c in '"\r\x1c\x1d\x1e\x1f'):
         raise ValueError("needs the csv module")
@@ -228,24 +248,22 @@ def _sample_columns(body):
     if lines[-1] == "":
         lines.pop()
     # usecols ignores extra fields, so the comma count pins every row at six
-    if "" in lines or body.count(",") != 5 * len(lines):
-        raise ValueError("blank line or a row not six fields wide")
+    if not lines or "" in lines or body.count(",") != 5 * len(lines):
+        raise ValueError("no rows, a blank line or a row not six fields wide")
 
     def load(usecols, dtype):
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                           quotechar=None, usecols=usecols, ndmin=1)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # empty input; numpy 1.24 reads "1.0" as an int
-        try:
-            numbers = load((0, 1, 2, 3, 4), _SAMPLE_NUMBERS)
-            y = np.ascontiguousarray(numbers["y"])
-        except ValueError:  # an outcome column left blank on every row
-            numbers = load((0, 1, 2, 4), [f for f in _SAMPLE_NUMBERS if f[0] != "y"])
-            if (load(3, object) != "").any():
-                raise
-            y = None
-        labels = load(5, object)
+    try:
+        numbers = load((0, 1, 2, 3, 4), _SAMPLE_NUMBERS)
+        y = np.ascontiguousarray(numbers["y"])
+    except ValueError:  # an outcome column left blank on every row
+        numbers = load((0, 1, 2, 4), [f for f in _SAMPLE_NUMBERS if f[0] != "y"])
+        if (load(3, object) != "").any():
+            raise
+        y = None
+    labels = load(5, object)
     n = len(lines)
     if labels.shape[0] != n or not np.array_equal(numbers["node"], np.arange(n)):
         raise ValueError("nodes out of order")
@@ -414,12 +432,26 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array([[float(v) for v in r.split()] for r in rows])
 
 
+def _setting(parser, section: str, key: str, default, convert):
+    """``convert`` of ``[section] key``, or of ``default`` where it is unset.
+
+    A value ``convert`` cannot read raises ``InvalidParametersError``
+    naming the section and key.
+    """
+    value = parser.get(section, key, fallback=default)
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise InvalidParametersError(f"[{section}] {key} = {value!r}: {exc}") from None
+
+
 def load_experiment_config(path, seed_override=None, jobs_override=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from the sectioned text format.
 
     Sections: [network] (dcsbm parameters or edge-list paths), [outcomes]
     (name = kind:args), [walk], [estimators], [run].  Paths are resolved
-    relative to the config file.
+    relative to the config file.  A number that does not parse is an
+    ``InvalidParametersError`` naming its ``[section] key``.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -427,20 +459,21 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
         raise ParseError(path, 0, "config file not found or unreadable")
     base = Path(path).parent
 
-    run = parser["run"] if parser.has_section("run") else {}
-    seed = int(seed_override if seed_override is not None else run.get("seed", 20170))
-    sizes = tuple(int(v) for v in str(run.get("sizes", "100")).split())
-    replicates = int(run.get("replicates", 100))
-    jobs = int(jobs_override if jobs_override is not None else run.get("jobs", 1))
+    seed = (int(seed_override) if seed_override is not None
+            else _setting(parser, "run", "seed", 20170, int))
+    sizes = _setting(parser, "run", "sizes", "100", lambda t: tuple(int(v) for v in t.split()))
+    replicates = _setting(parser, "run", "replicates", 100, int)
+    jobs = (int(jobs_override) if jobs_override is not None
+            else _setting(parser, "run", "jobs", 1, int))
 
     walk_sec = parser["walk"] if parser.has_section("walk") else {}
-    preferential = float(walk_sec.get("preferential_weight", 1.0))
+    preferential = _setting(parser, "walk", "preferential_weight", 1.0, float)
     walk = WalkConfig(
         offspring_pmf=_parse_pmf(str(walk_sec.get("offspring", "survey"))),
         # at least 1, so that ExperimentConfig names empty or bad sizes itself
         target_n=max((1, *sizes)),
         seed_rule=str(walk_sec.get("seed_rule", "degree_proportional")),
-        max_restarts=int(walk_sec.get("max_restarts", 1000)),
+        max_restarts=_setting(parser, "walk", "max_restarts", 1000, int),
     )
 
     net = parser["network"] if parser.has_section("network") else {}
@@ -450,17 +483,16 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     graph_blocks = None
     graph_outcomes = {}
     if source == "dcsbm":
-        nodes = int(net.get("nodes", 5000))
-        degree = float(net.get("expected_degree", 30.0))
-        bm = str(net.get("block_matrix", "table1"))
-        props = str(net.get("proportions", "table1"))
+        nodes = _setting(parser, "network", "nodes", 5000, int)
+        degree = _setting(parser, "network", "expected_degree", 30.0, float)
+        S = _setting(parser, "network", "block_matrix", "table1",
+                     lambda t: table1_symmetrized() if t == "table1" else _parse_matrix(t))
         theta_kind = str(net.get("theta", "gamma"))
-        S = table1_symmetrized() if bm == "table1" else _parse_matrix(bm)
         S = presets.scaled_block_matrix(S, nodes, degree)
-        p = (
-            table1_block_proportions()
-            if props == "table1"
-            else np.array([float(v) for v in props.split()])
+        p = _setting(
+            parser, "network", "proportions", "table1",
+            lambda t: table1_block_proportions() if t == "table1"
+            else np.array([float(v) for v in t.split()]),
         )
         if p.shape != (S.shape[0],):
             raise InvalidParametersError(

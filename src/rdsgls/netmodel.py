@@ -154,13 +154,18 @@ class WeightedGraph:
         Models preferential recruitment: referral probabilities follow the
         new weights while reported contact counts stay the unweighted ones.
         """
+        if not 0 <= weight < np.inf:
+            raise InvalidParametersError(
+                f"within-block weight must be finite and >= 0, got {weight}"
+            )
         z = np.asarray(z)
-        coo = sp.coo_array(self.weights)
-        data = coo.data.copy()
-        same = z[coo.row] == z[coo.col]
-        data[same] = weight
-        mat = sp.csr_array((data, (coo.row, coo.col)), shape=self.weights.shape)
-        return WeightedGraph.from_weights(mat, allow_isolated=self.allow_isolated)
+        w = self.weights
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(w.indptr))
+        data = w.data.copy()
+        data[z[rows] == z[w.indices]] = weight
+        # the same symmetric pattern, so the result is symmetric by construction
+        mat = sp.csr_array((data, w.indices.copy(), w.indptr.copy()), shape=w.shape)
+        return WeightedGraph._from_symmetric(mat, allow_isolated=self.allow_isolated)
 
 
 @dataclass(frozen=True, eq=False)

@@ -459,3 +459,46 @@ def test_bad_proportions_exit_two(tmp_path, capsys, proportions, message):
     assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a valid experiment config: its sections' key = value lines
+VALID_CONFIG = {
+    "network": {"source": "dcsbm", "nodes": "200", "expected_degree": "10",
+                "theta": "uniform"},
+    "outcomes": {"aligned": "block_values:1,1,0"},
+    "walk": {"offspring": "survey", "preferential_weight": "1", "max_restarts": "50"},
+    "run": {"sizes": "30", "replicates": "3", "seed": "8", "jobs": "1"},
+}
+UNPARSED_NUMBERS = [
+    ("run", "replicates", "ten"),
+    ("run", "sizes", "30 forty"),
+    ("run", "seed", "1.5"),
+    ("run", "jobs", "two"),
+    ("walk", "preferential_weight", "heavy"),
+    ("walk", "max_restarts", "many"),
+    ("network", "nodes", "2e2"),
+    ("network", "expected_degree", "abc"),
+    ("network", "block_matrix", "1 x; 2 3"),
+    ("network", "proportions", "0.5 half"),
+]
+
+
+def _config_with(tmp_path, section, key, value):
+    """``VALID_CONFIG`` written out, with ``[section] key`` set to ``value``."""
+    text = ""
+    for name, items in VALID_CONFIG.items():
+        items = {**items, key: value} if name == section else items
+        text += f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    return cfg
+
+
+@pytest.mark.parametrize(("section", "key", "value"), UNPARSED_NUMBERS,
+                         ids=[f"{s}-{k}" for s, k, _ in UNPARSED_NUMBERS])
+def test_unparsed_config_numbers_exit_two(tmp_path, capsys, section, key, value):
+    cfg = _config_with(tmp_path, section, key, value)
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = {value!r}: ")
+    assert not out.exists()

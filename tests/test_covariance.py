@@ -40,6 +40,7 @@ def test_autocovariance_rejects_unit_eigenvalue():
 
 
 NAN = float("nan")
+INF = float("inf")
 SINGULAR, INVALID = r.SingularCovarianceError, r.InvalidParametersError
 PATH3 = r.ReferralTree(np.array([-1, 0, 1]))
 NAN_CALLS = {
@@ -57,6 +58,16 @@ NAN_CALLS = {
     "critical-threshold": (lambda: r.critical_threshold(NAN), SINGULAR),
     "tree-pgf": (lambda: tree_distance_pgf(PATH3, [NAN]), INVALID),
     "pmf-pgf-grid": (lambda: r.tree_distance_distribution(PATH3).pgf_grid([NAN]), INVALID),
+    # infinite parameters are outside too
+    "autocov-loading-inf": (lambda: r.AutoCovariance(terms=((INF, 0.5),)), INVALID),
+    "autocov-nugget-inf": (lambda: r.AutoCovariance(terms=((1.0, 0.5),), nugget=INF), INVALID),
+    "inverse-apply-beta2-inf": (
+        lambda: r.ranktwo_inverse_apply(PATH3, INF, 0.5, np.ones(3)), INVALID
+    ),
+    "solve-ones-beta2-inf": (lambda: r.ranktwo_solve_ones(PATH3, INF, 0.5), INVALID),
+    "one-sigma-inv-one-beta2-inf": (lambda: r.one_sigma_inv_one_ranktwo(5, INF, 0.5), INVALID),
+    "theorem2-beta2-inf": (lambda: r.theorem2_limit(0.5, INF), INVALID),
+    "theorem2-lam-inf": (lambda: r.theorem2_limit(INF, 0.5), SINGULAR),
 }
 
 

@@ -565,3 +565,31 @@ def test_fgls_fallback_warns_on_every_call():
             with pytest.warns(RuntimeWarning, match="using the harmonic mean instead"):
                 assert np.array_equal(r.reweight(s, "fgls").y, want)
     assert calls == [False]
+
+
+@pytest.mark.filterwarnings("error")
+def test_apply_estimator_puts_the_fallback_note_first():
+    tree = r.complete_binary_tree(3)
+    s = make_sample(tree, np.arange(tree.n, dtype=float), degree=np.arange(1, tree.n + 1),
+                    block=np.arange(tree.n) % 2)
+
+    def not_positive(sample, labels, rse):
+        return r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
+                                warnings=("the estimator's own note",))
+
+    with mock.patch.object(estimators, "_blockmodel_gls", not_positive):
+        for name in ("sbm_y", "sbm_z"):
+            report = r.apply_estimator(name, s)
+            assert report.warnings == (
+                estimators.FGLS_FALLBACK_NOTE, "the estimator's own note"
+            )
+
+
+def test_sbm_falls_back_when_the_covariance_estimate_overflows():
+    # the outcome's variance and loadings overflow to inf
+    tree = r.complete_binary_tree(4)
+    y = np.where(np.arange(tree.n) % 2 == 0, 1e200, -1e200)
+    with np.errstate(over="ignore"):
+        report = r.sbm_fgls(make_sample(tree, y, block=np.arange(tree.n) % 3))
+    assert report.warnings == ("estimated covariance was singular; fell back to the sample mean",)
+    assert report.mu_hat == float(np.mean(y))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from scipy import stats
 
 import rdsgls as r
-from rdsgls import estimators, fileio
+from rdsgls import estimators, experiment, fileio
 from rdsgls import netmodel
 from rdsgls.presets import OFFSPRING_SURVEY, table1_dcsbm
 
@@ -218,6 +219,41 @@ def test_concurrent_threads_match_sequential_runs():
     with ThreadPoolExecutor(max_workers=len(configs)) as pool:
         concurrent = list(pool.map(run, configs))
     assert concurrent == sequential
+
+
+def test_overlapping_replicates_leave_the_warnings_filters_alone():
+    # thread A's replicate starts, then B's; A's ends while B's is still running
+    cfg = small_config(estimators=("mean",), sizes=(40,))
+    graph, z, outcomes = experiment._prepare_population(cfg)
+    ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": outcomes}
+    a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+    role = threading.local()
+
+    def estimate(name, sample, *, rse=True):
+        if role.name == "A":
+            a_open.set()
+            assert b_open.wait(10)
+        else:
+            b_open.set()
+            assert a_closed.wait(10)
+        return r.mean_estimator(sample)
+
+    def replicate(name):
+        role.name = name
+        if name == "B":
+            assert a_open.wait(10)
+        results = experiment._run_replicate(ctx, 0)
+        if name == "A":
+            a_closed.set()
+        return results
+
+    with warnings.catch_warnings():
+        before = list(warnings.filters)
+        with mock.patch.object(experiment, "apply_estimator", estimate):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                a, b = pool.map(replicate, ["A", "B"])
+        assert warnings.filters == before
+    assert a == b and len(a) == 2
 
 
 SPAWN_SCRIPT = """

@@ -1,7 +1,9 @@
 import csv
 import io
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,6 +134,7 @@ SAMPLE_CASES = {
     "unicode_digit": _sample_text(*_swap(1, "1,0,٣,0,2,b")),
     "huge_int": _sample_text(*_swap(1, "1,0,9223372036854775808,0,2,b")),
     "huge_negative_parent": _sample_text(*_swap(2, "2,-9223372036854775809,9,1,4,a")),
+    "header_only": SAMPLE_HEADER + "\n",
 }
 
 
@@ -172,11 +175,25 @@ SAMPLE_EXPECTED = {
     "unicode_digit": _parsed(node=(7, 3, 9, 4)),
     "huge_int": ("ParseError", 3, "integer outside the 64-bit range"),
     "huge_negative_parent": ("ParseError", 4, "integer outside the 64-bit range"),
+    "header_only": ("ParseError", 2, "node 0 must be the root (parent -1)"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_read_sample_malformed_table(tmp_path, case):
+    _assert_reads_as_recorded(tmp_path, case)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_read_sample_row_parser_only_table(tmp_path, monkeypatch, case):
+    # as on a numpy whose loadtxt reads 9.0 as an integer: no fast path
+    monkeypatch.setattr(fileio, "_LOADTXT_EXACT", False)
+    _assert_reads_as_recorded(tmp_path, case)
+
+
+def _assert_reads_as_recorded(tmp_path, case):
     path = tmp_path / "sample.csv"
     with open(path, "w", newline="") as fh:
         fh.write(SAMPLE_CASES[case])
@@ -266,7 +283,7 @@ def test_read_sample_matches_row_parser(case):
             body = fh.read().split("\n", 1)[1]
     try:
         fast = fileio._sample_columns(body)
-    except (ValueError, Warning):
+    except ValueError:
         # only block names can hold what the row parser must read
         assert names is not None
         return
@@ -274,6 +291,27 @@ def test_read_sample_matches_row_parser(case):
     assert [None if c is None else np.asarray(c).tolist() for c in fast] == [
         None if c is None else np.asarray(c).tolist() for c in rows
     ]
+
+
+def test_sample_columns_refuses_an_empty_body_before_loadtxt():
+    with mock.patch.object(fileio.np, "loadtxt", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="no rows"):
+            fileio._sample_columns("")
+
+
+def test_loadtxt_probe():
+    # numpy 2 raises; numpy 1.24-1.26 warn and read 9, which -W error raises
+    assert fileio._LOADTXT_EXACT == fileio._loadtxt_rejects_float_ints()
+
+    def warns(*args, **kwargs):
+        warnings.warn("loadtxt read 9.0 as 9", DeprecationWarning)
+        return np.array([9])
+
+    for loadtxt, action, exact in [(warns, "ignore", False), (warns, "error", False),
+                                   (mock.Mock(side_effect=ValueError), "error", True)]:
+        with mock.patch.object(fileio.np, "loadtxt", loadtxt), warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert fileio._loadtxt_rejects_float_ints() is exact
 
 
 def test_report_json_golden_format():

@@ -10,12 +10,15 @@ replaced the per-caller dispatch code.
 
 import hashlib
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import rdsgls as r
-from rdsgls import fileio
+from rdsgls import estimators, fileio
 from rdsgls.cli import dispatch
 
 SAMPLE = Path(__file__).parent / "data" / "golden_sample.csv"
@@ -68,18 +71,82 @@ def _sha256(path) -> str:
 
 
 @pytest.mark.parametrize(("estimator", "reweight"), sorted(REPORT_SHA256))
-def test_estimate_report_bytes(tmp_path, estimator, reweight):
+def test_estimate_report_bytes(tmp_path, capsys, estimator, reweight):
     out = tmp_path / "report.json"
     code = dispatch(["estimate", "--sample", str(SAMPLE), "--estimator", estimator,
                      "--reweight", reweight, "--out", str(out)])
     assert code == 0
     assert _sha256(out) == REPORT_SHA256[(estimator, reweight)]
+    assert capsys.readouterr().err == ""
 
 
-def test_diagnose_csv_bytes(tmp_path):
+def test_diagnose_csv_bytes(tmp_path, capsys):
     out = tmp_path / "diagnostics.csv"
     assert dispatch(["diagnose", "--sample", str(SAMPLE), "--out", str(out)]) == 0
     assert _sha256(out) == DIAGNOSE_SHA256
+    assert capsys.readouterr().err == ""
+
+
+# the standard-error lines of commands that report notes
+RESTART_LINE = "warning: sampling restarted 13 times\n"
+FALLBACK_LINE = (
+    "warning: GLS estimate of the inverse-degree mean was not positive; "
+    "using the harmonic mean instead\n"
+)
+SHALLOW_LINE = "warning: delta: lag-2 statistics need at least 3 nodes\n"
+# a two-node sample: too shallow for the lag-2 statistics of delta
+TWO_NODE_SAMPLE = "node,parent,pop_node,y,degree,block\n0,-1,0,1,2,0\n1,0,1,0,3,1\n"
+
+
+def _inverse_degrees_not_positive():
+    """Patch the blockmodel GLS so its inverse-degree estimate is -1.
+
+    The ``fgls`` reweighting then falls back to the harmonic mean; every
+    other call is unchanged.
+    """
+    real = estimators._blockmodel_gls
+
+    def patched(sample, labels, rse):
+        report = real(sample, labels, rse)
+        if np.array_equal(sample.y, 1.0 / sample.degree):
+            return replace(report, mu_hat=-1.0)
+        return report
+
+    return mock.patch.object(estimators, "_blockmodel_gls", patched)
+
+
+def test_simulate_restart_stderr(tmp_path, capsys):
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(11)))
+    out = tmp_path / "sample.csv"
+    argv = ["simulate", "--edges", str(edges), "--target", "6", "--offspring", "0.5 0.5",
+            "--seed", "18", "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().err == RESTART_LINE
+    assert fileio.read_sample(out).n == 6
+
+
+def test_estimate_fgls_fallback_stderr(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with _inverse_degrees_not_positive():
+        code = dispatch(["estimate", "--sample", str(SAMPLE), "--estimator", "sbm",
+                         "--reweight", "fgls", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == FALLBACK_LINE
+    # the note goes to standard error, not into the report
+    assert '"warnings": []' in out.read_text()
+
+
+def test_diagnose_failing_estimator_stderr(tmp_path, capsys):
+    sample = tmp_path / "two.csv"
+    sample.write_text(TWO_NODE_SAMPLE)
+    out = tmp_path / "diagnostics.csv"
+    assert dispatch(["diagnose", "--sample", str(sample), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == SHALLOW_LINE
+    # the reweight notes of sbm_y and sbm_z come before the per-estimator notes
+    with _inverse_degrees_not_positive():
+        assert dispatch(["diagnose", "--sample", str(sample), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == 2 * FALLBACK_LINE + SHALLOW_LINE
 
 
 def test_figure1_csv_bytes(tmp_path):

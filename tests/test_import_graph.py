@@ -1,4 +1,5 @@
-"""The dense reference stays outside the library's import graph."""
+"""The dense reference stays outside the library's import graph, and no
+library module changes the process-wide warnings filters."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,41 @@ def test_reference_imports_only_covariance_referral_errors():
 @pytest.mark.parametrize("name", sorted(set(SOURCES) - {"reference"}))
 def test_only_reference_imports_scipy_linalg(name):
     assert not any(m.startswith("scipy.linalg") for m in imported(SOURCES[name]))
+
+
+# the warnings calls that change process-wide state
+FILTER_CALLS = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"}
+
+
+def filter_edits(module: ast.Module) -> list:
+    """Lines that call a filter-changing warnings function or set ``showwarning``."""
+    lines = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name in FILTER_CALLS:
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "attr", None) == "showwarning" for t in targets):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_filter_edits_finds_each_form():
+    source = (
+        "import warnings\n"
+        "from warnings import simplefilter\n"
+        "with warnings.catch_warnings(record=True):\n"
+        "    simplefilter('error')\n"
+        "warnings.filterwarnings('ignore'); warnings.resetwarnings()\n"
+        "warnings.showwarning = print\n"
+        "warnings.warn('a note')\n"
+    )
+    assert filter_edits(ast.parse(source)) == [3, 4, 5, 5, 6]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_module_changes_the_warnings_filters(name):
+    assert filter_edits(SOURCES[name]) == []

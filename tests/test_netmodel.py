@@ -398,3 +398,28 @@ def test_dcsbm_sample_digest(workers):
     for a in (graph.weights.indptr, graph.weights.indices, graph.weights.data, graph.degrees):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == "dba500d6806ad751819e94be87c084ecd05433a08de4904fc5db6a45ba420ebb"
+
+
+def test_reweighted_within_blocks_matches_the_dense_rule():
+    rng = np.random.default_rng(4)
+    n = 60
+    W = np.triu((rng.random((n, n)) < 0.15) * rng.uniform(0.5, 2.0, (n, n)), 1)
+    W = W + W.T
+    z = rng.integers(0, 3, n)
+    graph = r.WeightedGraph.from_dense(W, allow_isolated=True)
+    weighted = graph.reweighted_within_blocks(z, 7.0)
+    dense = np.where((W > 0) & (z[:, None] == z[None, :]), 7.0, W)
+    expected = r.WeightedGraph.from_dense(dense, allow_isolated=True)
+    assert np.array_equal(weighted.weights.toarray(), dense)
+    assert np.array_equal(weighted.degrees, expected.degrees)
+    assert weighted.allow_isolated
+    assert not np.shares_memory(weighted.weights.indices, graph.weights.indices)
+    # the checked constructor accepts it: symmetric, degrees the row sums
+    r.WeightedGraph(weights=weighted.weights, degrees=weighted.degrees, allow_isolated=True)
+
+
+@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+def test_reweighted_within_blocks_rejects_bad_weights(weight):
+    graph = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(r.InvalidParametersError, match="within-block weight"):
+        graph.reweighted_within_blocks(np.zeros(3, dtype=np.int64), weight)
