@@ -174,56 +174,88 @@ def tree_gls_solve(
     its parent: leaf-to-root elimination of (K+1) x (K+1) node blocks and
     root-to-leaf back substitution solve it, and stay valid as the nugget
     goes to zero.  The constant term changes the variance but not the
-    weights (Sherman-Morrison).
+    weights (Sherman-Morrison).  This is the one-system case of
+    ``tree_gls_solve_stack``.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    return tree_gls_solve_stack(tree, (ac,), Y[None], (constant,))[0]
+
+
+def tree_gls_solve_stack(
+    tree: ReferralTree, acs, Y: np.ndarray, constants=None
+) -> list:
+    """``tree_gls_solve`` of m systems on one tree in one sweep, one result per system.
+
+    ``acs`` holds m covariances with the same number K of terms, ``Y`` the
+    m outcome rows (shape m x n) and ``constants`` the m constant terms
+    (default all zero).  The node blocks are stacked as (n, m, K+1, K+1),
+    node axis first, so each level costs one batched call per step
+    whatever m is; every batched call does each system's own per-matrix
+    arithmetic, so row i equals the one-system solve of system i bit for
+    bit.  Raises ``SingularCovarianceError`` if any system is singular;
+    solve the systems one at a time to find which.
     """
     Y = np.asarray(Y, dtype=np.float64)
     n = tree.n
-    if Y.shape[0] != n:
+    m = len(acs)
+    if m < 1:
+        raise InvalidParametersError("a stack needs at least one covariance")
+    if Y.ndim != 2 or Y.shape[1] != n:
         raise InvalidParametersError("outcome length must match the tree")
-    if not constant >= 0:
+    if Y.shape[0] != m:
+        raise InvalidParametersError(f"{Y.shape[0]} outcome rows for {m} covariances")
+    constants = (0.0,) * m if constants is None else tuple(constants)
+    if len(constants) != m:
+        raise InvalidParametersError(f"{len(constants)} constant terms for {m} covariances")
+    if not all(c >= 0 for c in constants):
         raise InvalidParametersError("constant covariance term must be >= 0")
-    b2, lam = np.array(ac.terms, dtype=np.float64).reshape(-1, 2).T
-    K = lam.shape[0]
+    K = len(acs[0].terms)
+    if any(len(ac.terms) != K for ac in acs):
+        raise InvalidParametersError("stacked covariances must have the same number of terms")
+    terms = np.array([ac.terms for ac in acs], dtype=np.float64).reshape(m, K, 2)
+    b2, lam = terms[:, :, 0], terms[:, :, 1]
     one_minus = 1.0 - lam * lam
     # E: the (diagonal) block linking a node to its parent; x never links
-    e = np.concatenate(([0.0], lam / one_minus))
-    S = np.zeros((n, K + 1, K + 1))
-    S[:, 0, 0] = ac.nugget
-    S[:, 0, 1:] = S[:, 1:, 0] = np.sqrt(b2)
+    e = np.concatenate((np.zeros((m, 1)), lam / one_minus), axis=1)
+    S = np.zeros((n, m, K + 1, K + 1))
+    S[:, :, 0, 0] = [ac.nugget for ac in acs]
+    S[:, :, 0, 1:] = S[:, :, 1:, 0] = np.sqrt(b2)
     idx = np.arange(1, K + 1)
-    S[:, idx, idx] = -(1.0 + np.outer(tree.degrees - 1.0, lam * lam)) / one_minus
-    z = np.zeros((n, K + 1))
-    z[:, 0] = 1.0
+    S[:, :, idx, idx] = -(1.0 + (tree.degrees - 1.0)[:, None, None] * (lam * lam)) / one_minus
+    z = np.zeros((n, m, K + 1))
+    z[:, :, 0] = 1.0
     F = np.empty_like(S)  # S_c^{-1} E, kept for back substitution
     runs = tree.level_runs()
-    # every non-root leaf keeps its degree-1 starting block, the same for
-    # all of them: invert it once (node n - 1 is always such a leaf)
+    # every non-root leaf keeps its degree-1 starting blocks, the same for
+    # all of them: invert them once (node n - 1 is always such a leaf)
     leaf = tree.degrees == 1
     try:
         leaf_inv = np.linalg.inv(S[-1])
         for nodes, _, heads, starts in reversed(runs):
-            inv = np.empty((nodes.shape[0], K + 1, K + 1))
+            inv = np.empty((nodes.shape[0], m, K + 1, K + 1))
             at_leaf = leaf[nodes]
             inv[at_leaf] = leaf_inv
             inv[~at_leaf] = np.linalg.inv(S[nodes[~at_leaf]])
-            a = np.einsum("mij,mj->mi", inv, z[nodes])
+            a = np.einsum("nmij,nmj->nmi", inv, z[nodes])
             z[nodes] = a
-            F[nodes] = f = inv * e
-            S[heads] -= np.add.reduceat(e[:, None] * f, starts, axis=0)
+            F[nodes] = f = inv * e[:, None, :]
+            S[heads] -= np.add.reduceat(e[:, :, None] * f, starts, axis=0)
             z[heads] -= np.add.reduceat(e * a, starts, axis=0)
-        z[0] = np.linalg.solve(S[0], z[0])
+        z[0] = np.linalg.solve(S[0], z[0][:, :, None])[:, :, 0]
         for nodes, parents, _, _ in runs:
-            z[nodes] -= np.einsum("mij,mj->mi", F[nodes], z[parents])
+            z[nodes] -= np.einsum("nmij,nmj->nmi", F[nodes], z[parents])
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError("covariance has a singular node block") from exc
-    x = z[:, 0]
-    total = x.sum()
-    if not (np.all(np.isfinite(x)) and total > 0):
-        raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
-    weights = x / total
-    return GlsResult(
-        estimate=float(weights @ Y), weights=weights, variance=1.0 / total + constant
-    )
+    results = []
+    for k, constant in enumerate(constants):
+        x = z[:, k, 0]
+        total = x.sum()
+        if not (np.all(np.isfinite(x)) and total > 0):
+            raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
+        weights = x / total
+        estimate = float(weights @ Y[k])
+        results.append(GlsResult(estimate=estimate, weights=weights, variance=1.0 / total + constant))
+    return results
 
 
 def tree_covariance_mass(tree: ReferralTree, ac: AutoCovariance) -> float:

@@ -15,7 +15,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import AutoCovariance, printed_rse, tree_covariance_mass, tree_gls_solve
+from .covariance import (
+    AutoCovariance,
+    printed_rse,
+    tree_covariance_mass,
+    tree_gls_solve_stack,
+)
 from .diagnostics import ranktwo_rse_value
 from .errors import (
     InsufficientDepthError,
@@ -288,19 +293,25 @@ def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     )
 
 
-def _tree_gls(
-    tree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0, rse: bool = True
-):
-    """Estimate, weights and printed-variant RSE under ``ac`` plus ``constant`` 11'.
+def _tree_gls(tree, acs, Y: np.ndarray, constants, rse: bool = True) -> list:
+    """Estimate, weights and printed-variant RSE of each stacked system.
 
-    Without ``rse`` the RSE is None and its covariance-mass sweep is skipped.
+    System i is ``acs[i]`` plus ``constants[i]`` 11' with outcome row
+    ``Y[i]``; the covariances share a term count and one tree sweep.
+    Without ``rse`` each RSE is None and its covariance-mass sweep is
+    skipped.  Raises if any system is singular.
     """
-    result = tree_gls_solve(tree, ac, Y, constant)
-    if not rse:
-        return result.estimate, result.weights, None
+    results = tree_gls_solve_stack(tree, acs, Y, constants)
     n = tree.n
-    mass = tree_covariance_mass(tree, ac) + constant * n * n
-    return result.estimate, result.weights, printed_rse(result.variance, mass, n)
+    return [
+        (
+            res.estimate,
+            res.weights,
+            printed_rse(res.variance, tree_covariance_mass(tree, ac) + c * n * n, n)
+            if rse else None,
+        )
+        for res, ac, c in zip(results, acs, constants)
+    ]
 
 
 def qhat_spectrum(counts: np.ndarray):
@@ -338,7 +349,8 @@ def sbm_fgls(
     before the covariance build so the solve stays definite.  Without
     ``rse`` the report carries no RSE.
     """
-    return _blockmodel_gls(sample, labels, rse)
+    labels = _block_labels(sample, labels)
+    return _blockmodel_gls_columns(sample, [sample.y], [labels], rse)[0]
 
 
 def _block_labels(sample: RdsSample, labels) -> np.ndarray:
@@ -395,47 +407,101 @@ def _block_spectrum(sample: RdsSample, labels: np.ndarray):
     return cache[key]
 
 
-def _blockmodel_gls(sample, labels, rse: bool) -> EstimateReport:
-    """``sbm_fgls``; without ``rse`` the report carries no RSE."""
-    Y = sample.y
-    n = sample.n
-    labels = _block_labels(sample, labels)
-    if n == 1:
-        return _single_node_report("sbm", sample)
+class _BlockmodelFit(NamedTuple):
+    """One column's plug-in covariance; ``ac`` is None when it was refused."""
 
+    Y: np.ndarray
+    k_eff: int
+    notes: tuple
+    lam_clamped: np.ndarray
+    beta2: np.ndarray
+    nugget: float
+    ac: AutoCovariance | None
+    constant: float
+
+
+def _blockmodel_fit(sample: RdsSample, labels: np.ndarray, Y: np.ndarray) -> _BlockmodelFit:
+    """The outcome's loadings on the labels' spectrum, as a plug-in covariance."""
+    n = sample.n
     k_eff, notes, vals, f_hat = _block_spectrum(sample, labels)
-    notes = list(notes)
     beta_hat = f_hat.T @ Y / n
     # the leading eigenvalue is 1 by construction: its spectral term is a
     # multiple of the all-ones matrix, which leaves the GLS weights
     # untouched; clamping the rest keeps the solve definite
     lam_clamped = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-
     s2 = float(Y.var(ddof=1))
     try:
         # loadings or a nugget that overflow to inf are refused here; the
         # solve they would feed is singular
         ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
-        mu, weights, rse = _tree_gls(
-            sample.tree, ac, Y, constant=float(beta_hat[0] ** 2), rse=rse
+    except (SingularCovarianceError, InvalidParametersError):
+        ac = None
+    return _BlockmodelFit(
+        Y, k_eff, notes, lam_clamped, beta_hat[1:] ** 2, s2, ac, float(beta_hat[0] ** 2)
+    )
+
+
+def _isolated_tree_gls(tree, fits: list, rse: bool) -> list:
+    """``_tree_gls`` of the fits' covariances, None for each singular one.
+
+    A stack that fails is solved again one fit at a time, so only the
+    failing fits get None and every other fit keeps its stacked bits.
+    """
+    try:
+        return _tree_gls(
+            tree, [fit.ac for fit in fits], np.stack([fit.Y for fit in fits]),
+            [fit.constant for fit in fits], rse,
         )
     except (SingularCovarianceError, InvalidParametersError):
-        notes.append("estimated covariance was singular; fell back to the sample mean")
-        mu = float(Y.mean())
-        weights = np.full(n, 1.0 / n)
-        rse = None
-    return EstimateReport(
-        estimator="sbm",
-        mu_hat=mu,
-        eigenvalues=tuple(lam_clamped),
-        beta2=tuple(beta_hat[1:] ** 2),
-        nugget=s2,
-        rse=rse,
-        weights=weights,
-        n=n,
-        K=k_eff,
-        warnings=tuple(notes),
-    )
+        if len(fits) == 1:
+            return [None]
+        return [_isolated_tree_gls(tree, [fit], rse)[0] for fit in fits]
+
+
+def _blockmodel_gls_columns(sample: RdsSample, columns: list, labels: list, rse: bool) -> list:
+    """``sbm_fgls`` of each outcome column over its labels, one report per column.
+
+    ``columns[i]`` is estimated over ``labels[i]``, already checked by
+    ``_block_labels``; the sample gives the tree, the degrees and nothing
+    else.  Columns whose covariances share a term count share one stacked
+    tree sweep, and a column whose covariance is singular falls back to the
+    sample mean alone.  Each report is the one-column call's, bit for bit.
+    Without ``rse`` the reports carry no RSE.
+    """
+    n = sample.n
+    if n == 1:
+        return [_single_node_report("sbm", sample.with_outcome_values(Y)) for Y in columns]
+    fits = [_blockmodel_fit(sample, lab, Y) for Y, lab in zip(columns, labels)]
+    stacks: dict = {}
+    for i, fit in enumerate(fits):
+        if fit.ac is not None:
+            stacks.setdefault(len(fit.ac.terms), []).append(i)
+    solved = [None] * len(fits)
+    for members in stacks.values():
+        for i, out in zip(members, _isolated_tree_gls(sample.tree, [fits[i] for i in members], rse)):
+            solved[i] = out
+    reports = []
+    for fit, out in zip(fits, solved):
+        notes = fit.notes
+        if out is None:
+            notes += ("estimated covariance was singular; fell back to the sample mean",)
+            out = (float(fit.Y.mean()), np.full(n, 1.0 / n), None)
+        mu, weights, rse_value = out
+        reports.append(
+            EstimateReport(
+                estimator="sbm",
+                mu_hat=mu,
+                eigenvalues=tuple(fit.lam_clamped),
+                beta2=tuple(fit.beta2),
+                nugget=fit.nugget,
+                rse=rse_value,
+                weights=weights,
+                n=n,
+                K=fit.k_eff,
+                warnings=notes,
+            )
+        )
+    return reports
 
 
 def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> EstimateReport:
@@ -452,7 +518,7 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     if n == 1:
         return _single_node_report("oracle_gls", sample.with_outcome_values(Y))
     try:
-        mu, weights, rse = _tree_gls(sample.tree, ac, Y)
+        ((mu, weights, rse),) = _tree_gls(sample.tree, (ac,), Y[None], (0.0,))
         notes = ()
     except SingularCovarianceError:
         mu = float(Y.mean())
@@ -491,7 +557,7 @@ def _reweighted(sample: RdsSample, policy: str, labels: np.ndarray | None = None
     if policy == "vh":
         h_inv = inv.mean()
     elif policy == "fgls":
-        h_inv, fell_back = _inverse_degree_scale(sample, inv, _block_labels(sample, labels))
+        ((h_inv, fell_back),) = _inverse_degree_scales(sample, inv, [_block_labels(sample, labels)])
         if fell_back:
             notes = (FGLS_FALLBACK_NOTE,)
     else:
@@ -518,19 +584,26 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     return out
 
 
-def _inverse_degree_scale(sample: RdsSample, inv: np.ndarray, labels: np.ndarray):
-    """The ``fgls`` normalizer of ``reweight`` and whether the harmonic mean took over.
+def _inverse_degree_scales(sample: RdsSample, inv: np.ndarray, labels: list) -> list:
+    """The ``fgls`` normalizer of ``reweight`` over each label array, and whether
+    the harmonic mean took over: one ``(h_inv, fell_back)`` pair per array.
 
-    Depends on the tree, the degrees and the labels but not on the
-    outcome, so it is cached on the tree by the label and degree bytes.
+    A normalizer depends on the tree, the degrees and the labels but not on
+    the outcome, so each is cached on the tree by the label and degree
+    bytes.  The uncached ones are estimated together, by one blockmodel
+    call on the inverse degrees ``inv``.
     """
-    key = ("fgls_scale", labels.tobytes(), sample.degree.tobytes())
     cache = sample.tree._cache
-    if key not in cache:
-        h_inv = _blockmodel_gls(sample.with_outcome_values(inv), labels, rse=False).mu_hat
-        fell_back = not np.isfinite(h_inv) or h_inv <= 0
-        cache[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
-    return cache[key]
+    degrees = sample.degree.tobytes()
+    keys = [("fgls_scale", blocks.tobytes(), degrees) for blocks in labels]
+    todo = {key: blocks for key, blocks in zip(keys, labels) if key not in cache}
+    if todo:
+        reports = _blockmodel_gls_columns(sample, [inv] * len(todo), list(todo.values()), False)
+        for key, report in zip(todo, reports):
+            h_inv = report.mu_hat
+            fell_back = not np.isfinite(h_inv) or h_inv <= 0
+            cache[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
+    return [cache[key] for key in keys]
 
 
 def fgls_reweight(sample: RdsSample, labels: np.ndarray | None = None) -> RdsSample:
@@ -570,6 +643,51 @@ ESTIMATORS = {
 REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.values()))
 
 
+def _checked_blocks(sample: RdsSample, labels) -> np.ndarray:
+    """A column's ``fgls`` block labels, checked as its one-column run checks them.
+
+    The order is that run's: the recipe's ``labels``, the degrees, then the
+    label array.  Columns checked in turn thus raise the error the first
+    failing column raises on its own.  (The referral spectrum that follows
+    fails alike for every column with the same labels, and outcome-value
+    labels always number their blocks 0..k-1.)
+    """
+    raw = None if labels is None else labels(sample)
+    _positive_degrees(sample)
+    return _block_labels(sample, raw)
+
+
+def _with_notes(report: EstimateReport, notes: tuple) -> EstimateReport:
+    return replace(report, warnings=notes + report.warnings) if notes else report
+
+
+def _estimate_columns(name: str, samples: list, rse: bool) -> list:
+    """``apply_estimator`` on each of ``samples``, which share a tree, degrees and blocks."""
+    if name not in ESTIMATORS:
+        raise InvalidParametersError(f"unknown estimator {name!r}")
+    policy, estimate, labels = ESTIMATORS[name]
+    if policy != "fgls":
+        options = {} if policy == "none" else {"rse": rse}
+        reports = []
+        for sample in samples:
+            reweighted, notes = _reweighted(sample, policy)
+            reports.append(_with_notes(estimate(reweighted, **options), notes))
+        return reports
+    # every fgls recipe estimates with sbm_fgls over the labels it reweights
+    # with: both stages run once for all columns
+    if not samples:
+        return []
+    blocks = [_checked_blocks(sample, labels) for sample in samples]
+    first = samples[0]
+    scales = _inverse_degree_scales(first, 1.0 / first.degree, blocks)
+    columns = [sample.y / (h_inv * sample.degree) for sample, (h_inv, _) in zip(samples, scales)]
+    reports = _blockmodel_gls_columns(first, columns, blocks, rse)
+    return [
+        _with_notes(report, (FGLS_FALLBACK_NOTE,) if fell_back else ())
+        for report, (_, fell_back) in zip(reports, scales)
+    ]
+
+
 def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     """Run the named estimator of ``ESTIMATORS`` on its reweighted sample.
 
@@ -578,15 +696,25 @@ def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> Estima
     (every one that reweights first) skip their RSE: ``auto`` and
     ``delta`` skip ``ranktwo_rse_value``, ``sbm_y`` and ``sbm_z`` the
     ``tree_covariance_mass`` sweep.  Their report's ``rse`` is then None;
-    every other field and the weights are the same bits.
+    every other field and the weights are the same bits.  This is the
+    one-column case of ``apply_estimator_columns``.
     """
-    if name not in ESTIMATORS:
-        raise InvalidParametersError(f"unknown estimator {name!r}")
-    policy, estimate, labels = ESTIMATORS[name]
-    options = {} if policy == "none" else {"rse": rse}
-    blocks = () if labels is None else (labels(sample),)
-    reweighted, notes = _reweighted(sample, policy, *blocks)
-    report = estimate(reweighted, *blocks, **options)
-    if notes:
-        report = replace(report, warnings=notes + report.warnings)
-    return report
+    return _estimate_columns(name, [sample], rse)[0]
+
+
+def apply_estimator_columns(
+    name: str, sample: RdsSample, columns, *, rse: bool = True
+) -> list:
+    """``apply_estimator`` on the sample once per outcome column, one report per column.
+
+    Report i equals ``apply_estimator(name, sample.with_outcome_values(
+    columns[i]), rse=rse)`` in every field and every bit of its weights.
+    The columns share the sample's tree, so the ``fgls`` recipes (``sbm_y``
+    and ``sbm_z``) solve all of them in two stacked stages: first every
+    uncached inverse-degree normalizer, one per distinct label array, then
+    every reweighted column's blockmodel GLS, each stage one tree sweep per
+    term count.  A column whose covariance is singular falls back alone,
+    with its own note, and a column that raises raises the error the first
+    failing column raises on its own.
+    """
+    return _estimate_columns(name, [sample.with_outcome_values(col) for col in columns], rse)

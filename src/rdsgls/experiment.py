@@ -16,7 +16,12 @@ import numpy as np
 from .covariance import one_sigma_inv_one_ranktwo
 from .diagnostics import GREY_LINE_GRID, DiagnosticPoint, ranktwo_rse_curve
 from .errors import InvalidParametersError, SamplingFailedError
-from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, apply_estimator
+from .estimators import (
+    ESTIMATORS,
+    FGLS_FALLBACK_NOTE,
+    apply_estimator,
+    apply_estimator_columns,
+)
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
     outcome_bernoulli,
@@ -188,10 +193,14 @@ def figure1_ratio(p_values, levels) -> list:
 def _run_replicate(ctx: dict, r: int):
     """Estimates keyed by (estimator, n, outcome) for replicate ``r``, or None.
 
-    Only ``mu_hat`` is kept, so no estimator computes its RSE.  ``ctx``
-    holds the config, the sampling graph, the block labels and the outcome
-    columns; the sampler reports contact counts of the sampling graph,
-    whose sparsity pattern preferential reweighting leaves alone.
+    Only ``mu_hat`` is kept, so no estimator computes its RSE.  Each
+    estimator runs once per prefix size on all outcome columns together
+    (``apply_estimator_columns``), so the blockmodel estimators solve every
+    column in one stacked tree sweep per stage; the estimates are the
+    one-column bits.  ``ctx`` holds the config, the sampling graph, the
+    block labels and the outcome columns; the sampler reports contact
+    counts of the sampling graph, whose sparsity pattern preferential
+    reweighting leaves alone.
     """
     cfg = ctx["cfg"]
     try:
@@ -202,10 +211,11 @@ def _run_replicate(ctx: dict, r: int):
     results = {}
     for n in cfg.sizes:
         sub = sample.prefix(n)
-        for out_name, yvec in ctx["outcomes"].items():
-            labeled = sub.with_outcome(yvec)
-            for est in cfg.estimators:
-                results[(est, n, out_name)] = apply_estimator(est, labeled, rse=False).mu_hat
+        columns = [sub.with_outcome(yvec).y for yvec in ctx["outcomes"].values()]
+        for est in cfg.estimators:
+            reports = apply_estimator_columns(est, sub, columns, rse=False)
+            for out_name, report in zip(ctx["outcomes"], reports):
+                results[(est, n, out_name)] = report.mu_hat
     return results
 
 
@@ -327,7 +337,8 @@ def emit_diagnostics(sample: RdsSample) -> DiagnosticDataset:
     estimators, one per non-leading eigenvalue for each blockmodel
     estimator (outcome blocks and demographic blocks).  Estimator failures
     downgrade to notes, after the notes of reweightings that fell back to
-    the harmonic mean.  The grey reference curve spans the default
+    the harmonic mean; an estimator that gives no point adds its report's
+    own notes to say why.  The grey reference curve spans the default
     eigenvalue grid.
     """
     fallbacks = []
@@ -342,7 +353,8 @@ def emit_diagnostics(sample: RdsSample) -> DiagnosticDataset:
             continue
         fallbacks.extend(note for note in report.warnings if note == FGLS_FALLBACK_NOTE)
         if report.rse is None or not report.eigenvalues:
-            notes.append(f"{name}: no spectral point available")
+            own = [note for note in report.warnings if note != FGLS_FALLBACK_NOTE]
+            notes.append(": ".join([f"{name}: no spectral point available", *own]))
             continue
         for lam in report.eigenvalues:
             points.append(

@@ -555,12 +555,12 @@ def test_fgls_fallback_warns_on_every_call():
                     block=np.arange(tree.n) % 2)
     calls = []
 
-    def not_positive(sample, labels, rse):
+    def not_positive(sample, columns, labels, rse):
         calls.append(rse)
-        return r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n)
+        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n) for _ in columns]
 
     want = s.y / (np.mean(1.0 / s.degree) * s.degree)
-    with mock.patch.object(estimators, "_blockmodel_gls", not_positive):
+    with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
         for _ in range(3):
             with pytest.warns(RuntimeWarning, match="using the harmonic mean instead"):
                 assert np.array_equal(r.reweight(s, "fgls").y, want)
@@ -573,11 +573,11 @@ def test_apply_estimator_puts_the_fallback_note_first():
     s = make_sample(tree, np.arange(tree.n, dtype=float), degree=np.arange(1, tree.n + 1),
                     block=np.arange(tree.n) % 2)
 
-    def not_positive(sample, labels, rse):
-        return r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
-                                warnings=("the estimator's own note",))
+    def not_positive(sample, columns, labels, rse):
+        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
+                                 warnings=("the estimator's own note",)) for _ in columns]
 
-    with mock.patch.object(estimators, "_blockmodel_gls", not_positive):
+    with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
         for name in ("sbm_y", "sbm_z"):
             report = r.apply_estimator(name, s)
             assert report.warnings == (
@@ -593,3 +593,175 @@ def test_sbm_falls_back_when_the_covariance_estimate_overflows():
         report = r.sbm_fgls(make_sample(tree, y, block=np.arange(tree.n) % 3))
     assert report.warnings == ("estimated covariance was singular; fell back to the sample mean",)
     assert report.mu_hat == float(np.mean(y))
+
+
+SINGULAR_NOTE = "estimated covariance was singular; fell back to the sample mean"
+
+
+def _outcome(call):
+    """A report list's exact fields, or the type and message of what it raised."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            reports = call()
+    except Exception as exc:  # compared, never hidden
+        return type(exc), str(exc)
+    return [(repr(rep.to_dict()), rep.weights.tobytes()) for rep in reports]
+
+
+def _one_column_loop(name, sample, columns, rse=True):
+    """The per-column loop the column entry point replaces, on one tree."""
+    return lambda: [r.apply_estimator(name, sample.with_outcome_values(y), rse=rse)
+                    for y in columns]
+
+
+def _stacked(name, sample, columns, rse=True):
+    return lambda: r.apply_estimator_columns(name, sample, columns, rse=rse)
+
+
+@st.composite
+def labeled_columns(draw):
+    """A labeled sample and one to four outcome columns: a few levels, a
+    constant, a repeat, or (past 32 nodes) too many values for ``sbm_y``."""
+    sample = draw(labeled_samples())
+    n = sample.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["levels", "levels", "constant", "repeat", "many"]))
+        if kind == "levels":
+            y = rng.integers(0, draw(st.integers(1, 5)), n) * draw(st.floats(0.1, 3.0))
+        elif kind == "constant":
+            y = np.full(n, draw(st.floats(-2.0, 2.0)))
+        elif kind == "repeat" and columns:
+            y = columns[-1]
+        else:
+            y = rng.normal(size=n)
+        columns.append(np.asarray(y, dtype=float))
+    return sample, columns
+
+
+@PROPERTY
+@given(case=labeled_columns())
+@pytest.mark.parametrize("rse", [True, False])
+@pytest.mark.parametrize("name", list(r.ESTIMATORS))
+def test_columns_equal_the_one_column_loop(name, rse, case):
+    sample, columns = case
+    stacked = _outcome(_stacked(name, _cold(sample), columns, rse))
+    assert stacked == _outcome(_one_column_loop(name, _cold(sample), columns, rse))
+
+
+def test_every_fgls_recipe_estimates_with_the_blockmodel():
+    # the column entry point runs both fgls stages itself
+    for recipe in r.ESTIMATORS.values():
+        assert (recipe.reweight == "fgls") == (recipe.estimate is r.sbm_fgls)
+
+
+def _fifteen(degree=None, block=None):
+    tree = r.complete_binary_tree(4)
+    n = tree.n
+    return make_sample(
+        tree, np.zeros(n),
+        degree=1.0 + np.arange(n) % 4 if degree is None else degree,
+        block=np.arange(n) % 3 if block is None else block,
+    )
+
+
+def _assert_isolated(name, sample, columns, odd, note):
+    """Column ``odd`` alone carries ``note``; every column has its one-column bits."""
+    stacked = _outcome(_stacked(name, _cold(sample), columns))
+    assert stacked == _outcome(_one_column_loop(name, _cold(sample), columns))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        reports = r.apply_estimator_columns(name, _cold(sample), columns)
+    for i, report in enumerate(reports):
+        assert (note in report.warnings) == (i == odd), (i, report.warnings)
+
+
+@pytest.mark.parametrize("name", ["sbm_y", "sbm_z"])
+def test_an_overflowing_column_falls_back_alone(name):
+    sample = _fifteen()
+    n = sample.n
+    big = np.where(np.arange(n) % 2 == 0, 1e200, -1e200)
+    columns = [np.arange(n) % 2 * 1.0, big, np.arange(n) % 3 * 0.5]
+    _assert_isolated(name, sample, columns, 1, SINGULAR_NOTE)
+
+
+@pytest.mark.parametrize("name", list(r.ESTIMATORS))
+def test_a_constant_column_keeps_the_others_bits(name):
+    sample = _fifteen(degree=np.ones(15))
+    columns = [np.arange(15) % 2 * 1.0, np.full(15, 3.0), np.arange(15) % 3 * 0.5]
+    stacked = _outcome(_stacked(name, _cold(sample), columns))
+    assert stacked == _outcome(_one_column_loop(name, _cold(sample), columns))
+    reports = r.apply_estimator_columns(name, _cold(sample), columns)
+    assert abs(reports[1].mu_hat - 3.0) < 1e-12
+    for i in (0, 2):
+        assert not any("fell back" in w or "constant" in w for w in reports[i].warnings)
+
+
+def test_a_singular_node_block_falls_back_alone():
+    # one block and unit degrees: the constant column's covariance is zero,
+    # so its 1 x 1 node blocks are singular and the K = 0 stack must split
+    sample = _fifteen(degree=np.ones(15), block=np.zeros(15, dtype=int))
+    columns = [np.arange(15) % 2 * 1.0, np.full(15, 3.0), np.arange(15) % 3 * 0.5]
+    _assert_isolated("sbm_z", sample, columns, 1, SINGULAR_NOTE)
+    assert r.apply_estimator_columns("sbm_z", sample, columns)[1].warnings == (SINGULAR_NOTE,)
+
+
+def test_a_dropped_block_stays_with_its_column():
+    sample = _fifteen()
+    n = sample.n
+    labels = np.arange(n) % 3
+    skipped = np.where(labels == 1, 2, labels)
+    columns = [np.arange(n) % 2 * 1.0, np.arange(n) % 5 * 0.3, np.arange(n) % 3 * 0.5]
+    label_sets = [labels, skipped, labels]
+    reports = estimators._blockmodel_gls_columns(sample, columns, label_sets, True)
+    for i, (y, blocks, report) in enumerate(zip(columns, label_sets, reports)):
+        alone = r.sbm_fgls(_cold(sample).with_outcome_values(y), blocks)
+        assert repr(report.to_dict()) == repr(alone.to_dict())
+        assert report.weights.tobytes() == alone.weights.tobytes()
+        assert (report.warnings == ("dropped blocks with no visits: [1]",)) == (i == 1)
+
+
+def test_the_harmonic_mean_fallback_stays_with_its_label_set():
+    sample = _fifteen()
+    n = sample.n
+    columns = [np.arange(n) % 2 * 1.0, np.arange(n) % 3 * 0.5, np.arange(n) % 4 * 2.0]
+    odd = r.ESTIMATORS["sbm_y"].labels(sample.with_outcome_values(columns[1]))
+    real = estimators._blockmodel_gls_columns
+
+    def not_positive(sample, ys, labels, rse):
+        reports = real(sample, ys, labels, rse)
+        return [
+            replace(rep, mu_hat=-1.0)
+            if np.array_equal(y, 1.0 / sample.degree) and np.array_equal(blocks, odd) else rep
+            for y, blocks, rep in zip(ys, labels, reports)
+        ]
+
+    unpatched = _outcome(_one_column_loop("sbm_y", _cold(sample), columns))
+    with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
+        patched = _outcome(_one_column_loop("sbm_y", _cold(sample), columns))
+        stacked = _outcome(_stacked("sbm_y", _cold(sample), columns))
+        reports = r.apply_estimator_columns("sbm_y", _cold(sample), columns)
+    assert stacked == patched
+    assert stacked[0] == unpatched[0] and stacked[2] == unpatched[2]
+    assert stacked[1] != unpatched[1]
+    assert [rep.warnings[:1] == (estimators.FGLS_FALLBACK_NOTE,) for rep in reports] == [
+        False, True, False
+    ]
+
+
+@pytest.mark.parametrize("many_first", [True, False])
+def test_a_stack_raises_what_the_first_failing_column_raises(many_first):
+    # sbm_y labels the column before it checks the degrees: a column with
+    # too many values fails first only when it comes first
+    tree = r.ReferralTree(np.r_[-1, np.arange(39) // 2])
+    sample = make_sample(tree, np.zeros(40), degree=np.r_[0.0, np.ones(39)],
+                         block=np.arange(40) % 3)
+    many = np.linspace(0.0, 1.0, 40)
+    few = np.arange(40) % 2 * 1.0
+    columns = [many, few] if many_first else [few, many]
+    want = (r.InvalidParametersError, r.InvalidSampleError)[not many_first]
+    loop = _outcome(_one_column_loop("sbm_y", sample, columns))
+    assert loop[0] is want
+    assert _outcome(_stacked("sbm_y", _cold(sample), columns)) == loop

@@ -104,15 +104,16 @@ def _inverse_degrees_not_positive():
     The ``fgls`` reweighting then falls back to the harmonic mean; every
     other call is unchanged.
     """
-    real = estimators._blockmodel_gls
+    real = estimators._blockmodel_gls_columns
 
-    def patched(sample, labels, rse):
-        report = real(sample, labels, rse)
-        if np.array_equal(sample.y, 1.0 / sample.degree):
-            return replace(report, mu_hat=-1.0)
-        return report
+    def patched(sample, columns, labels, rse):
+        reports = real(sample, columns, labels, rse)
+        return [
+            replace(report, mu_hat=-1.0) if np.array_equal(y, 1.0 / sample.degree) else report
+            for y, report in zip(columns, reports)
+        ]
 
-    return mock.patch.object(estimators, "_blockmodel_gls", patched)
+    return mock.patch.object(estimators, "_blockmodel_gls_columns", patched)
 
 
 def test_simulate_restart_stderr(tmp_path, capsys):
@@ -147,6 +148,31 @@ def test_diagnose_failing_estimator_stderr(tmp_path, capsys):
     with _inverse_degrees_not_positive():
         assert dispatch(["diagnose", "--sample", str(sample), "--out", str(out)]) == 0
     assert capsys.readouterr().err == 2 * FALLBACK_LINE + SHALLOW_LINE
+
+
+# a 15-node binary tree whose outcomes +-1e200 overflow every squared moment
+OVERFLOW_SAMPLE = "node,parent,pop_node,y,degree,block\n" + "".join(
+    f"{i},{(i - 1) // 2 if i else -1},{i},{'-' if i % 2 else ''}1e+200,{1 + i % 4},{i % 3}\n"
+    for i in range(15)
+)
+OVERFLOW_LINES = (
+    "warning: auto: no spectral point available: "
+    "grid search failed; fell back to the sample mean\n"
+    "warning: delta: grey-line eigenvalues must satisfy |lambda| < 1\n"
+    "warning: sbm_y: no spectral point available: "
+    "estimated covariance was singular; fell back to the sample mean\n"
+    "warning: sbm_z: no spectral point available: "
+    "estimated covariance was singular; fell back to the sample mean\n"
+)
+
+
+def test_diagnose_gives_each_estimators_own_reason(tmp_path, capsys):
+    sample = tmp_path / "overflow.csv"
+    sample.write_text(OVERFLOW_SAMPLE)
+    out = tmp_path / "diagnostics.csv"
+    with np.errstate(all="ignore"):
+        assert dispatch(["diagnose", "--sample", str(sample), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == OVERFLOW_LINES
 
 
 def test_figure1_csv_bytes(tmp_path):

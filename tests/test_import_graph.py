@@ -1,5 +1,6 @@
-"""The dense reference stays outside the library's import graph, and no
-library module changes the process-wide warnings filters."""
+"""The dense reference stays outside the library's import graph, no library
+module reaches into numpy's private modules, and none changes the
+process-wide warnings filters."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,44 @@ def test_reference_imports_only_covariance_referral_errors():
 @pytest.mark.parametrize("name", sorted(set(SOURCES) - {"reference"}))
 def test_only_reference_imports_scipy_linalg(name):
     assert not any(m.startswith("scipy.linalg") for m in imported(SOURCES[name]))
+
+
+def private_numpy(module: ast.Module) -> list:
+    """Imported numpy modules, and attributes of ``numpy``/``np``, named with a leading underscore."""
+    names = [m for m in imported(module) if m.split(".")[0] == "numpy"]
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in {"np", "numpy"}:
+                names.append(".".join(["numpy", *reversed(chain)]))
+    return sorted(
+        {n for n in names if any(p.startswith("_") and not p.startswith("__") for p in n.split("."))}
+    )
+
+
+def test_private_numpy_finds_each_form():
+    source = (
+        "import numpy.linalg._umath_linalg\n"
+        "from numpy._core import multiarray\n"
+        "import numpy as np\n"
+        "np.linalg.inv(np.eye(2)); np.__version__\n"
+        "np._core.umath.add\n"
+    )
+    assert private_numpy(ast.parse(source)) == [
+        "numpy._core", "numpy._core.multiarray", "numpy._core.umath",
+        "numpy._core.umath.add", "numpy.linalg._umath_linalg",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_module_reaches_into_private_numpy(name):
+    # the tree sweeps stay on public np.linalg, whose batched calls do the
+    # per-matrix arithmetic of the one-matrix calls
+    assert private_numpy(SOURCES[name]) == []
 
 
 # the warnings calls that change process-wide state

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdsgls as r
-from rdsgls.covariance import tree_covariance_mass, tree_gls_solve
+from rdsgls.covariance import tree_covariance_mass, tree_gls_solve, tree_gls_solve_stack
 from rdsgls.diagnostics import GREY_LINE_GRID
 from rdsgls.referral import (
     MAX_DENSE_NODES,
@@ -205,3 +205,72 @@ def test_estimators_past_the_dense_cap():
     assert {p.estimator for p in dataset.points} == {"auto", "delta", "sbm_y", "sbm_z"}
     assert all(np.isfinite(p.rse) for p in dataset.points)
     assert np.all(np.isfinite(dataset.grey_rse))
+
+
+@st.composite
+def bushy_trees(draw, max_n=40):
+    """Heap-numbered trees in which every internal node has ``b`` children."""
+    n = draw(st.integers(2, max_n))
+    b = draw(st.integers(2, 6))
+    return r.ReferralTree(np.array([-1] + [(t - 1) // b for t in range(1, n)]))
+
+
+@st.composite
+def stacked_systems(draw):
+    """m systems on one tree with one term count K, zero nuggets allowed."""
+    tree = draw(st.one_of(trees(), stars_and_paths(), bushy_trees()))
+    K = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    acs = [
+        r.AutoCovariance(
+            terms=tuple(draw(st.lists(st.tuples(loadings, lams), min_size=K, max_size=K))),
+            nugget=draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0))),
+        )
+        for _ in range(m)
+    ]
+    constants = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+    Y = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(m, tree.n))
+    return tree, acs, Y, constants
+
+
+def solo_or_none(tree, ac, y, constant):
+    try:
+        return tree_gls_solve(tree, ac, y, constant)
+    except r.SingularCovarianceError:
+        return None
+
+
+@PROPERTY
+@given(systems=stacked_systems())
+def test_stacked_sweep_rows_equal_solo_solves(systems):
+    tree, acs, Y, constants = systems
+    solo = [solo_or_none(tree, *args) for args in zip(acs, Y, constants)]
+    if any(result is None for result in solo):
+        with pytest.raises(r.SingularCovarianceError):
+            tree_gls_solve_stack(tree, acs, Y, constants)
+        return
+    stacked = tree_gls_solve_stack(tree, acs, Y, constants)
+    assert len(stacked) == len(acs)
+    for row, one in zip(stacked, solo):
+        assert row.weights.tobytes() == one.weights.tobytes()
+        assert repr(row.estimate) == repr(one.estimate)
+        assert repr(row.variance) == repr(one.variance)
+
+
+def test_stacked_sweep_rejects_mismatched_systems():
+    tree = r.complete_binary_tree(3)
+    one = r.AutoCovariance(terms=((1.0, 0.5),), nugget=1.0)
+    two = r.AutoCovariance(terms=((1.0, 0.5), (0.5, -0.2)), nugget=1.0)
+    Y = np.ones((2, tree.n))
+    with pytest.raises(r.InvalidParametersError, match="same number of terms"):
+        tree_gls_solve_stack(tree, [one, two], Y)
+    with pytest.raises(r.InvalidParametersError, match="outcome rows"):
+        tree_gls_solve_stack(tree, [one], Y)
+    with pytest.raises(r.InvalidParametersError, match="outcome length"):
+        tree_gls_solve_stack(tree, [one, one], Y[:, 1:])
+    with pytest.raises(r.InvalidParametersError, match="constant terms"):
+        tree_gls_solve_stack(tree, [one, one], Y, (0.0,))
+    with pytest.raises(r.InvalidParametersError, match=">= 0"):
+        tree_gls_solve_stack(tree, [one, one], Y, (0.0, -1.0))
+    with pytest.raises(r.InvalidParametersError, match="at least one"):
+        tree_gls_solve_stack(tree, [], Y[:0])
