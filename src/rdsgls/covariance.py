@@ -3,8 +3,9 @@
 The autocovariance of a stationary tree walk depends only on tree distance
 and decomposes over the walk spectrum.  This module exploits the sparse
 closed-form inverse available in the single-geometric-term case, solves
-the generalized least squares system exactly along the tree in O(n K^3),
-and carries the chain estimator whose variance certifies the 1/n rate.
+the generalized least squares system exactly along the tree (K^3 work per
+distinct subtree shape, K^2 per node), and carries the chain estimator
+whose variance certifies the 1/n rate.
 The dense n x n covariance lives only in ``rdsgls.reference``, the oracle.
 """
 
@@ -166,16 +167,19 @@ def tree_gls_solve(
 ) -> GlsResult:
     """GLS under ``build_sigma(tree, ac)`` plus ``constant`` times the all-ones matrix.
 
-    Exact and non-iterative in O(n K^3) time and O(n K^2) memory for K
-    terms.  Term k is beta_k^2 times a unit-variance tree GMRF whose
-    precision Q_k is the sparse single-term inverse, so Sigma x = 1 is the
-    augmented system [[nugget I, B], [B', -Q]] with B = [beta_1 I ... beta_K I].
-    Grouped per node as (x_s, y_1s, ..., y_Ks), it couples a node only to
-    its parent: leaf-to-root elimination of (K+1) x (K+1) node blocks and
-    root-to-leaf back substitution solve it, and stay valid as the nugget
-    goes to zero.  The constant term changes the variance but not the
-    weights (Sherman-Morrison).  This is the one-system case of
-    ``tree_gls_solve_stack``.
+    Exact and non-iterative.  Term k is beta_k^2 times a unit-variance
+    tree GMRF whose precision Q_k is the sparse single-term inverse, so
+    Sigma x = 1 is the augmented system [[nugget I, B], [B', -Q]] with
+    B = [beta_1 I ... beta_K I].  Grouped per node as (x_s, y_1s, ...,
+    y_Ks), it couples a node only to its parent: leaf-to-root elimination
+    of (K+1) x (K+1) node blocks and root-to-leaf back substitution solve
+    it, and stay valid as the nugget goes to zero.  A node's elimination
+    depends only on its ordered subtree shape, so it runs once per shape
+    class (``ReferralTree.shape_classes``): O(C K^3) for C classes plus
+    O(n K^2) back substitution.  The constant term changes the variance
+    but not the weights (Sherman-Morrison).  This is the one-system case
+    of ``tree_gls_solve_stack``; a non-finite outcome raises
+    ``InvalidParametersError``.
     """
     Y = np.asarray(Y, dtype=np.float64)
     return tree_gls_solve_stack(tree, (ac,), Y[None], (constant,))[0]
@@ -188,12 +192,15 @@ def tree_gls_solve_stack(
 
     ``acs`` holds m covariances with the same number K of terms, ``Y`` the
     m outcome rows (shape m x n) and ``constants`` the m constant terms
-    (default all zero).  The node blocks are stacked as (n, m, K+1, K+1),
-    node axis first, so each level costs one batched call per step
-    whatever m is; every batched call does each system's own per-matrix
-    arithmetic, so row i equals the one-system solve of system i bit for
-    bit.  Raises ``SingularCovarianceError`` if any system is singular;
-    solve the systems one at a time to find which.
+    (default all zero).  The leaf-to-root elimination fills one table row
+    per shape class and depth, stacked as (C_d, m, K+1, K+1), and the
+    back substitution gathers each node's row by its class: O(C m K^3) +
+    O(n m K^2) time.  Every batched call does each system's own
+    per-matrix arithmetic, and each class does what any one of its nodes
+    would, so row i equals the one-system solve of system i bit for bit.
+    Raises ``InvalidParametersError`` naming the first non-finite outcome
+    and ``SingularCovarianceError`` if any system is singular; solve the
+    systems one at a time to find which.
     """
     Y = np.asarray(Y, dtype=np.float64)
     n = tree.n
@@ -204,6 +211,9 @@ def tree_gls_solve_stack(
         raise InvalidParametersError("outcome length must match the tree")
     if Y.shape[0] != m:
         raise InvalidParametersError(f"{Y.shape[0]} outcome rows for {m} covariances")
+    bad = np.argwhere(~np.isfinite(Y))
+    if bad.size:
+        raise InvalidParametersError(f"outcome row {bad[0, 0]} is not finite at node {bad[0, 1]}")
     constants = (0.0,) * m if constants is None else tuple(constants)
     if len(constants) != m:
         raise InvalidParametersError(f"{len(constants)} constant terms for {m} covariances")
@@ -217,42 +227,51 @@ def tree_gls_solve_stack(
     one_minus = 1.0 - lam * lam
     # E: the (diagonal) block linking a node to its parent; x never links
     e = np.concatenate((np.zeros((m, 1)), lam / one_minus), axis=1)
-    S = np.zeros((n, m, K + 1, K + 1))
+    # leaf to root, one table row per shape class: a node's block S_c, its
+    # a = S_c^{-1} z and its F = S_c^{-1} E depend only on its ordered
+    # subtree shape, so each class does the arithmetic of any one member
+    shapes = tree.shape_classes()
+    counts = np.concatenate([c for _, c, _, _ in shapes])
+    bounds = np.cumsum([0] + [len(c) for _, c, _, _ in shapes])
+    links = counts.astype(np.float64)  # degree - 1 ...
+    links[: bounds[1]] -= 1.0  # ... and the root has no parent edge
+    S = np.zeros((counts.shape[0], m, K + 1, K + 1))
     S[:, :, 0, 0] = [ac.nugget for ac in acs]
     S[:, :, 0, 1:] = S[:, :, 1:, 0] = np.sqrt(b2)
     idx = np.arange(1, K + 1)
-    S[:, :, idx, idx] = -(1.0 + (tree.degrees - 1.0)[:, None, None] * (lam * lam)) / one_minus
-    z = np.zeros((n, m, K + 1))
+    S[:, :, idx, idx] = -(1.0 + links[:, None, None] * (lam * lam)) / one_minus
+    z = np.zeros((counts.shape[0], m, K + 1))
     z[:, :, 0] = 1.0
-    F = np.empty_like(S)  # S_c^{-1} E, kept for back substitution
-    runs = tree.level_runs()
-    # every non-root leaf keeps its degree-1 starting blocks, the same for
-    # all of them: invert them once (node n - 1 is always such a leaf)
-    leaf = tree.degrees == 1
+    a_at, f_at = [None] * len(shapes), [None] * len(shapes)
+    ef = ea = None  # E F and E a of the classes one level down
     try:
-        leaf_inv = np.linalg.inv(S[-1])
-        for nodes, _, heads, starts in reversed(runs):
-            inv = np.empty((nodes.shape[0], m, K + 1, K + 1))
-            at_leaf = leaf[nodes]
-            inv[at_leaf] = leaf_inv
-            inv[~at_leaf] = np.linalg.inv(S[nodes[~at_leaf]])
-            a = np.einsum("nmij,nmj->nmi", inv, z[nodes])
-            z[nodes] = a
-            F[nodes] = f = inv * e[:, None, :]
-            S[heads] -= np.add.reduceat(e[:, :, None] * f, starts, axis=0)
-            z[heads] -= np.add.reduceat(e * a, starts, axis=0)
-        z[0] = np.linalg.solve(S[0], z[0][:, :, None])[:, :, 0]
-        for nodes, parents, _, _ in runs:
-            z[nodes] -= np.einsum("nmij,nmj->nmi", F[nodes], z[parents])
+        for depth in range(len(shapes) - 1, -1, -1):
+            _, _, kids, starts = shapes[depth]
+            S_d, z_d = S[bounds[depth] : bounds[depth + 1]], z[bounds[depth] : bounds[depth + 1]]
+            if kids.size:
+                S_d[1:] -= np.add.reduceat(ef[kids], starts, axis=0)
+                z_d[1:] -= np.add.reduceat(ea[kids], starts, axis=0)
+            if depth:
+                inv = np.linalg.inv(S_d)
+                a_at[depth] = a = np.einsum("nmij,nmj->nmi", inv, z_d)
+                f_at[depth] = f = inv * e[:, None, :]
+                ef, ea = e[:, :, None] * f, e * a
+        # root to leaf, one row per node
+        root = shapes[0][0][0]
+        x = np.empty((n, m, K + 1))
+        x[0] = np.linalg.solve(S_d[root], z_d[root][:, :, None])[:, :, 0]
+        for depth, (nodes, parents, _, _) in enumerate(tree.level_runs(), start=1):
+            c = shapes[depth][0]
+            x[nodes] = a_at[depth][c] - np.einsum("nmij,nmj->nmi", f_at[depth][c], x[parents])
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError("covariance has a singular node block") from exc
     results = []
     for k, constant in enumerate(constants):
-        x = z[:, k, 0]
-        total = x.sum()
-        if not (np.all(np.isfinite(x)) and total > 0):
+        xk = x[:, k, 0]
+        total = xk.sum()
+        if not (np.all(np.isfinite(xk)) and total > 0):
             raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
-        weights = x / total
+        weights = xk / total
         estimate = float(weights @ Y[k])
         results.append(GlsResult(estimate=estimate, weights=weights, variance=1.0 / total + constant))
     return results

@@ -442,11 +442,25 @@ def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
     else:
         r = np.empty(0, dtype=np.int64)
         c = np.empty(0, dtype=np.int64)
-    data = np.ones(2 * len(r))
-    mat = sp.csr_array(
-        (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(n, n)
-    )
-    return WeightedGraph._from_symmetric(mat, allow_isolated=True)
+    return WeightedGraph._from_symmetric(_unit_symmetric_csr(n, r, c), allow_isolated=True)
+
+
+def _unit_symmetric_csr(n: int, r: np.ndarray, c: np.ndarray) -> sp.csr_array:
+    """The n x n 0/1 CSR of the undirected edges {r[k], c[k]}, each given once.
+
+    One sort of the 2E directed pairs' row-major keys gives the sorted
+    column indices, and a bincount of the rows gives ``indptr``; both stay
+    int64, the index dtype of scipy's COO conversion, which this skips
+    with its duplicate summing, index sort and format check.
+    """
+    rows = np.concatenate([r, c])
+    keys = np.sort(rows * n + np.concatenate([c, r]))
+    mat = sp.csr_array((n, n))
+    mat.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    mat.indices = keys % n
+    mat.data = np.ones(keys.shape[0])
+    mat.has_canonical_format = True  # sorted within rows, no repeated pair
+    return mat
 
 
 def spectral_decompose(model: TransitionModel) -> SpectralDecomp:

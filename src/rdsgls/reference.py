@@ -52,6 +52,9 @@ def gls_solve(sigma: CovarianceMatrix, Y: np.ndarray) -> GlsResult:
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape[0] != sigma.n:
         raise InvalidParametersError("outcome length must match covariance size")
+    bad = np.flatnonzero(~np.isfinite(Y))
+    if bad.size:
+        raise InvalidParametersError(f"outcome is not finite at node {bad[0]}")
     try:
         chol = scipy.linalg.cho_factor(sigma.matrix, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -222,3 +222,72 @@ def test_prefix_is_valid_subtree():
     sub = tree.prefix(40)
     assert sub.n == 40
     assert np.array_equal(sub.parent, tree.parent[:40])
+
+
+def _ordered_shape(children, node):
+    """Canonical nested tuple of the ordered subtree below ``node``."""
+    return tuple(_ordered_shape(children, c) for c in children[node])
+
+
+def _classes_by_node(tree):
+    """Each node's shape class id, from ``shape_classes`` and ``level_runs``."""
+    shapes = tree.shape_classes()
+    cls = np.empty(tree.n, dtype=np.int64)
+    cls[0] = shapes[0][0][0]
+    for (nodes, _, _, _), (classes, _, _, _) in zip(tree.level_runs(), shapes[1:]):
+        cls[nodes] = classes
+    return cls
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), reach=st.integers(1, 120),
+       fan=st.integers(1, 4))
+def test_shape_classes_are_sound(seed, n, reach, fan):
+    # heap-like parents (t - 1) // fan repeat shapes; random ones break them up
+    rng = np.random.default_rng(seed)
+    parent = np.array([-1] + [
+        (t - 1) // fan if rng.random() < 0.7 else int(rng.integers(max(0, t - reach), t))
+        for t in range(1, n)
+    ])
+    tree = r.ReferralTree(parent)
+    children = [[] for _ in range(n)]
+    for t in range(1, n):
+        children[parent[t]].append(t)
+    shape = [_ordered_shape(children, v) for v in range(n)]
+    cls = _classes_by_node(tree)
+    depths = tree.depths
+    for v in range(n):
+        assert (cls[v] == 0) == (not children[v])
+        for w in range(v):
+            if depths[v] == depths[w] and cls[v] == cls[w]:
+                assert shape[v] == shape[w]
+    # each class's table row lists the child classes of every member
+    for depth, (classes, counts, kids, starts) in enumerate(tree.shape_classes()):
+        assert counts[0] == 0 and len(starts) == len(counts) - 1
+        members = np.flatnonzero(depths == depth)
+        for v in members:
+            c = cls[v]
+            assert counts[c] == len(children[v])
+            if c:
+                assert kids[starts[c - 1] : starts[c - 1] + counts[c]].tolist() == [
+                    cls[k] for k in children[v]
+                ]
+
+
+def test_shape_class_counts():
+    def per_depth(tree):
+        return [(np.unique(classes).tolist(), counts.tolist())
+                for classes, counts, _, _ in tree.shape_classes()]
+
+    binary = per_depth(r.complete_binary_tree(6))
+    assert binary == [([1], [0, 2])] * 5 + [([0], [0])]
+    path = per_depth(r.ReferralTree(np.arange(-1, 9)))
+    assert path == [([1], [0, 1])] * 9 + [([0], [0])]
+    star = per_depth(r.ReferralTree(np.array([-1] + [0] * 7)))
+    assert star == [([1], [0, 7]), ([0], [0])]
+    assert per_depth(r.complete_binary_tree(1)) == [([0], [0])]
+
+
+def test_shape_classes_are_cached():
+    tree = r.complete_binary_tree(4)
+    assert tree.shape_classes() is tree.shape_classes()

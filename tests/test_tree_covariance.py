@@ -274,3 +274,86 @@ def test_stacked_sweep_rejects_mismatched_systems():
         tree_gls_solve_stack(tree, [one, one], Y, (0.0, -1.0))
     with pytest.raises(r.InvalidParametersError, match="at least one"):
         tree_gls_solve_stack(tree, [], Y[:0])
+
+
+@st.composite
+def repetitive_trees(draw, max_n=60):
+    """Trees rich in repeated subtree shapes: heap-like k-ary, brooms, caterpillars, spiders."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["kary", "broom", "caterpillar", "spider"]))
+    k = draw(st.integers(1, 4))
+    t = np.arange(1, n)
+    if kind == "kary":
+        rest = (t - 1) // k
+    elif kind == "broom":
+        handle = draw(st.integers(1, n))
+        rest = np.where(t < handle, t - 1, handle - 1)
+    elif kind == "caterpillar":
+        rest = np.maximum(0, 2 * ((t - 1) // 2) - 1)
+    else:  # k legs of equal length from the root
+        rest = np.where(t <= k, 0, t - k)
+    return r.ReferralTree(np.concatenate(([-1], rest)))
+
+
+@st.composite
+def repeated_shape_systems(draw):
+    """Well-conditioned stacked systems on ``repetitive_trees``."""
+    tree = draw(repetitive_trees())
+    K = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    terms = st.lists(st.tuples(st.floats(0.05, 4.0), st.floats(-0.9, 0.9)), min_size=K, max_size=K)
+    acs = [
+        r.AutoCovariance(terms=tuple(draw(terms)), nugget=draw(st.floats(0.1, 3.0)))
+        for _ in range(m)
+    ]
+    constants = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+    Y = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(m, tree.n))
+    return tree, acs, Y, constants
+
+
+@PROPERTY
+@given(systems=repeated_shape_systems())
+def test_stacked_sweep_matches_dense_reference_on_repeated_shapes(systems):
+    tree, acs, Y, constants = systems
+    for fast, ac, c, y in zip(tree_gls_solve_stack(tree, acs, Y, constants), acs, constants, Y):
+        dense = r.gls_solve(r.CovarianceMatrix(r.build_sigma(tree, ac).matrix + c, tree), y)
+        assert np.allclose(fast.weights, dense.weights, rtol=1e-9, atol=1e-12)
+        assert np.isclose(fast.estimate, dense.estimate, rtol=1e-9, atol=1e-12)
+        assert np.isclose(fast.variance, dense.variance, rtol=1e-9, atol=0)
+
+
+def test_sweep_inverts_one_block_per_shape_class(monkeypatch):
+    # a complete binary tree has one internal shape per depth, so the
+    # elimination inverts O(depth) blocks per system, not one per node
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverted.append(int(np.prod(np.shape(a)[:-2])))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    tree = r.complete_binary_tree(14)
+    assert tree.n == 2**14 - 1
+    m = 3
+    acs = [r.AutoCovariance(terms=((0.5, 0.4), (0.2, -0.3)), nugget=1.0)] * m
+    results = tree_gls_solve_stack(tree, acs, np.ones((m, tree.n)))
+    depth = tree.num_levels - 1
+    assert 0 < sum(inverted) <= 2 * depth * m
+    assert all(abs(res.estimate - 1.0) < 1e-9 for res in results)
+
+
+def test_non_finite_outcomes_are_refused():
+    tree = r.complete_binary_tree(3)
+    ac = r.AutoCovariance(terms=((1.0, 0.5),), nugget=1.0)
+    Y = np.ones((2, tree.n))
+    Y[1, 4] = np.nan
+    with pytest.raises(r.InvalidParametersError, match="row 1 is not finite at node 4"):
+        tree_gls_solve_stack(tree, [ac, ac], Y)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.ones(tree.n)
+        y[2] = bad
+        with pytest.raises(r.InvalidParametersError, match="row 0 is not finite at node 2"):
+            tree_gls_solve(tree, ac, y)
+        with pytest.raises(r.InvalidParametersError, match="not finite at node 2"):
+            r.gls_solve(r.build_sigma(tree, ac), y)
