@@ -453,11 +453,14 @@ def _unit_symmetric_csr(n: int, r: np.ndarray, c: np.ndarray) -> sp.csr_array:
     int64, the index dtype of scipy's COO conversion, which this skips
     with its duplicate summing, index sort and format check.
     """
-    rows = np.concatenate([r, c])
-    keys = np.sort(rows * n + np.concatenate([c, r]))
+    keys = np.concatenate([r, c], dtype=np.int64)
     mat = sp.csr_array((n, n))
-    mat.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    mat.indices = keys % n
+    mat.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+    keys *= n
+    keys += np.concatenate([c, r])
+    keys.sort()
+    keys %= n
+    mat.indices = keys
     mat.data = np.ones(keys.shape[0])
     mat.has_canonical_format = True  # sorted within rows, no repeated pair
     return mat
