@@ -148,10 +148,10 @@ class ReferralTree:
                 ids = {}
                 if depth < len(runs):  # the children of this depth's nodes
                     nodes, _, heads, starts = runs[depth]
-                    kids = cls[nodes].tolist()
-                    bounds = starts.tolist() + [len(kids)]
+                    below = cls[nodes].tolist()
+                    bounds = starts.tolist() + [len(below)]
                     cls[heads] = [
-                        ids.setdefault(tuple(kids[lo:hi]), len(ids) + 1)
+                        ids.setdefault(tuple(below[lo:hi]), len(ids) + 1)
                         for lo, hi in zip(bounds, bounds[1:])
                     ]
                 counts = np.array([0] + [len(key) for key in ids], dtype=np.int64)
