@@ -53,6 +53,7 @@ from .estimators import (
     oracle_gls,
     qhat_spectrum,
     reweight,
+    run_recipe,
     sbm_fgls,
     vh_estimator,
 )

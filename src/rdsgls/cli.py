@@ -17,7 +17,7 @@ import sys
 
 from . import fileio
 from .errors import RdsglsError
-from .estimators import ESTIMATORS, REWEIGHTINGS, _reweighted
+from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, REWEIGHTINGS, Recipe, run_recipe
 from .experiment import emit_diagnostics, figure1_ratio, run_rmse_experiment
 from .sampler import WalkConfig, rds_without_replacement
 from .seeding import DEFAULT_SEED
@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
     if seed_rule.lstrip("-").isdigit():
         seed_rule = int(seed_rule)
     cfg = WalkConfig(
-        offspring_pmf=fileio._parse_pmf(args.offspring),
+        offspring_pmf=fileio.parse_pmf(args.offspring),
         target_n=args.target,
         seed_rule=seed_rule,
         max_restarts=args.max_restarts,
@@ -157,9 +157,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    sample, notes = _reweighted(fileio.read_sample(args.sample), args.reweight)
-    fileio.write_report(PLAIN_ESTIMATORS[args.estimator](sample), args.out)
-    _print_notes(notes)
+    recipe = Recipe(args.reweight, PLAIN_ESTIMATORS[args.estimator])
+    (report,) = run_recipe(recipe, fileio.read_sample(args.sample))
+    fileio.write_report(report, args.out)
+    _print_notes(note for note in report.warnings if note == FGLS_FALLBACK_NOTE)
     return 0
 
 

@@ -3,8 +3,10 @@
 Ranges from the plain sample mean through degree-weighted estimators to
 feasible GLS: covariances estimated from the sample itself, either via a
 blockmodel plug-in over observed labels or via single-geometric-term fits
-to lag statistics.  ``ESTIMATORS`` names each of them together with the
-reweighting step that runs first.
+to lag statistics.  Every estimate runs one path, ``run_recipe``: divide
+the outcomes by estimated sampling weights, then estimate.  A ``Recipe``
+names the two steps, and ``ESTIMATORS`` names the recipes; the command
+line builds its own from its flags.
 """
 
 from __future__ import annotations
@@ -99,8 +101,12 @@ def _single_node_report(name: str, sample: RdsSample) -> EstimateReport:
     )
 
 
-def mean_estimator(sample: RdsSample) -> EstimateReport:
-    """Unweighted sample average."""
+def mean_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
+    """Unweighted sample average.
+
+    It fits no covariance, so it reports no RSE and ignores ``rse``, which
+    every estimator of a ``Recipe`` takes.
+    """
     Y = sample.y
     n = sample.n
     return EstimateReport(
@@ -118,8 +124,11 @@ def _positive_degrees(sample: RdsSample) -> np.ndarray:
     return deg
 
 
-def vh_estimator(sample: RdsSample) -> EstimateReport:
-    """Degree-weighted mean normalized by the harmonic mean of reported degrees."""
+def vh_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
+    """Degree-weighted mean normalized by the harmonic mean of reported degrees.
+
+    Like ``mean_estimator`` it reports no RSE and ignores ``rse``.
+    """
     Y = sample.y
     inv = 1.0 / _positive_degrees(sample)
     weights = inv / inv.sum()
@@ -188,20 +197,26 @@ def lag_statistics(sample: RdsSample, m: float) -> LagStatistics:
     )
 
 
-def _clamp(lam: float) -> float:
-    return float(np.clip(lam, -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP))
-
-
-def _ranktwo_gls(tree, lam: float, Y: np.ndarray):
-    """Estimate and weights for a single-term covariance via the sparse inverse.
+def _single_term_report(name: str, sample: RdsSample, lam: float, beta2: tuple, rse: bool):
+    """GLS under one geometric covariance term, ``lam`` clamped to +/-0.999.
 
     The solve of Sigma x = 1 has the O(n) closed form proportional to
-    1 - lam (deg - 1); the scale drops out of the normalized weights.
+    1 - lam (deg - 1); the scale ``beta2`` drops out of the normalized
+    weights and is only reported.
     """
+    lam = float(min(max(lam, -EIGENVALUE_CLAMP), EIGENVALUE_CLAMP))
+    tree = sample.tree
     x = 1.0 - lam * (tree.degrees - 1.0)
-    total = x.sum()
-    weights = x / total
-    return float(weights @ Y), weights
+    weights = x / x.sum()
+    return EstimateReport(
+        estimator=name,
+        mu_hat=float(weights @ sample.y),
+        eigenvalues=(lam,),
+        beta2=beta2,
+        rse=ranktwo_rse_value(tree, lam) if rse else None,
+        weights=weights,
+        n=sample.n,
+    )
 
 
 def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
@@ -238,7 +253,7 @@ def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     g1 = e_prod - grid * e_sum + grid**2
 
     lam = np.clip(g1 / g0, -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-    # _ranktwo_gls at every grid point, with its weights' sums in closed form
+    # the single-term GLS at every grid point, with its weights' sums in closed form
     excess = tree.degrees - 1.0
     mu = (Y.sum() - lam * (excess @ Y)) / (n - lam * excess.sum())
     gap = np.abs(mu - grid)
@@ -254,18 +269,7 @@ def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
         )
     gap[~ok] = np.inf
     best = int(np.argmin(gap))
-    lam_best = float(lam[best])
-    beta2_best = float(g0[best])
-    mu_best, weights = _ranktwo_gls(tree, lam_best, Y)
-    return EstimateReport(
-        estimator="auto",
-        mu_hat=mu_best,
-        eigenvalues=(lam_best,),
-        beta2=(beta2_best,),
-        rse=ranktwo_rse_value(tree, lam_best) if rse else None,
-        weights=weights,
-        n=n,
-    )
+    return _single_term_report("auto", sample, lam[best], (float(g0[best]),), rse)
 
 
 def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
@@ -276,42 +280,40 @@ def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     The denominator carries a 1/sqrt(n) smoothing term.  Without ``rse``
     the report carries no RSE.
     """
-    Y = sample.y
     n = sample.n
     if n == 1:
         return _single_node_report("delta", sample)
     stats = lag_statistics(sample, 0.0)
-    lam = _clamp((stats.delta2 - stats.delta1) / (stats.delta1 + n**-0.5))
-    mu, weights = _ranktwo_gls(sample.tree, lam, Y)
-    return EstimateReport(
-        estimator="delta",
-        mu_hat=mu,
-        eigenvalues=(lam,),
-        rse=ranktwo_rse_value(sample.tree, lam) if rse else None,
-        weights=weights,
-        n=n,
-    )
+    lam = (stats.delta2 - stats.delta1) / (stats.delta1 + n**-0.5)
+    return _single_term_report("delta", sample, lam, (), rse)
 
 
 def _tree_gls(tree, acs, Y: np.ndarray, constants, rse: bool = True) -> list:
-    """Estimate, weights and printed-variant RSE of each stacked system.
+    """Estimate, weights and printed-variant RSE of each stacked system, or None.
 
     System i is ``acs[i]`` plus ``constants[i]`` 11' with outcome row
-    ``Y[i]``; the covariances share a term count and one tree sweep.
-    Without ``rse`` each RSE is None and its covariance-mass sweep is
-    skipped.  Raises if any system is singular.
+    ``Y[i]``; the covariances share a term count and one tree sweep.  A
+    system that is singular, or whose solve is refused, gives None: a stack
+    that fails is solved again one system at a time, so every other system
+    keeps its stacked bits.  Without ``rse`` each RSE is None and its
+    covariance-mass sweep is skipped.
     """
-    results = tree_gls_solve_stack(tree, acs, Y, constants)
     n = tree.n
-    return [
-        (
-            res.estimate,
-            res.weights,
-            printed_rse(res.variance, tree_covariance_mass(tree, ac) + c * n * n, n)
-            if rse else None,
-        )
-        for res, ac, c in zip(results, acs, constants)
-    ]
+    try:
+        results = tree_gls_solve_stack(tree, acs, Y, constants)
+        masses = [tree_covariance_mass(tree, ac) + c * n * n if rse else None
+                  for ac, c in zip(acs, constants)]
+        return [
+            (res.estimate, res.weights, printed_rse(res.variance, mass, n) if rse else None)
+            for res, mass in zip(results, masses)
+        ]
+    except (SingularCovarianceError, InvalidParametersError):
+        if len(acs) == 1:
+            return [None]
+        return [
+            _tree_gls(tree, [ac], Y[i : i + 1], [c], rse)[0]
+            for i, (ac, c) in enumerate(zip(acs, constants))
+        ]
 
 
 def qhat_spectrum(counts: np.ndarray):
@@ -407,100 +409,53 @@ def _block_spectrum(sample: RdsSample, labels: np.ndarray):
     return cache[key]
 
 
-class _BlockmodelFit(NamedTuple):
-    """One column's plug-in covariance; ``ac`` is None when it was refused."""
-
-    Y: np.ndarray
-    k_eff: int
-    notes: tuple
-    lam_clamped: np.ndarray
-    beta2: np.ndarray
-    nugget: float
-    ac: AutoCovariance | None
-    constant: float
-
-
-def _blockmodel_fit(sample: RdsSample, labels: np.ndarray, Y: np.ndarray) -> _BlockmodelFit:
-    """The outcome's loadings on the labels' spectrum, as a plug-in covariance."""
-    n = sample.n
-    k_eff, notes, vals, f_hat = _block_spectrum(sample, labels)
-    beta_hat = f_hat.T @ Y / n
-    # the leading eigenvalue is 1 by construction: its spectral term is a
-    # multiple of the all-ones matrix, which leaves the GLS weights
-    # untouched; clamping the rest keeps the solve definite
-    lam_clamped = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-    s2 = float(Y.var(ddof=1))
-    try:
-        # loadings or a nugget that overflow to inf are refused here; the
-        # solve they would feed is singular
-        ac = AutoCovariance(terms=tuple(zip(beta_hat[1:] ** 2, lam_clamped)), nugget=s2)
-    except (SingularCovarianceError, InvalidParametersError):
-        ac = None
-    return _BlockmodelFit(
-        Y, k_eff, notes, lam_clamped, beta_hat[1:] ** 2, s2, ac, float(beta_hat[0] ** 2)
-    )
-
-
-def _isolated_tree_gls(tree, fits: list, rse: bool) -> list:
-    """``_tree_gls`` of the fits' covariances, None for each singular one.
-
-    A stack that fails is solved again one fit at a time, so only the
-    failing fits get None and every other fit keeps its stacked bits.
-    """
-    try:
-        return _tree_gls(
-            tree, [fit.ac for fit in fits], np.stack([fit.Y for fit in fits]),
-            [fit.constant for fit in fits], rse,
-        )
-    except (SingularCovarianceError, InvalidParametersError):
-        if len(fits) == 1:
-            return [None]
-        return [_isolated_tree_gls(tree, [fit], rse)[0] for fit in fits]
-
-
 def _blockmodel_gls_columns(sample: RdsSample, columns: list, labels: list, rse: bool) -> list:
     """``sbm_fgls`` of each outcome column over its labels, one report per column.
 
     ``columns[i]`` is estimated over ``labels[i]``, already checked by
     ``_block_labels``; the sample gives the tree, the degrees and nothing
-    else.  Columns whose covariances share a term count share one stacked
-    tree sweep, and a column whose covariance is singular falls back to the
-    sample mean alone.  Each report is the one-column call's, bit for bit.
-    Without ``rse`` the reports carry no RSE.
+    else.  Each column's loadings on its labels' spectrum make its plug-in
+    covariance; columns whose covariances share a term count share one
+    stacked tree sweep, and a column whose covariance is refused or
+    singular falls back to the sample mean alone.  Each report is the
+    one-column call's, bit for bit.  Without ``rse`` the reports carry no
+    RSE.
     """
     n = sample.n
     if n == 1:
         return [_single_node_report("sbm", sample.with_outcome_values(Y)) for Y in columns]
-    fits = [_blockmodel_fit(sample, lab, Y) for Y, lab in zip(columns, labels)]
-    stacks: dict = {}
-    for i, fit in enumerate(fits):
-        if fit.ac is not None:
-            stacks.setdefault(len(fit.ac.terms), []).append(i)
-    solved = [None] * len(fits)
+    fields, stacks = [], {}
+    for i, (Y, blocks) in enumerate(zip(columns, labels)):
+        k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
+        beta_hat = f_hat.T @ Y / n
+        # the leading eigenvalue is 1 by construction: its spectral term is a
+        # multiple of the all-ones matrix, which leaves the GLS weights
+        # untouched; clamping the rest keeps the solve definite
+        lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
+        beta2 = beta_hat[1:] ** 2
+        nugget = float(Y.var(ddof=1))
+        fields.append({"eigenvalues": tuple(lam), "beta2": tuple(beta2), "nugget": nugget,
+                       "K": k_eff, "warnings": notes})
+        try:
+            # loadings or a nugget that overflow to inf are refused here; the
+            # solve they would feed is singular
+            ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
+        except (SingularCovarianceError, InvalidParametersError):
+            continue
+        stacks.setdefault(len(ac.terms), []).append((i, ac, float(beta_hat[0] ** 2)))
+    solved = [None] * len(columns)
     for members in stacks.values():
-        for i, out in zip(members, _isolated_tree_gls(sample.tree, [fits[i] for i in members], rse)):
+        rows, acs, constants = zip(*members)
+        Y = np.stack([columns[i] for i in rows])
+        for i, out in zip(rows, _tree_gls(sample.tree, acs, Y, constants, rse)):
             solved[i] = out
     reports = []
-    for fit, out in zip(fits, solved):
-        notes = fit.notes
+    for Y, kw, out in zip(columns, fields, solved):
         if out is None:
-            notes += ("estimated covariance was singular; fell back to the sample mean",)
-            out = (float(fit.Y.mean()), np.full(n, 1.0 / n), None)
+            kw["warnings"] += ("estimated covariance was singular; fell back to the sample mean",)
+            out = (float(Y.mean()), np.full(n, 1.0 / n), None)
         mu, weights, rse_value = out
-        reports.append(
-            EstimateReport(
-                estimator="sbm",
-                mu_hat=mu,
-                eigenvalues=tuple(fit.lam_clamped),
-                beta2=tuple(fit.beta2),
-                nugget=fit.nugget,
-                rse=rse_value,
-                weights=weights,
-                n=n,
-                K=fit.k_eff,
-                warnings=notes,
-            )
-        )
+        reports.append(EstimateReport("sbm", mu, rse=rse_value, weights=weights, n=n, **kw))
     return reports
 
 
@@ -517,14 +472,12 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     ac = AutoCovariance.from_spectrum(beta, spec.eigenvalues)
     if n == 1:
         return _single_node_report("oracle_gls", sample.with_outcome_values(Y))
-    try:
-        ((mu, weights, rse),) = _tree_gls(sample.tree, (ac,), Y[None], (0.0,))
-        notes = ()
-    except SingularCovarianceError:
-        mu = float(Y.mean())
-        weights = np.full(n, 1.0 / n)
-        rse = None
+    (out,) = _tree_gls(sample.tree, (ac,), Y[None], (0.0,))
+    notes = ()
+    if out is None:
+        out = (float(Y.mean()), np.full(n, 1.0 / n), None)
         notes = ("exact covariance singular (outcome spectrally flat); used the mean",)
+    mu, weights, rse = out
     return EstimateReport(
         estimator="oracle_gls",
         mu_hat=mu,
@@ -543,26 +496,34 @@ FGLS_FALLBACK_NOTE = (
 )
 
 
-def _reweighted(sample: RdsSample, policy: str, labels: np.ndarray | None = None):
-    """``reweight``'s sample and its notes: ``(sample, notes)``.
+def _reweighted_samples(policy: str, samples: list, labels) -> tuple:
+    """The reweight step of ``run_recipe`` on samples that share a tree and degrees.
 
-    The notes are a tuple of strings, ``(FGLS_FALLBACK_NOTE,)`` when the
-    ``fgls`` normalizer fell back to the harmonic mean and empty otherwise.
+    Returns each sample with its outcomes divided by its estimated sampling
+    weights (outcomes that overflow raise), its ``fgls`` block labels (none
+    for ``vh``) and its notes: ``(FGLS_FALLBACK_NOTE,)`` where the harmonic
+    mean took over.  Samples are checked in turn, each as its one-sample
+    run checks it (``fgls``: ``labels``, then the degrees and the blocks).
     """
-    if policy == "none":
-        return sample, ()
-    deg = _positive_degrees(sample)
-    inv = 1.0 / deg
-    notes = ()
-    if policy == "vh":
-        h_inv = inv.mean()
-    elif policy == "fgls":
-        ((h_inv, fell_back),) = _inverse_degree_scales(sample, inv, [_block_labels(sample, labels)])
-        if fell_back:
-            notes = (FGLS_FALLBACK_NOTE,)
-    else:
+    if policy not in ("vh", "fgls"):
         raise InvalidParametersError(f"unknown reweighting {policy!r}")
-    return sample.with_outcome_values(sample.y / (h_inv * deg)), notes
+    blocks = []
+    for sample in samples:
+        raw = None if labels is None or policy == "vh" else labels(sample)
+        _positive_degrees(sample)
+        if policy == "fgls":
+            blocks.append(_block_labels(sample, raw))
+    inv = 1.0 / samples[0].degree
+    if policy == "vh":
+        scales = [(inv.mean(), False)] * len(samples)
+    else:
+        scales = _inverse_degree_scales(samples[0], inv, blocks)
+    weighted = [
+        sample.with_outcome_values(sample.y / (h_inv * sample.degree))
+        for sample, (h_inv, _) in zip(samples, scales)
+    ]
+    notes = [(FGLS_FALLBACK_NOTE,) if fell_back else () for _, fell_back in scales]
+    return weighted, blocks, notes
 
 
 def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -> RdsSample:
@@ -574,11 +535,13 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     stationary mean of 1/degree) by the blockmodel GLS on the inverse
     degrees over ``labels`` (default: the sample's blocks); if that
     estimate is not positive the plain harmonic mean takes over, with a
-    ``RuntimeWarning`` on every such call (``apply_estimator`` and the
-    command line carry that note as a value instead).  Both reject
-    non-positive degrees.
+    ``RuntimeWarning`` on every such call (``run_recipe`` carries that note
+    in the report instead).  Both reject non-positive degrees.  This is the
+    reweight step of ``run_recipe``.
     """
-    out, notes = _reweighted(sample, policy, labels)
+    if policy == "none":
+        return sample
+    (out,), _, (notes,) = _reweighted_samples(policy, [sample], lambda _: labels)
     for note in notes:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
     return out
@@ -620,11 +583,12 @@ def _encode_outcome_blocks(sample: RdsSample) -> np.ndarray:
 
 
 class Recipe(NamedTuple):
-    """A named estimator: reweight the outcomes, then estimate.
+    """An estimator as ``run_recipe`` runs it: reweight the outcomes, then estimate.
 
-    ``labels`` maps a sample to the block labels that both the ``fgls``
-    reweighting and the blockmodel estimator use; without it they use the
-    sample's own blocks.
+    ``reweight`` names a policy of ``reweight``; ``estimate`` takes the
+    reweighted sample and a keyword-only ``rse``.  ``labels`` maps a sample
+    to the block labels of the ``fgls`` reweighting, which a blockmodel
+    estimator then uses too; without it both use the sample's own blocks.
     """
 
     reweight: str
@@ -643,63 +607,47 @@ ESTIMATORS = {
 REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.values()))
 
 
-def _checked_blocks(sample: RdsSample, labels) -> np.ndarray:
-    """A column's ``fgls`` block labels, checked as its one-column run checks them.
+def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = True) -> list:
+    """Reweight, then estimate: the one path of every estimate, one report per column.
 
-    The order is that run's: the recipe's ``labels``, the degrees, then the
-    label array.  Columns checked in turn thus raise the error the first
-    failing column raises on its own.  (The referral spectrum that follows
-    fails alike for every column with the same labels, and outcome-value
-    labels always number their blocks 0..k-1.)
+    Runs on the sample's own outcome (a ``none`` recipe on the sample as
+    given), or once per outcome column of ``columns``.  The reweighting's
+    note comes first in a report's ``warnings``; nothing is warned.
+    Without ``rse`` the estimators that fit a covariance report no RSE and
+    skip its work; every other field and the weights are the same bits.
+    With ``fgls`` and ``sbm_fgls`` all columns run in two stacked stages:
+    every uncached inverse-degree normalizer, then every column's
+    blockmodel GLS.  A column that is singular falls back alone, and a
+    column that raises raises what it raises on its own.
     """
-    raw = None if labels is None else labels(sample)
-    _positive_degrees(sample)
-    return _block_labels(sample, raw)
-
-
-def _with_notes(report: EstimateReport, notes: tuple) -> EstimateReport:
-    return replace(report, warnings=notes + report.warnings) if notes else report
-
-
-def _estimate_columns(name: str, samples: list, rse: bool) -> list:
-    """``apply_estimator`` on each of ``samples``, which share a tree, degrees and blocks."""
-    if name not in ESTIMATORS:
-        raise InvalidParametersError(f"unknown estimator {name!r}")
-    policy, estimate, labels = ESTIMATORS[name]
-    if policy != "fgls":
-        options = {} if policy == "none" else {"rse": rse}
-        reports = []
-        for sample in samples:
-            reweighted, notes = _reweighted(sample, policy)
-            reports.append(_with_notes(estimate(reweighted, **options), notes))
-        return reports
-    # every fgls recipe estimates with sbm_fgls over the labels it reweights
-    # with: both stages run once for all columns
-    if not samples:
-        return []
-    blocks = [_checked_blocks(sample, labels) for sample in samples]
-    first = samples[0]
-    scales = _inverse_degree_scales(first, 1.0 / first.degree, blocks)
-    columns = [sample.y / (h_inv * sample.degree) for sample, (h_inv, _) in zip(samples, scales)]
-    reports = _blockmodel_gls_columns(first, columns, blocks, rse)
+    policy, estimate, labels = recipe
+    samples = [sample] if columns is None else [sample.with_outcome_values(y) for y in columns]
+    if policy == "none" or not samples:
+        return [estimate(s, rse=rse) for s in samples]
+    weighted, blocks, notes = _reweighted_samples(policy, samples, labels)
+    if policy == "fgls" and estimate is sbm_fgls:
+        reports = _blockmodel_gls_columns(sample, [w.y for w in weighted], blocks, rse)
+    else:
+        reports = [estimate(w, rse=rse) for w in weighted]
     return [
-        _with_notes(report, (FGLS_FALLBACK_NOTE,) if fell_back else ())
-        for report, (_, fell_back) in zip(reports, scales)
+        replace(report, warnings=note + report.warnings) if note else report
+        for report, note in zip(reports, notes)
     ]
 
 
-def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
-    """Run the named estimator of ``ESTIMATORS`` on its reweighted sample.
+def _named(name: str) -> Recipe:
+    if name not in ESTIMATORS:
+        raise InvalidParametersError(f"unknown estimator {name!r}")
+    return ESTIMATORS[name]
 
-    A reweighting note comes first in the report's ``warnings``; nothing
-    is warned.  Without ``rse`` the estimators that fit a covariance
-    (every one that reweights first) skip their RSE: ``auto`` and
-    ``delta`` skip ``ranktwo_rse_value``, ``sbm_y`` and ``sbm_z`` the
-    ``tree_covariance_mass`` sweep.  Their report's ``rse`` is then None;
-    every other field and the weights are the same bits.  This is the
-    one-column case of ``apply_estimator_columns``.
+
+def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
+    """``run_recipe`` of the named recipe of ``ESTIMATORS`` on the sample.
+
+    Without ``rse``, ``auto`` and ``delta`` skip ``ranktwo_rse_value``,
+    ``sbm_y`` and ``sbm_z`` the ``tree_covariance_mass`` sweep.
     """
-    return _estimate_columns(name, [sample], rse)[0]
+    return run_recipe(_named(name), sample, rse=rse)[0]
 
 
 def apply_estimator_columns(
@@ -708,13 +656,8 @@ def apply_estimator_columns(
     """``apply_estimator`` on the sample once per outcome column, one report per column.
 
     Report i equals ``apply_estimator(name, sample.with_outcome_values(
-    columns[i]), rse=rse)`` in every field and every bit of its weights.
-    The columns share the sample's tree, so the ``fgls`` recipes (``sbm_y``
-    and ``sbm_z``) solve all of them in two stacked stages: first every
-    uncached inverse-degree normalizer, one per distinct label array, then
-    every reweighted column's blockmodel GLS, each stage one tree sweep per
-    term count.  A column whose covariance is singular falls back alone,
-    with its own note, and a column that raises raises the error the first
-    failing column raises on its own.
+    columns[i]), rse=rse)`` in every field and every bit of its weights;
+    ``sbm_y`` and ``sbm_z`` solve all columns in stacked stages
+    (``run_recipe``).
     """
-    return _estimate_columns(name, [sample.with_outcome_values(col) for col in columns], rse)
+    return run_recipe(_named(name), sample, columns, rse=rse)

@@ -13,15 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import presets
 from .errors import InvalidParametersError, ParseError
 from .estimators import EstimateReport
 from .experiment import DiagnosticDataset, ExperimentConfig, OutcomeSpec, RmseTable
-from .netmodel import DcSbmParams, WeightedGraph
-from .presets import OFFSPRING_PRESETS, table1_block_proportions, table1_symmetrized
+from .netmodel import WeightedGraph
+from .presets import OFFSPRING_PRESETS, dcsbm_params, table1_block_proportions, table1_symmetrized
 from .referral import ReferralTree, probability_vector
 from .sampler import RdsSample, WalkConfig
-from .seeding import STREAM_NETWORK, as_rng
 
 CSV_FLOAT = "%.10g"
 JSON_FLOAT = "%.17g"
@@ -404,7 +402,8 @@ def write_figure1(rows, path):
 # ------------------------------------------------------------------ configs
 
 
-def _parse_pmf(text: str) -> tuple:
+def parse_pmf(text: str) -> tuple:
+    """An offspring pmf: a preset name of ``OFFSPRING_PRESETS`` or a list of probabilities."""
     if text in OFFSPRING_PRESETS:
         return tuple(OFFSPRING_PRESETS[text])
     try:
@@ -425,6 +424,12 @@ def _parse_outcome(name: str, text: str) -> OutcomeSpec:
         return OutcomeSpec(kind=kind, values=values)
     except ValueError as exc:
         raise InvalidParametersError(f"outcome {name!r} = {text!r}: {exc}") from None
+
+
+def _theta_kind(text: str) -> str:
+    if text not in ("gamma", "uniform"):
+        raise ValueError("must be gamma or uniform")
+    return text
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -450,7 +455,8 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
 
     Sections: [network] (dcsbm parameters or edge-list paths), [outcomes]
     (name = kind:args), [walk], [estimators], [run].  Paths are resolved
-    relative to the config file.  A number that does not parse is an
+    relative to the config file.  A number that does not parse, or a
+    ``[network] theta`` other than ``gamma`` or ``uniform``, is an
     ``InvalidParametersError`` naming its ``[section] key``.
     """
     parser = configparser.ConfigParser()
@@ -469,7 +475,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     walk_sec = parser["walk"] if parser.has_section("walk") else {}
     preferential = _setting(parser, "walk", "preferential_weight", 1.0, float)
     walk = WalkConfig(
-        offspring_pmf=_parse_pmf(str(walk_sec.get("offspring", "survey"))),
+        offspring_pmf=parse_pmf(str(walk_sec.get("offspring", "survey"))),
         # at least 1, so that ExperimentConfig names empty or bad sizes itself
         target_n=max((1, *sizes)),
         seed_rule=str(walk_sec.get("seed_rule", "degree_proportional")),
@@ -487,8 +493,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
         degree = _setting(parser, "network", "expected_degree", 30.0, float)
         S = _setting(parser, "network", "block_matrix", "table1",
                      lambda t: table1_symmetrized() if t == "table1" else _parse_matrix(t))
-        theta_kind = str(net.get("theta", "gamma"))
-        S = presets.scaled_block_matrix(S, nodes, degree)
+        theta = _setting(parser, "network", "theta", "gamma", _theta_kind)
         p = _setting(
             parser, "network", "proportions", "table1",
             lambda t: table1_block_proportions() if t == "table1"
@@ -499,14 +504,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
                 f"proportions gives {p.size} values for the {S.shape[0]} blocks of block_matrix"
             )
         p = probability_vector(p, "proportions")
-        sizes_z = presets.block_sizes(p, nodes)
-        z = np.repeat(np.arange(len(sizes_z)), sizes_z)
-        theta = (
-            presets.gamma_theta(z, as_rng(seed, STREAM_NETWORK))
-            if theta_kind == "gamma"
-            else presets.uniform_theta(z)
-        )
-        dcsbm = DcSbmParams(z=z, theta=theta, B=S)
+        dcsbm = dcsbm_params(S, p, nodes, degree, seed, heterogeneous=theta == "gamma")
     elif source == "edgelist":
         graph = read_edge_list(base / net.get("edges"), allow_isolated=True)
         attrs = net.get("attributes")

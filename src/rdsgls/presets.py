@@ -100,6 +100,23 @@ def uniform_theta(z: np.ndarray) -> np.ndarray:
     return 1.0 / counts[z]
 
 
+def dcsbm_params(
+    S, proportions, num_nodes: int, expected_degree: float, rng_seed=0, heterogeneous=True
+) -> DcSbmParams:
+    """Blockmodel parameters from an affinity skeleton ``S`` and group shares.
+
+    Groups of ``block_sizes`` nodes are labeled in order; propensities are
+    ``gamma_theta`` on the ``STREAM_NETWORK`` stream of ``rng_seed``, or
+    ``uniform_theta`` when not ``heterogeneous``; ``S`` is scaled to the
+    expected degree.
+    """
+    sizes = block_sizes(proportions, num_nodes)
+    z = np.repeat(np.arange(len(sizes)), sizes)
+    theta = gamma_theta(z, as_rng(rng_seed, STREAM_NETWORK)) if heterogeneous else uniform_theta(z)
+    B = scaled_block_matrix(S, num_nodes, expected_degree)
+    return DcSbmParams(z=z, theta=theta, B=B)
+
+
 def table1_dcsbm(
     num_nodes: int,
     expected_degree: float = 30.0,
@@ -107,15 +124,8 @@ def table1_dcsbm(
     heterogeneous: bool = True,
 ) -> DcSbmParams:
     """Blockmodel parameters reproducing the published simulation design."""
-    sizes = block_sizes(table1_block_proportions(), num_nodes)
-    z = np.repeat(np.arange(3), sizes)
-    if heterogeneous:
-        rng = as_rng(rng_seed, STREAM_NETWORK)
-        theta = gamma_theta(z, rng)
-    else:
-        theta = uniform_theta(z)
-    B = scaled_block_matrix(table1_symmetrized(), num_nodes, expected_degree)
-    return DcSbmParams(z=z, theta=theta, B=B)
+    S, shares = table1_symmetrized(), table1_block_proportions()
+    return dcsbm_params(S, shares, num_nodes, expected_degree, rng_seed, heterogeneous)
 
 
 def table1_fixture_tree():

@@ -502,3 +502,21 @@ def test_unparsed_config_numbers_exit_two(tmp_path, capsys, section, key, value)
     assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = {value!r}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["gama", "Gamma", "", "uniform gamma"])
+@pytest.mark.parametrize("command", ["experiment", "gen-graph"])
+def test_unknown_theta_exits_two(tmp_path, capsys, command, theta):
+    cfg = _config_with(tmp_path, "network", "theta", theta)
+    if command == "experiment":
+        outs = [tmp_path / "rmse.csv"]
+        argv = ["experiment", "--config", str(cfg), "--out", str(outs[0])]
+    else:
+        outs = [tmp_path / "edges.txt", tmp_path / "attrs.csv"]
+        argv = ["gen-graph", "--config", str(cfg), "--out-edges", str(outs[0]),
+                "--out-attributes", str(outs[1])]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: [network] theta = {theta!r}: must be gamma or uniform\n"
+    )
+    assert not any(out.exists() for out in outs)

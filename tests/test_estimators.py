@@ -765,3 +765,16 @@ def test_a_stack_raises_what_the_first_failing_column_raises(many_first):
     loop = _outcome(_one_column_loop("sbm_y", sample, columns))
     assert loop[0] is want
     assert _outcome(_stacked("sbm_y", _cold(sample), columns)) == loop
+
+
+@pytest.mark.parametrize("name", [name for name, recipe in r.ESTIMATORS.items()
+                                  if recipe.reweight != "none"])
+def test_a_reweighted_outcome_that_overflows_raises(name):
+    # y / (h_inv * degree) passes 1.8e308 at the root: every reweighting
+    # rejects it, as the reweighted sample's outcomes are not finite
+    tree = r.complete_binary_tree(4)
+    y = np.where(np.arange(tree.n) == 0, 1e308, 1.0)
+    sample = make_sample(tree, y, degree=np.r_[1.0, np.full(tree.n - 1, 100.0)],
+                         block=np.arange(tree.n) % 3)
+    with np.errstate(all="ignore"), pytest.raises(r.InvalidSampleError, match="finite"):
+        r.apply_estimator(name, sample)

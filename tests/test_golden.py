@@ -8,6 +8,7 @@ labels attached.  The digests were recorded before the estimator table
 replaced the per-caller dispatch code.
 """
 
+import contextlib
 import hashlib
 import warnings
 from dataclasses import replace
@@ -134,8 +135,8 @@ def test_estimate_fgls_fallback_stderr(tmp_path, capsys):
                          "--reweight", "fgls", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().err == FALLBACK_LINE
-    # the note goes to standard error, not into the report
-    assert '"warnings": []' in out.read_text()
+    # the note goes to standard error and leads the report's warnings
+    assert f'"warnings": ["{estimators.FGLS_FALLBACK_NOTE}"]' in out.read_text()
 
 
 def test_diagnose_failing_estimator_stderr(tmp_path, capsys):
@@ -205,3 +206,29 @@ def test_experiment_rmse_rows_repr(tmp_path):
     cfg.write_text(EXPERIMENT_CONFIG)
     rows = r.run_rmse_experiment(fileio.load_experiment_config(cfg)).rows
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == RMSE_ROWS_REPR_SHA256
+
+
+# the flag pairs of `rdsgls estimate` that name a recipe of the estimator table
+RECIPE_FLAGS = {
+    "mean": ("mean", "none"),
+    "vh": ("vh", "none"),
+    "auto": ("auto", "vh"),
+    "delta": ("delta", "vh"),
+    "sbm_z": ("sbm", "fgls"),
+}
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("name", sorted(RECIPE_FLAGS))
+def test_estimate_report_is_the_named_recipes(tmp_path, capsys, name, fallback):
+    estimator, reweight = RECIPE_FLAGS[name]
+    out = tmp_path / "report.json"
+    argv = ["estimate", "--sample", str(SAMPLE), "--estimator", estimator,
+            "--reweight", reweight, "--out", str(out)]
+    with _inverse_degrees_not_positive() if fallback else contextlib.nullcontext():
+        assert dispatch(argv) == 0
+        report = r.apply_estimator(name, fileio.read_sample(SAMPLE))
+    assert out.read_text() == fileio.report_to_json(report)
+    fell_back = fallback and reweight == "fgls"
+    assert capsys.readouterr().err == (FALLBACK_LINE if fell_back else "")
+    assert report.warnings[:1] == ((estimators.FGLS_FALLBACK_NOTE,) if fell_back else ())

@@ -1,6 +1,6 @@
 """The dense reference stays outside the library's import graph, no library
-module reaches into numpy's private modules, and none changes the
-process-wide warnings filters."""
+module reaches into numpy's private modules or another library module's
+private names, and none changes the process-wide warnings filters."""
 
 import ast
 from pathlib import Path
@@ -123,3 +123,54 @@ def test_filter_edits_finds_each_form():
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_no_module_changes_the_warnings_filters(name):
     assert filter_edits(SOURCES[name]) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_library_names(module: ast.Module) -> list:
+    """Underscore names of the package that a module imports, or reads as ``module._name``."""
+    names, modules = set(), set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "rdsgls"):
+            base = "." * node.level + (node.module or "")
+            names.update(f"{base}.{a.name}" for a in node.names if _private(a.name))
+            if node.module in (None, "rdsgls"):
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.asname or a.name.split(".")[0] for a in node.names
+                if a.name.split(".")[0] == "rdsgls"
+            )
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in modules and any(map(_private, chain)):
+                names.add(".".join([value.id, *reversed(chain)]))
+    return sorted(names)
+
+
+def test_private_library_names_finds_each_form():
+    source = (
+        "from .estimators import ESTIMATORS, _reweighted\n"
+        "from rdsgls.fileio import _parse_pmf\n"
+        "from . import fileio\n"
+        "import rdsgls.presets as p\n"
+        "import rdsgls\n"
+        "fileio._parse_matrix('1'); fileio.read_sample; p._ZERO_SHARE; rdsgls.cli._COMMANDS\n"
+        "np._core; self._cache; fileio.__doc__\n"
+    )
+    assert private_library_names(ast.parse(source)) == [
+        ".estimators._reweighted", "fileio._parse_matrix", "p._ZERO_SHARE",
+        "rdsgls.cli._COMMANDS", "rdsgls.fileio._parse_pmf",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_module_uses_another_modules_private_names(name):
+    assert private_library_names(SOURCES[name]) == []
