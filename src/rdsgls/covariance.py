@@ -103,7 +103,7 @@ class GlsResult:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
-        if abs(w.sum() - 1.0) > 1e-10:
+        if not abs(w.sum() - 1.0) <= 1e-10:
             raise InvalidParametersError("GLS weights must sum to one")
         if not self.variance > 0:
             raise SingularCovarianceError("GLS variance must be positive")

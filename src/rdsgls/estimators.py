@@ -57,7 +57,7 @@ class EstimateReport:
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             object.__setattr__(self, "weights", w)
-            if abs(w.sum() - 1.0) > 1e-10:
+            if not abs(w.sum() - 1.0) <= 1e-10:
                 raise InvalidParametersError("report weights must sum to one")
 
     def to_dict(self) -> dict:

@@ -1,7 +1,10 @@
 """File formats: edge lists, attribute and sample CSVs, reports, configs.
 
 Numeric formatting is pinned for reproducible artifacts: CSV floats carry
-10 significant digits, JSON floats 17.
+10 significant digits, JSON floats 17.  Every CSV table is written by
+``_write_csv``, each cell through ``fmt_csv``.  A sample CSV is read by
+one ``np.loadtxt`` call, or row by row by ``csv`` where that call might
+read it differently.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .netmodel import WeightedGraph
 from .presets import OFFSPRING_PRESETS, dcsbm_params, table1_block_proportions, table1_symmetrized
 from .referral import ReferralTree, probability_vector
 from .sampler import RdsSample, WalkConfig
+from .seeding import DEFAULT_SEED
 
 CSV_FLOAT = "%.10g"
 JSON_FLOAT = "%.17g"
@@ -29,6 +33,14 @@ def fmt_csv(x) -> str:
     if isinstance(x, (float, np.floating)):
         return CSV_FLOAT % float(x)
     return str(x)
+
+
+def _write_csv(path, header, rows):
+    """Write ``header``, then each row of ``rows`` with every cell through ``fmt_csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(fmt_csv, row) for row in rows)
 
 
 # ---------------------------------------------------------------- edge lists
@@ -86,20 +98,13 @@ def write_attributes(path, blocks=None, block_names=None, outcomes=None):
         n = len(blocks)
     if n is None:
         raise InvalidParametersError("nothing to write")
-    header = ["node"]
+    header, columns = ["node"], [range(n)]
     if blocks is not None:
         header.append("block")
-    header.extend(outcomes.keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n):
-            row = [i]
-            if blocks is not None:
-                b = blocks[i]
-                row.append(block_names[b] if block_names is not None else b)
-            row.extend(fmt_csv(col[i]) for col in outcomes.values())
-            writer.writerow(row)
+        columns.append(blocks if block_names is None else [block_names[b] for b in blocks])
+    header.extend(outcomes)
+    columns.extend(outcomes.values())
+    _write_csv(path, header, zip(*columns, strict=True))
 
 
 def read_attributes(path):
@@ -160,36 +165,25 @@ SAMPLE_HEADER = ["node", "parent", "pop_node", "y", "degree", "block"]
 
 
 def write_sample(sample: RdsSample, path, block_names=None):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_HEADER)
-        for tau in range(sample.n):
-            if sample.block is None:
-                block = ""
-            elif block_names is not None:
-                block = block_names[sample.block[tau]]
-            else:
-                block = int(sample.block[tau])
-            writer.writerow(
-                [
-                    tau,
-                    int(sample.tree.parent[tau]),
-                    int(sample.node[tau]),
-                    "" if sample.outcome is None else fmt_csv(sample.outcome[tau]),
-                    fmt_csv(sample.degree[tau]),
-                    block,
-                ]
-            )
+    blank = [""] * sample.n
+    if sample.block is None:
+        blocks = blank
+    elif block_names is not None:
+        blocks = [block_names[b] for b in sample.block]
+    else:
+        blocks = sample.block.tolist()
+    y = blank if sample.outcome is None else sample.outcome.tolist()
+    columns = (sample.tree.parent.tolist(), sample.node.tolist(), y, sample.degree.tolist())
+    _write_csv(path, SAMPLE_HEADER, zip(range(sample.n), *columns, blocks))
 
 
 def read_sample(path) -> RdsSample:
     """Read a sample CSV as written by ``write_sample``.
 
-    The body is parsed column by column in numpy's C tokenizer. Anything
-    that tokenizer would not read exactly as ``csv``, ``int`` and ``float``
-    do goes to the row-by-row parser, which returns the same columns or
-    raises the ``ParseError`` naming the file and line; so does every body
-    on a numpy whose tokenizer reads ``9.0`` as an integer.  No warnings
+    The body is parsed in one pass of numpy's C tokenizer. Anything that
+    tokenizer would not read exactly as ``csv``, ``int`` and ``float`` do
+    goes to the row-by-row parser, which returns the same columns or
+    raises the ``ParseError`` naming the file and line.  No warnings
     filter is touched.
     """
     with open(path, newline="") as fh:
@@ -205,68 +199,48 @@ def read_sample(path) -> RdsSample:
     return _sample_from_columns(path, *columns)
 
 
-_SAMPLE_NUMBERS = [
-    ("node", "i8"), ("parent", "i8"), ("pop_node", "i8"), ("y", "f8"), ("degree", "f8")
-]
+_SAMPLE_DTYPE = [("node", "i8"), ("parent", "i8"), ("pop_node", "i8"), ("y", "f8"),
+                 ("degree", "f8"), ("block", object)]
+# the same table with y read as text, to tell a blank outcome column from a bad one
+_BLANK_Y_DTYPE = [(name, object if name == "y" else kind) for name, kind in _SAMPLE_DTYPE]
 _INT64 = np.iinfo(np.int64)
 
 
-def _loadtxt_rejects_float_ints() -> bool:
-    """Whether ``np.loadtxt`` refuses ``9.0`` in an int64 column, as numpy 2 does.
-
-    NumPy 1.24-1.26 only warn (an error under ``-W error``) and read 9.
-    """
-    try:
-        np.loadtxt(["9.0"], dtype=np.int64)
-    except (ValueError, Warning) as exc:
-        return isinstance(exc, ValueError)
-    return False
-
-
-# decided once: a numpy that reads 9.0 as 9 sends every body to the row parser
-_LOADTXT_EXACT = _loadtxt_rejects_float_ints()
-
-
 def _sample_columns(body):
-    """``(parent, pop_node, y or None, degree, block labels)`` read by ``np.loadtxt``.
+    """``(parent, pop_node, y or None, degree, block labels)`` read by one ``np.loadtxt``.
 
     Raises ``ValueError`` on any body the row parser might read
-    differently: every body when ``_LOADTXT_EXACT`` is false, an empty
-    body, quotes, bare carriage returns, the separators \\x1c-\\x1f
-    (whitespace to numpy's number parser, not to ``int``/``float``), blank
-    lines, rows that are not six fields wide, nodes out of order, and
-    numbers ``np.loadtxt`` rejects.
+    differently: an empty body, quotes, bare carriage returns, the
+    separators \\x1c-\\x1f (whitespace to numpy's number parser, not to
+    ``int``/``float``), blank lines, rows that are not six fields wide,
+    nodes out of order, and numbers ``np.loadtxt`` rejects.  A ``y``
+    column blank on every row costs a second parse, with ``y`` as text.
     """
-    if not _LOADTXT_EXACT:
-        raise ValueError("np.loadtxt reads 9.0 as an integer here")
     body = body.replace("\r\n", "\n")
     if any(c in body for c in '"\r\x1c\x1d\x1e\x1f'):
         raise ValueError("needs the csv module")
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    # usecols ignores extra fields, so the comma count pins every row at six
     if not lines or "" in lines or body.count(",") != 5 * len(lines):
         raise ValueError("no rows, a blank line or a row not six fields wide")
 
-    def load(usecols, dtype):
+    def load(dtype):
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                          quotechar=None, usecols=usecols, ndmin=1)
+                          quotechar=None, ndmin=1)
 
     try:
-        numbers = load((0, 1, 2, 3, 4), _SAMPLE_NUMBERS)
-        y = np.ascontiguousarray(numbers["y"])
+        table = load(_SAMPLE_DTYPE)
+        y = np.ascontiguousarray(table["y"])
     except ValueError:  # an outcome column left blank on every row
-        numbers = load((0, 1, 2, 4), [f for f in _SAMPLE_NUMBERS if f[0] != "y"])
-        if (load(3, object) != "").any():
+        table = load(_BLANK_Y_DTYPE)
+        if (table["y"] != "").any():
             raise
         y = None
-    labels = load(5, object)
-    n = len(lines)
-    if labels.shape[0] != n or not np.array_equal(numbers["node"], np.arange(n)):
+    if not np.array_equal(table["node"], np.arange(len(lines))):
         raise ValueError("nodes out of order")
-    parent, pop_node, degree = (
-        np.ascontiguousarray(numbers[name]) for name in ("parent", "pop_node", "degree")
+    parent, pop_node, degree, labels = (
+        np.ascontiguousarray(table[name]) for name in ("parent", "pop_node", "degree", "block")
     )
     return parent, pop_node, y, degree, labels
 
@@ -367,36 +341,22 @@ def write_report(report: EstimateReport, path):
 
 
 def write_rmse_table(table: RmseTable, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["estimator", "n", "outcome", "rmse", "bias", "sd", "replicates", "failures"]
-        )
-        for row in table.to_csv_rows():
-            writer.writerow([fmt_csv(v) for v in row])
+    header = ["estimator", "n", "outcome", "rmse", "bias", "sd", "replicates", "failures"]
+    _write_csv(path, header, table.to_csv_rows())
 
 
 def write_diagnostics(dataset: DiagnosticDataset, path):
     """Diagnostic points, then the grey curve; ``emit_diagnostics`` gives ``as_printed`` RSEs."""
     variant = "as_printed"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "lambda_hat", "rse", "variant"])
-        for pt in dataset.points:
-            writer.writerow([pt.estimator, fmt_csv(pt.lambda_hat), fmt_csv(pt.rse), variant])
-        for lam, val in zip(dataset.grey_grid, dataset.grey_rse):
-            writer.writerow(["ranktwo_curve", fmt_csv(lam), fmt_csv(val), variant])
+    points = [(pt.estimator, pt.lambda_hat, pt.rse, variant) for pt in dataset.points]
+    curve = [("ranktwo_curve", lam, val, variant)
+             for lam, val in zip(dataset.grey_grid, dataset.grey_rse)]
+    _write_csv(path, ["estimator", "lambda_hat", "rse", "variant"], points + curve)
 
 
 def write_figure1(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "levels", "n", "var_gls", "var_mean", "ratio"])
-        for r in rows:
-            writer.writerow(
-                [fmt_csv(r["p"]), r["levels"], r["n"], fmt_csv(r["var_gls"]),
-                 fmt_csv(r["var_mean"]), fmt_csv(r["ratio"])]
-            )
+    header = ["p", "levels", "n", "var_gls", "var_mean", "ratio"]
+    _write_csv(path, header, ([r[k] for k in header] for r in rows))
 
 
 # ------------------------------------------------------------------ configs
@@ -440,11 +400,13 @@ def _parse_matrix(text: str) -> np.ndarray:
 def _setting(parser, section: str, key: str, default, convert):
     """``convert`` of ``[section] key``, or of ``default`` where it is unset.
 
-    A value ``convert`` cannot read raises ``InvalidParametersError``
-    naming the section and key.
+    A value ``convert`` cannot read, or an unset key whose ``default`` is
+    None, raises ``InvalidParametersError`` naming the section and key.
     """
     value = parser.get(section, key, fallback=default)
     try:
+        if value is None:
+            raise ValueError("must be set")
         return convert(value)
     except ValueError as exc:
         raise InvalidParametersError(f"[{section}] {key} = {value!r}: {exc}") from None
@@ -455,9 +417,10 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
 
     Sections: [network] (dcsbm parameters or edge-list paths), [outcomes]
     (name = kind:args), [walk], [estimators], [run].  Paths are resolved
-    relative to the config file.  A number that does not parse, or a
-    ``[network] theta`` other than ``gamma`` or ``uniform``, is an
-    ``InvalidParametersError`` naming its ``[section] key``.
+    relative to the config file.  Every key is read through ``_setting``:
+    a value that does not parse, or a missing ``[network] edges`` of an
+    edge-list network, is an ``InvalidParametersError`` naming its
+    ``[section] key``.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -466,24 +429,22 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     base = Path(path).parent
 
     seed = (int(seed_override) if seed_override is not None
-            else _setting(parser, "run", "seed", 20170, int))
+            else _setting(parser, "run", "seed", DEFAULT_SEED, int))
     sizes = _setting(parser, "run", "sizes", "100", lambda t: tuple(int(v) for v in t.split()))
     replicates = _setting(parser, "run", "replicates", 100, int)
     jobs = (int(jobs_override) if jobs_override is not None
             else _setting(parser, "run", "jobs", 1, int))
 
-    walk_sec = parser["walk"] if parser.has_section("walk") else {}
     preferential = _setting(parser, "walk", "preferential_weight", 1.0, float)
     walk = WalkConfig(
-        offspring_pmf=parse_pmf(str(walk_sec.get("offspring", "survey"))),
+        offspring_pmf=_setting(parser, "walk", "offspring", "survey", parse_pmf),
         # at least 1, so that ExperimentConfig names empty or bad sizes itself
         target_n=max((1, *sizes)),
-        seed_rule=str(walk_sec.get("seed_rule", "degree_proportional")),
+        seed_rule=_setting(parser, "walk", "seed_rule", "degree_proportional", str),
         max_restarts=_setting(parser, "walk", "max_restarts", 1000, int),
     )
 
-    net = parser["network"] if parser.has_section("network") else {}
-    source = str(net.get("source", "dcsbm"))
+    source = _setting(parser, "network", "source", "dcsbm", str)
     dcsbm = None
     graph = None
     graph_blocks = None
@@ -506,8 +467,9 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
         p = probability_vector(p, "proportions")
         dcsbm = dcsbm_params(S, p, nodes, degree, seed, heterogeneous=theta == "gamma")
     elif source == "edgelist":
-        graph = read_edge_list(base / net.get("edges"), allow_isolated=True)
-        attrs = net.get("attributes")
+        edges = _setting(parser, "network", "edges", None, str)
+        graph = read_edge_list(base / edges, allow_isolated=True)
+        attrs = _setting(parser, "network", "attributes", "", str)
         if attrs:
             graph_blocks, _, graph_outcomes = read_attributes(base / attrs)
     else:
@@ -520,8 +482,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     if not outcomes:
         raise InvalidParametersError("config defines no outcomes")
 
-    est_sec = parser["estimators"] if parser.has_section("estimators") else {}
-    estimators = tuple(str(est_sec.get("names", "mean vh")).split())
+    estimators = _setting(parser, "estimators", "names", "mean vh", lambda t: tuple(t.split()))
 
     return ExperimentConfig(
         outcomes=outcomes,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_SEED = 20170
-"""Seed used by the CLI when neither --seed nor RDSGLS_SEED is given."""
+"""Seed used when none is given: by ``simulate`` without --seed or RDSGLS_SEED,
+and by ``gen-graph`` and ``experiment`` without --seed or ``[run] seed``."""
 
 # Stream ids for the distinct random purposes inside one logical task.
 STREAM_WALK = 0

@@ -520,3 +520,51 @@ def test_unknown_theta_exits_two(tmp_path, capsys, command, theta):
         f"error: [network] theta = {theta!r}: must be gamma or uniform\n"
     )
     assert not any(out.exists() for out in outs)
+
+
+@pytest.mark.parametrize(("section", "key", "value", "message"), [
+    ("walk", "offspring", "0.5 x", "[walk] offspring = '0.5 x': bad offspring pmf '0.5 x'"),
+    ("network", "source", "edgelist", "[network] edges = None: must be set"),
+], ids=["bad-offspring", "edgelist-without-edges"])
+def test_unreadable_config_keys_name_their_key(tmp_path, capsys, section, key, value, message):
+    cfg = _config_with(tmp_path, section, key, value)
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_seed_precedence_per_command(tmp_path, monkeypatch):
+    # gen-graph: --seed, else [run] seed, else DEFAULT_SEED; RDSGLS_SEED is not read.
+    # simulate: --seed, else RDSGLS_SEED, else DEFAULT_SEED.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[network]\nsource = dcsbm\nnodes = 200\nexpected_degree = 10\ntheta = uniform\n"
+        "[outcomes]\naligned = block_values:1,1,0\n[run]\nsizes = 20\nreplicates = 1\n"
+    )
+    edges, attrs, out = tmp_path / "net.txt", tmp_path / "attrs.csv", tmp_path / "s.csv"
+
+    def run(env, *argv):
+        if env is None:
+            monkeypatch.delenv("RDSGLS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RDSGLS_SEED", env)
+        assert dispatch(list(argv)) == 0
+
+    def gen_graph(env, *flags):
+        run(env, "gen-graph", "--config", str(cfg), "--out-edges", str(edges),
+            "--out-attributes", str(attrs), *flags)
+        return edges.read_bytes(), attrs.read_bytes()
+
+    def simulate(env, *flags):
+        run(env, "simulate", "--edges", str(edges), "--attributes", str(attrs),
+            "--target", "20", "--seed-rule", "uniform", *flags, "--out", str(out))
+        return out.read_bytes()
+
+    default = gen_graph(None)
+    assert gen_graph("1") == gen_graph("2") == default
+    assert gen_graph(None, "--seed", str(r.DEFAULT_SEED)) == default
+    assert gen_graph("1", "--seed", "1") != default
+    assert simulate(None) == simulate(None, "--seed", str(r.DEFAULT_SEED))
+    assert simulate("1") == simulate(None, "--seed", "1") != simulate("2")
+    assert simulate("2", "--seed", "1") == simulate(None, "--seed", "1")

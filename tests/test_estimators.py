@@ -371,6 +371,17 @@ def test_report_weights_sum_to_one(chain09):
         assert abs(rep.weights.sum() - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: r.EstimateReport("x", 0.5, weights=w, n=2),
+    lambda w: r.GlsResult(estimate=0.5, weights=w, variance=1.0),
+], ids=["EstimateReport", "GlsResult"])
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, 0.6]])
+def test_result_weights_that_do_not_sum_to_one_raise(build, weights):
+    # a NaN sum fails every comparison, so the check must be written to pass only finite sums
+    with pytest.raises(r.InvalidParametersError, match="weights must sum to one"):
+        build(np.array(weights))
+
+
 PROPERTY = settings(max_examples=40, deadline=None)
 
 

@@ -1,7 +1,6 @@
 import csv
 import io
 import tempfile
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -188,8 +187,8 @@ def test_read_sample_malformed_table(tmp_path, case):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_read_sample_row_parser_only_table(tmp_path, monkeypatch, case):
-    # as on a numpy whose loadtxt reads 9.0 as an integer: no fast path
-    monkeypatch.setattr(fileio, "_LOADTXT_EXACT", False)
+    # every body goes to the row parser
+    monkeypatch.setattr(fileio, "_sample_columns", mock.Mock(side_effect=ValueError))
     _assert_reads_as_recorded(tmp_path, case)
 
 
@@ -293,25 +292,21 @@ def test_read_sample_matches_row_parser(case):
     ]
 
 
+@pytest.mark.parametrize("y", ["1", ""])
+def test_sample_columns_parses_a_well_formed_body_once(y):
+    body = "".join(f"{i},{i - 1},{i},{y},2,b\n" for i in range(4))
+    with mock.patch.object(fileio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        parent, _, outcome, _, labels = fileio._sample_columns(body)
+    # a y column blank on every row is parsed again with y as text
+    assert loadtxt.call_count == (1 if y else 2)
+    assert parent.tolist() == [-1, 0, 1, 2] and labels.tolist() == ["b"] * 4
+    assert (outcome is None) == (not y)
+
+
 def test_sample_columns_refuses_an_empty_body_before_loadtxt():
     with mock.patch.object(fileio.np, "loadtxt", side_effect=AssertionError):
         with pytest.raises(ValueError, match="no rows"):
             fileio._sample_columns("")
-
-
-def test_loadtxt_probe():
-    # numpy 2 raises; numpy 1.24-1.26 warn and read 9, which -W error raises
-    assert fileio._LOADTXT_EXACT == fileio._loadtxt_rejects_float_ints()
-
-    def warns(*args, **kwargs):
-        warnings.warn("loadtxt read 9.0 as 9", DeprecationWarning)
-        return np.array([9])
-
-    for loadtxt, action, exact in [(warns, "ignore", False), (warns, "error", False),
-                                   (mock.Mock(side_effect=ValueError), "error", True)]:
-        with mock.patch.object(fileio.np, "loadtxt", loadtxt), warnings.catch_warnings():
-            warnings.simplefilter(action)
-            assert fileio._loadtxt_rejects_float_ints() is exact
 
 
 def test_report_json_golden_format():
