@@ -7,6 +7,10 @@ that deletes or renames one of them fails here, not later in a bench run.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,18 @@ def test_benchmark_name_exists(module, name):
         module == "rdsgls" and importlib.util.find_spec(f"rdsgls.{name}") is not None
     )
     assert found, f"{module} has no {name!r}"
+
+
+ROOT = WORKLOADS.parents[1]
+BENCH_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_toy_bench_run_checks_its_outputs_correct(workload):
+    # the bench's own output check, on the traced pass at toy sizes (about a second each)
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
+            "--seconds", "0.3", "--trace", "1", "--toy"]
+    done = subprocess.run(argv, cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

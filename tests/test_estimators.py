@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -357,6 +358,26 @@ def test_location_covariance_mean_and_oracle(chain09):
     assert np.max(np.abs(moved.weights - base.weights)) < 1e-12
 
 
+# SHA-256 of each fallback report's repr and weight bytes, recorded before
+# every equal-weight report was built in one place
+ORACLE_FALLBACKS = {
+    "single-node": (1, (1.5, -0.25), "single-node sample",
+                    "df19e84d271dbe17eaf450bd61096b94531907d17c7a88d6dfa6352577f93941"),
+    "spectrally-flat": (3, (2.0, 2.0),
+                        "exact covariance singular (outcome spectrally flat); used the mean",
+                        "d96a6b54040a3b9d60826b9cd4a5b3a13611664d274c2844b1ae2f33da433cd0"),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_FALLBACKS))
+def test_oracle_gls_fallback_reports_are_pinned(chain09, case):
+    levels, y, note, digest = ORACLE_FALLBACKS[case]
+    s = r.markov_walk(r.complete_binary_tree(levels), chain09, 3)
+    rep = r.oracle_gls(s, r.spectral_decompose(chain09), np.array(y))
+    assert rep.warnings == (note,)
+    assert hashlib.sha256(repr(rep).encode() + rep.weights.tobytes()).hexdigest() == digest
+
+
 def test_report_weights_sum_to_one(chain09):
     s = r.markov_walk(
         r.complete_binary_tree(7), chain09, 10, y=np.array([1.0, 0.0]), blocks=np.array([0, 1])
@@ -527,6 +548,37 @@ def test_reweight_rejects_unknown_policy():
     s = make_sample(r.complete_binary_tree(2), [0.0, 1.0, 1.0])
     with pytest.raises(r.InvalidParametersError, match="unknown reweighting"):
         r.reweight(s, "harmonic")
+
+
+def test_reweight_none_returns_the_sample_itself():
+    s = make_sample(r.complete_binary_tree(2), [0.0, 1.0, 1.0])
+    assert r.reweight(s, "none") is s
+
+
+_SEVEN = make_sample(r.complete_binary_tree(3), np.arange(7.0), block=np.arange(7) % 3)
+TYPED_ERRORS = {
+    "sbm-short-labels": (lambda: r.sbm_fgls(_SEVEN, np.zeros(6, dtype=int)),
+                         r.InvalidParametersError, "labels must cover every sampled node"),
+    "sbm-negative-label": (lambda: r.sbm_fgls(_SEVEN, np.array([0, 1, -1, 0, 1, 0, 1])),
+                           r.MissingLabelError, "block labels must be nonnegative"),
+    "qhat-not-square": (lambda: r.qhat_spectrum(np.ones((2, 3))),
+                        r.InvalidParametersError, "referral matrix must be square"),
+    "qhat-all-zero": (lambda: r.qhat_spectrum(np.zeros((2, 2))),
+                      r.InvalidParametersError, "referral matrix has no mass"),
+    "qhat-empty-block": (lambda: r.qhat_spectrum(np.array([[1.0, 0.0], [0.0, 0.0]])),
+                         r.MissingLabelError, "a block has no referrals in or out"),
+    "counts-label-too-large": (lambda: r.referral_counts(_SEVEN, 2),
+                               r.MissingLabelError, "block labels must lie in 0..1"),
+}
+
+
+@pytest.mark.parametrize("case", list(TYPED_ERRORS))
+def test_bad_estimator_inputs_raise_typed_errors(case):
+    call, error, message = TYPED_ERRORS[case]
+    with pytest.raises(r.RdsglsError) as caught:
+        call()
+    assert caught.type is error
+    assert str(caught.value) == message
 
 
 def _cold(sample):

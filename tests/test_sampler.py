@@ -52,6 +52,19 @@ def test_markov_walk_determinism(chain09):
     assert np.array_equal(s1.outcome, s2.outcome)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 77])
+def test_markov_walk_is_one_packaged_batch_draw(chain09, seed):
+    tree = r.complete_binary_tree(6)
+    y, blocks = np.array([1.5, -0.25]), np.array([1, 0])
+    states = r.markov_walk_batch(tree, chain09, 1, seed)[0]
+    assert np.array_equal(r.markov_walk(tree, chain09, seed).node, states)
+    sample = r.markov_walk(tree, chain09, seed, y=y, blocks=blocks)
+    assert sample.node.tobytes() == states.tobytes()
+    assert sample.degree.tobytes() == chain09.graph.degrees[states].astype(np.float64).tobytes()
+    assert sample.outcome.tobytes() == y[states].tobytes()
+    assert sample.block.tobytes() == blocks[states].tobytes()
+
+
 def test_markov_walk_records_degrees(chain09):
     tree = r.complete_binary_tree(3)
     sample = r.markov_walk(tree, chain09, 3)
