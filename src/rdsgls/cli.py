@@ -140,13 +140,10 @@ def _cmd_simulate(args) -> int:
             if args.outcome not in outcomes:
                 raise RdsglsError(f"attribute column {args.outcome!r} not found")
             y = outcomes[args.outcome][kept]
-    seed_rule = args.seed_rule
-    if seed_rule.lstrip("-").isdigit():
-        seed_rule = int(seed_rule)
     cfg = WalkConfig(
         offspring_pmf=fileio.parse_pmf(args.offspring),
         target_n=args.target,
-        seed_rule=seed_rule,
+        seed_rule=fileio.parse_seed_rule(args.seed_rule),
         max_restarts=args.max_restarts,
     )
     sample, restarts = rds_without_replacement(graph, cfg, seed, y=y, blocks=blocks)

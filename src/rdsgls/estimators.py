@@ -91,30 +91,28 @@ class LagStatistics:
     counts: dict
 
 
-def _single_node_report(name: str, sample: RdsSample) -> EstimateReport:
-    return EstimateReport(
-        estimator=name,
-        mu_hat=float(sample.y[0]),
-        weights=np.ones(1),
-        n=1,
-        warnings=("single-node sample",),
-    )
+def _mean_report(name: str, Y: np.ndarray, *notes: str, mu: float | None = None,
+                 **fields) -> EstimateReport:
+    """The sample mean of ``Y`` under equal weights, as estimator ``name`` reports it.
+
+    ``mean_estimator`` and every fallback to the sample mean report through
+    here.  ``notes`` become the report's warnings, ``mu`` (a constant
+    outcome's own value) replaces the mean, and ``fields`` fill the other
+    report fields.
+    """
+    n = len(Y)
+    return EstimateReport(name, float(Y.mean()) if mu is None else mu,
+                          weights=np.full(n, 1.0 / n), n=n, warnings=notes, **fields)
 
 
 def mean_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
-    """Unweighted sample average.
+    """Unweighted sample average, with equal weights and no warnings.
 
     It fits no covariance, so it reports no RSE and ignores ``rse``, which
-    every estimator of a ``Recipe`` takes.
+    every estimator of a ``Recipe`` takes.  The estimators that fall back
+    to the sample mean report it the same way, under their own name.
     """
-    Y = sample.y
-    n = sample.n
-    return EstimateReport(
-        estimator="mean",
-        mu_hat=float(Y.mean()),
-        weights=np.full(n, 1.0 / n),
-        n=n,
-    )
+    return _mean_report("mean", sample.y)
 
 
 def _positive_degrees(sample: RdsSample) -> np.ndarray:
@@ -230,15 +228,9 @@ def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     Y = sample.y
     n = sample.n
     if n == 1:
-        return _single_node_report("auto", sample)
+        return _mean_report("auto", Y, "single-node sample")
     if np.all(Y == Y[0]):
-        return EstimateReport(
-            estimator="auto",
-            mu_hat=float(Y[0]),
-            weights=np.full(n, 1.0 / n),
-            n=n,
-            warnings=("constant outcome; returned the constant",),
-        )
+        return _mean_report("auto", Y, "constant outcome; returned the constant", mu=float(Y[0]))
     tree = sample.tree
     parents = tree.parent[1:]
     kids = np.arange(1, n)
@@ -259,14 +251,7 @@ def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     gap = np.abs(mu - grid)
     ok = np.isfinite(gap)
     if not ok.any():
-        rep = mean_estimator(sample)
-        return EstimateReport(
-            estimator="auto",
-            mu_hat=rep.mu_hat,
-            weights=rep.weights,
-            n=n,
-            warnings=("grid search failed; fell back to the sample mean",),
-        )
+        return _mean_report("auto", Y, "grid search failed; fell back to the sample mean")
     gap[~ok] = np.inf
     best = int(np.argmin(gap))
     return _single_term_report("auto", sample, lam[best], (float(g0[best]),), rse)
@@ -282,7 +267,7 @@ def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     """
     n = sample.n
     if n == 1:
-        return _single_node_report("delta", sample)
+        return _mean_report("delta", sample.y, "single-node sample")
     stats = lag_statistics(sample, 0.0)
     lam = (stats.delta2 - stats.delta1) / (stats.delta1 + n**-0.5)
     return _single_term_report("delta", sample, lam, (), rse)
@@ -392,11 +377,7 @@ def _block_spectrum(sample: RdsSample, labels: np.ndarray):
     z = np.searchsorted(present, labels)
     k_eff = present.size
 
-    relabeled = RdsSample(
-        tree=sample.tree, node=sample.node, degree=sample.degree,
-        outcome=sample.outcome, block=z,
-    )
-    qhat = referral_counts(relabeled, k_eff)
+    qhat = referral_counts(replace(sample, block=z), k_eff)
     # renormalize to the counts' own total (n - 1) / n: this can move the last
     # bit of an entry, and the recorded report digests include it
     qhat = qhat * ((n - 1) / n / qhat.sum())
@@ -423,7 +404,7 @@ def _blockmodel_gls_columns(sample: RdsSample, columns: list, labels: list, rse:
     """
     n = sample.n
     if n == 1:
-        return [_single_node_report("sbm", sample.with_outcome_values(Y)) for Y in columns]
+        return [_mean_report("sbm", Y, "single-node sample") for Y in columns]
     fields, stacks = [], {}
     for i, (Y, blocks) in enumerate(zip(columns, labels)):
         k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
@@ -434,8 +415,8 @@ def _blockmodel_gls_columns(sample: RdsSample, columns: list, labels: list, rse:
         lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
         beta2 = beta_hat[1:] ** 2
         nugget = float(Y.var(ddof=1))
-        fields.append({"eigenvalues": tuple(lam), "beta2": tuple(beta2), "nugget": nugget,
-                       "K": k_eff, "warnings": notes})
+        fields.append((notes, {"eigenvalues": tuple(lam), "beta2": tuple(beta2),
+                               "nugget": nugget, "K": k_eff}))
         try:
             # loadings or a nugget that overflow to inf are refused here; the
             # solve they would feed is singular
@@ -450,12 +431,14 @@ def _blockmodel_gls_columns(sample: RdsSample, columns: list, labels: list, rse:
         for i, out in zip(rows, _tree_gls(sample.tree, acs, Y, constants, rse)):
             solved[i] = out
     reports = []
-    for Y, kw, out in zip(columns, fields, solved):
+    for Y, (notes, kw), out in zip(columns, fields, solved):
         if out is None:
-            kw["warnings"] += ("estimated covariance was singular; fell back to the sample mean",)
-            out = (float(Y.mean()), np.full(n, 1.0 / n), None)
+            note = "estimated covariance was singular; fell back to the sample mean"
+            reports.append(_mean_report("sbm", Y, *notes, note, **kw))
+            continue
         mu, weights, rse_value = out
-        reports.append(EstimateReport("sbm", mu, rse=rse_value, weights=weights, n=n, **kw))
+        reports.append(EstimateReport("sbm", mu, rse=rse_value, weights=weights, n=n,
+                                      warnings=notes, **kw))
     return reports
 
 
@@ -464,30 +447,23 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
 
     Builds the true autocovariance from the population spectrum and the
     outcome's spectral loadings, then solves the same system the feasible
-    estimators approximate.
+    estimators approximate.  A non-finite outcome at a sampled node raises
+    ``InvalidSampleError``.
     """
     n = sample.n
-    Y = np.asarray(y, dtype=np.float64)[sample.node]
+    Y = sample.with_outcome(y).y
     beta = beta_coefficients(y, spec)
     ac = AutoCovariance.from_spectrum(beta, spec.eigenvalues)
     if n == 1:
-        return _single_node_report("oracle_gls", sample.with_outcome_values(Y))
+        return _mean_report("oracle_gls", Y, "single-node sample")
     (out,) = _tree_gls(sample.tree, (ac,), Y[None], (0.0,))
-    notes = ()
+    terms = {"eigenvalues": tuple(lam for _, lam in ac.terms),
+             "beta2": tuple(b2 for b2, _ in ac.terms)}
     if out is None:
-        out = (float(Y.mean()), np.full(n, 1.0 / n), None)
-        notes = ("exact covariance singular (outcome spectrally flat); used the mean",)
+        note = "exact covariance singular (outcome spectrally flat); used the mean"
+        return _mean_report("oracle_gls", Y, note, **terms)
     mu, weights, rse = out
-    return EstimateReport(
-        estimator="oracle_gls",
-        mu_hat=mu,
-        eigenvalues=tuple(lam for _, lam in ac.terms),
-        beta2=tuple(b2 for b2, _ in ac.terms),
-        rse=rse,
-        weights=weights,
-        n=n,
-        warnings=notes,
-    )
+    return EstimateReport("oracle_gls", mu, rse=rse, weights=weights, n=n, **terms)
 
 
 FGLS_FALLBACK_NOTE = (
@@ -552,21 +528,20 @@ def _inverse_degree_scales(sample: RdsSample, inv: np.ndarray, labels: list) -> 
     the harmonic mean took over: one ``(h_inv, fell_back)`` pair per array.
 
     A normalizer depends on the tree, the degrees and the labels but not on
-    the outcome, so each is cached on the tree by the label and degree
-    bytes.  The uncached ones are estimated together, by one blockmodel
-    call on the inverse degrees ``inv``.
+    the outcome, so it is estimated once per call for each distinct label
+    set, all of them by one blockmodel call on the inverse degrees ``inv``.
+    Nothing is cached across calls; the referral spectrum under each label
+    set stays cached on the tree (``_block_spectrum``).
     """
-    cache = sample.tree._cache
-    degrees = sample.degree.tobytes()
-    keys = [("fgls_scale", blocks.tobytes(), degrees) for blocks in labels]
-    todo = {key: blocks for key, blocks in zip(keys, labels) if key not in cache}
-    if todo:
-        reports = _blockmodel_gls_columns(sample, [inv] * len(todo), list(todo.values()), False)
-        for key, report in zip(todo, reports):
-            h_inv = report.mu_hat
-            fell_back = not np.isfinite(h_inv) or h_inv <= 0
-            cache[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
-    return [cache[key] for key in keys]
+    distinct = {blocks.tobytes(): blocks for blocks in labels}
+    columns = [inv] * len(distinct)
+    reports = _blockmodel_gls_columns(sample, columns, list(distinct.values()), False)
+    scales = {}
+    for key, report in zip(distinct, reports):
+        h_inv = report.mu_hat
+        fell_back = not np.isfinite(h_inv) or h_inv <= 0
+        scales[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
+    return [scales[blocks.tobytes()] for blocks in labels]
 
 
 def fgls_reweight(sample: RdsSample, labels: np.ndarray | None = None) -> RdsSample:
@@ -616,9 +591,9 @@ def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = T
     Without ``rse`` the estimators that fit a covariance report no RSE and
     skip its work; every other field and the weights are the same bits.
     With ``fgls`` and ``sbm_fgls`` all columns run in two stacked stages:
-    every uncached inverse-degree normalizer, then every column's
-    blockmodel GLS.  A column that is singular falls back alone, and a
-    column that raises raises what it raises on its own.
+    the inverse-degree normalizer of each distinct label set, then every
+    column's blockmodel GLS.  A column that is singular falls back alone,
+    and a column that raises raises what it raises on its own.
     """
     policy, estimate, labels = recipe
     samples = [sample] if columns is None else [sample.with_outcome_values(y) for y in columns]

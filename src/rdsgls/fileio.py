@@ -22,7 +22,7 @@ from .experiment import DiagnosticDataset, ExperimentConfig, OutcomeSpec, RmseTa
 from .netmodel import WeightedGraph
 from .presets import OFFSPRING_PRESETS, dcsbm_params, table1_block_proportions, table1_symmetrized
 from .referral import ReferralTree, probability_vector
-from .sampler import RdsSample, WalkConfig
+from .sampler import SEED_RULES, RdsSample, WalkConfig
 from .seeding import DEFAULT_SEED
 
 CSV_FLOAT = "%.10g"
@@ -373,6 +373,15 @@ def parse_pmf(text: str) -> tuple:
     return values
 
 
+def parse_seed_rule(text: str):
+    """A seed rule: an integer such as ``12`` is a node id, other text a name in ``SEED_RULES``."""
+    if text.removeprefix("-").isdecimal():
+        return int(text)
+    if text not in SEED_RULES:
+        raise InvalidParametersError(f"unknown seed rule {text!r}")
+    return text
+
+
 def _parse_outcome(name: str, text: str) -> OutcomeSpec:
     kind, _, args = text.partition(":")
     kind = kind.strip()
@@ -440,7 +449,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
         offspring_pmf=_setting(parser, "walk", "offspring", "survey", parse_pmf),
         # at least 1, so that ExperimentConfig names empty or bad sizes itself
         target_n=max((1, *sizes)),
-        seed_rule=_setting(parser, "walk", "seed_rule", "degree_proportional", str),
+        seed_rule=_setting(parser, "walk", "seed_rule", "degree_proportional", parse_seed_rule),
         max_restarts=_setting(parser, "walk", "max_restarts", 1000, int),
     )
 

@@ -122,11 +122,6 @@ class WalkConfig:
             raise InvalidParametersError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
 
-def _check_irreducible(model: TransitionModel):
-    if not model.is_irreducible():
-        raise ReversibilityError("transition support is disconnected; walk not irreducible")
-
-
 def markov_walk(
     tree: ReferralTree,
     model: TransitionModel,
@@ -137,12 +132,12 @@ def markov_walk(
     """Stationary tree-indexed walk: root from pi, children from the parent's row.
 
     Sampling is with replacement.  Node draws are made level by level in
-    node order, so a given seed reproduces the same sample exactly.
+    node order, so a given seed reproduces the same sample exactly: the one
+    walk of ``markov_walk_batch`` with the same seed.
     """
-    _check_irreducible(model)
-    rng = as_rng(rng_seed, STREAM_WALK)
-    states = _walk_states(tree, model, rng, 1)[0]
-    return _package_sample(tree, states, model, y, blocks)
+    states = markov_walk_batch(tree, model, 1, rng_seed)[0]
+    degree = np.full(tree.n, np.nan) if model.graph is None else model.graph.degrees[states]
+    return _package_sample(tree, states, degree, y, blocks)
 
 
 def markov_walk_batch(
@@ -156,12 +151,9 @@ def markov_walk_batch(
     Vectorized across replicates for Monte Carlo work; one seed governs
     the whole batch.
     """
-    _check_irreducible(model)
+    if not model.is_irreducible():
+        raise ReversibilityError("transition support is disconnected; walk not irreducible")
     rng = as_rng(rng_seed, STREAM_WALK)
-    return _walk_states(tree, model, rng, replicates)
-
-
-def _walk_states(tree, model, rng, replicates):
     n = tree.n
     N = model.num_states
     cdf = model.transition_cdf()
@@ -182,17 +174,13 @@ def _walk_states(tree, model, rng, replicates):
     return states
 
 
-def _package_sample(tree, states, model, y, blocks):
-    if model.graph is not None:
-        degree = model.graph.degrees[states]
-    else:
-        degree = np.full(tree.n, np.nan)
-    sample = RdsSample(tree=tree, node=states, degree=degree)
-    if y is not None:
-        sample = sample.with_outcome(np.asarray(y, dtype=np.float64))
-    if blocks is not None:
-        sample = sample.with_blocks(np.asarray(blocks, dtype=np.int64))
-    return sample
+def _package_sample(tree, states, degree, y, blocks) -> RdsSample:
+    """The sample at population nodes ``states``, with population ``y`` and ``blocks`` there."""
+    return RdsSample(
+        tree=tree, node=states, degree=degree,
+        outcome=None if y is None else np.asarray(y, dtype=np.float64)[states],
+        block=None if blocks is None else np.asarray(blocks, dtype=np.int64)[states],
+    )
 
 
 def _draw_seed(graph: WeightedGraph, rule, rng) -> int:
@@ -297,14 +285,8 @@ def rds_without_replacement(
         if len(nodes) >= target:
             tree = ReferralTree(np.asarray(parent, dtype=np.int64))
             states = np.asarray(nodes, dtype=np.int64)
-            sample = RdsSample(
-                tree=tree, node=states, degree=contact_counts[states].astype(np.float64)
-            )
-            if y is not None:
-                sample = sample.with_outcome(np.asarray(y, dtype=np.float64))
-            if blocks is not None:
-                sample = sample.with_blocks(np.asarray(blocks, dtype=np.int64))
-            return sample, restarts
+            degree = contact_counts[states].astype(np.float64)
+            return _package_sample(tree, states, degree, y, blocks), restarts
         best = max(best, len(nodes))
         restarts += 1
     raise SamplingFailedError(

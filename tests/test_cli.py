@@ -525,13 +525,23 @@ def test_unknown_theta_exits_two(tmp_path, capsys, command, theta):
 @pytest.mark.parametrize(("section", "key", "value", "message"), [
     ("walk", "offspring", "0.5 x", "[walk] offspring = '0.5 x': bad offspring pmf '0.5 x'"),
     ("network", "source", "edgelist", "[network] edges = None: must be set"),
-], ids=["bad-offspring", "edgelist-without-edges"])
+    ("walk", "seed_rule", "twelve", "[walk] seed_rule = 'twelve': unknown seed rule 'twelve'"),
+], ids=["bad-offspring", "edgelist-without-edges", "unknown-seed-rule"])
 def test_unreadable_config_keys_name_their_key(tmp_path, capsys, section, key, value, message):
     cfg = _config_with(tmp_path, section, key, value)
     out = tmp_path / "rmse.csv"
     assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_config_seed_rule_can_name_a_node(tmp_path, capsys):
+    cfg = _config_with(tmp_path, "walk", "seed_rule", "12")
+    assert fileio.load_experiment_config(cfg).walk.seed_rule == 12
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert out.exists()
 
 
 def test_seed_precedence_per_command(tmp_path, monkeypatch):

@@ -378,6 +378,15 @@ def test_oracle_gls_fallback_reports_are_pinned(chain09, case):
     assert hashlib.sha256(repr(rep).encode() + rep.weights.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("levels", [1, 2])
+def test_oracle_gls_rejects_a_nonfinite_sampled_outcome(levels):
+    # on a one-state chain no loading is fitted that could refuse the outcome
+    model = r.build_transition(r.WeightedGraph.from_edges(1, [(0, 0, 1.0)]))
+    s = r.markov_walk(r.complete_binary_tree(levels), model, 0)
+    with pytest.raises(r.InvalidSampleError, match="outcomes must be finite"):
+        r.oracle_gls(s, r.spectral_decompose(model), np.array([np.inf]))
+
+
 def test_report_weights_sum_to_one(chain09):
     s = r.markov_walk(
         r.complete_binary_tree(7), chain09, 10, y=np.array([1.0, 0.0]), blocks=np.array([0, 1])
@@ -627,7 +636,7 @@ def test_fgls_fallback_warns_on_every_call():
         for _ in range(3):
             with pytest.warns(RuntimeWarning, match="using the harmonic mean instead"):
                 assert np.array_equal(r.reweight(s, "fgls").y, want)
-    assert calls == [False]
+    assert calls == [False] * 3
 
 
 @pytest.mark.filterwarnings("error")
