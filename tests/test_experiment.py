@@ -15,7 +15,7 @@ from scipy import stats
 import rdsgls as r
 from rdsgls import estimators, experiment, fileio
 from rdsgls import netmodel
-from rdsgls.presets import OFFSPRING_SURVEY, table1_dcsbm
+from rdsgls.presets import OFFSPRING_FAST, OFFSPRING_SURVEY, table1_dcsbm
 
 
 def small_config(**overrides):
@@ -201,6 +201,41 @@ def rmse_csv_bytes(table, tmp_path, name="rmse.csv"):
 def test_weight10_rmse_digest(tmp_path, jobs):
     data = rmse_csv_bytes(r.run_rmse_experiment(weight10_config(jobs=jobs)), tmp_path)
     assert hashlib.sha256(data).hexdigest() == WEIGHT10_RMSE_SHA256
+
+
+# SHA-256 of a desk-shaped RMSE CSV and of its rows' repr (every bit of each
+# float), recorded before replicates ran in chunks.  The sparse network makes
+# replicate 15 exhaust its one attempt, and the 8-node prefixes often visit
+# fewer than 3 blocks, so blockmodel systems of different term counts mix.
+DESK_RMSE_SHA256 = "28ca88527870bc4893fa9f0b9c1e33a0161c23de469539ea27938d95e179ac0e"
+DESK_ROWS_REPR_SHA256 = "318f3dd29356df5d7b9712acb75fa155d2aa70df482341fd26a59889752808b8"
+
+
+def desk_config(**overrides):
+    base = dict(
+        outcomes={
+            "aligned": r.OutcomeSpec(kind="block_values", values=(1.0, 1.0, 0.0)),
+            "correlated": r.OutcomeSpec(kind="block_bernoulli", values=(0.7, 0.1, 0.9)),
+            "uncorrelated": r.OutcomeSpec(kind="bernoulli", values=(0.66,)),
+        },
+        walk=r.WalkConfig(offspring_pmf=tuple(OFFSPRING_FAST), target_n=60,
+                          seed_rule="uniform", max_restarts=0),
+        estimators=tuple(r.ESTIMATORS),
+        sizes=(8, 60),
+        replicates=20,
+        base_seed=6,
+        dcsbm=table1_dcsbm(800, expected_degree=2.0, rng_seed=6),
+    )
+    base.update(overrides)
+    return r.ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_desk_rmse_digest(tmp_path, jobs):
+    table = r.run_rmse_experiment(desk_config(jobs=jobs))
+    assert table.rows[0].failures == 1
+    assert hashlib.sha256(rmse_csv_bytes(table, tmp_path)).hexdigest() == DESK_RMSE_SHA256
+    assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == DESK_ROWS_REPR_SHA256
 
 
 def test_concurrent_threads_match_sequential_runs():
