@@ -12,6 +12,7 @@ The dense n x n covariance lives only in ``rdsgls.reference``, the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,22 +193,111 @@ def tree_gls_solve_stack(
 
     ``acs`` holds m covariances with the same number K of terms, ``Y`` the
     m outcome rows (shape m x n) and ``constants`` the m constant terms
-    (default all zero).  The leaf-to-root elimination fills one table row
-    per shape class and depth, stacked as (C_d, m, K+1, K+1), and the
-    back substitution gathers each node's row by its class: O(C m K^3) +
-    O(n m K^2) time.  Every batched call does each system's own
-    per-matrix arithmetic, and each class does what any one of its nodes
-    would, so row i equals the one-system solve of system i bit for bit.
-    Raises ``InvalidParametersError`` naming the first non-finite outcome
-    and ``SingularCovarianceError`` if any system is singular; solve the
-    systems one at a time to find which.
+    (default all zero).  This is the forest of one tree
+    (``tree_gls_solve_forest``): O(C m K^3) + O(n m K^2) time for C shape
+    classes, and row i equals the one-system solve of system i bit for
+    bit.  Raises ``InvalidParametersError`` naming the first non-finite
+    outcome and ``SingularCovarianceError`` if any system is singular;
+    solve the systems one at a time to find which.
     """
+    return tree_gls_solve_forest([(tree, acs, Y, constants)])[0]
+
+
+def tree_gls_solve_forest(stacks) -> list:
+    """``tree_gls_solve_stack`` of each ``(tree, acs, Y, constants)`` stack in one sweep.
+
+    Returns one list of results per stack.  All covariances of all stacks
+    share one term count K.  The leaf-to-root elimination fills one table
+    row per shape class, depth and system: a node's block S_c, its a =
+    S_c^{-1} z and its F = S_c^{-1} E depend only on its ordered subtree
+    shape (``ReferralTree.shape_classes``), so each class does the
+    arithmetic of any one member.  Per depth the rows of every system of
+    every tree stand in one table, each row holding its own system's
+    nugget, loadings, eigenvalues and links; each depth's classes are
+    eliminated by one batched inverse, all roots by one batched solve, and
+    the back substitution gathers each node's row by its class.  Classes
+    are not shared across trees or systems: a row serves only the
+    covariance it was built under, and running every class row under every
+    system's covariance costs more than the separate rows it saves.  Each
+    batched call does each matrix's own arithmetic, and each system's
+    weights are summed over its own contiguous run of nodes, so every
+    result equals the one-tree stack's bit for bit.  Raises what the
+    one-tree stack raises: the first bad stack's error, in stack order,
+    and ``SingularCovarianceError`` if any system is singular.
+    """
+    checked = [_checked_stack(*stack) for stack in stacks]
+    acs = [ac for _, stack_acs, _, _ in stacks for ac in stack_acs]
+    K = len(acs[0].terms)
+    if any(len(ac.terms) != K for ac in acs):
+        raise InvalidParametersError("stacked covariances must have the same number of terms")
+    plan = _forest_plan([tree for tree, stack_acs, _, _ in stacks for _ in stack_acs])
+    bounds, kid_off, node_bounds, node_off = plan.bounds, plan.kid_off, plan.node_bounds, plan.node_off
+    terms = np.array([ac.terms for ac in acs], dtype=np.float64).reshape(len(acs), K, 2)
+    b2, lam = terms[:, :, 0], terms[:, :, 1]
+    one_minus = 1.0 - lam * lam
+    # E: the (diagonal) block linking a node to its parent; x never links
+    e = np.concatenate((np.zeros((len(acs), 1)), lam / one_minus), axis=1)[plan.members]
+    S = np.zeros((plan.members.size, K + 1, K + 1))
+    S[:, 0, 0] = np.array([ac.nugget for ac in acs])[plan.members]
+    S[:, 0, 1:] = S[:, 1:, 0] = np.sqrt(b2)[plan.members]
+    idx = np.arange(1, K + 1)
+    S[:, idx, idx] = -(1.0 + plan.links[:, None] * (lam * lam)[plan.members]) / one_minus[plan.members]
+    z = np.zeros((plan.members.size, K + 1))
+    z[:, 0] = 1.0
+    levels = len(node_bounds) - 1
+    a_at, f_at = [None] * levels, [None] * levels
+    ef = ea = None  # E F and E a of the classes one level down
+    try:
+        # leaf to root, one table row per class and system
+        for depth in range(levels - 1, -1, -1):
+            lo, mid, hi = bounds[2 * depth : 2 * depth + 3]
+            S_d, z_d = S[lo:hi], z[lo:hi]
+            if mid < hi:
+                kids = plan.kids[kid_off[mid] : kid_off[hi]]
+                starts = plan.starts[mid:hi]
+                S_d[mid - lo :] -= np.add.reduceat(ef[kids], starts, axis=0)
+                z_d[mid - lo :] -= np.add.reduceat(ea[kids], starts, axis=0)
+            if depth:
+                e_d = e[lo:hi]
+                inv = np.linalg.inv(S_d)
+                a_at[depth] = a = np.einsum("rij,rj->ri", inv, z_d)
+                f_at[depth] = f = inv * e_d[:, None, :]
+                ef, ea = e_d[:, :, None] * f, e_d * a
+        # root to leaf, one row per node and system
+        x = np.empty((node_off[-1], K + 1))
+        x[node_off[:-1]] = np.linalg.solve(S[plan.roots], z[plan.roots][:, :, None])[:, :, 0]
+        for depth in range(1, levels):
+            run = slice(node_bounds[depth], node_bounds[depth + 1])
+            c = plan.classes[run]
+            x[plan.nodes[run]] = (
+                a_at[depth][c] - np.einsum("rij,rj->ri", f_at[depth][c], x[plan.parents[run]])
+            )
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError("covariance has a singular node block") from exc
+    results, system = [], 0
+    for Y, constants in checked:
+        results.append([])
+        for k, constant in enumerate(constants):
+            xk = x[node_off[system] : node_off[system + 1], 0]
+            system += 1
+            total = xk.sum()
+            if not (np.all(np.isfinite(xk)) and total > 0):
+                raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
+            weights = xk / total
+            estimate = float(weights @ Y[k])
+            results[-1].append(
+                GlsResult(estimate=estimate, weights=weights, variance=1.0 / total + constant)
+            )
+    return results
+
+
+def _checked_stack(tree: ReferralTree, acs, Y, constants) -> tuple:
+    """The outcome rows and constant terms of one stack, checked as arrays."""
     Y = np.asarray(Y, dtype=np.float64)
-    n = tree.n
     m = len(acs)
     if m < 1:
         raise InvalidParametersError("a stack needs at least one covariance")
-    if Y.ndim != 2 or Y.shape[1] != n:
+    if Y.ndim != 2 or Y.shape[1] != tree.n:
         raise InvalidParametersError("outcome length must match the tree")
     if Y.shape[0] != m:
         raise InvalidParametersError(f"{Y.shape[0]} outcome rows for {m} covariances")
@@ -219,62 +309,116 @@ def tree_gls_solve_stack(
         raise InvalidParametersError(f"{len(constants)} constant terms for {m} covariances")
     if not all(c >= 0 for c in constants):
         raise InvalidParametersError("constant covariance term must be >= 0")
-    K = len(acs[0].terms)
-    if any(len(ac.terms) != K for ac in acs):
-        raise InvalidParametersError("stacked covariances must have the same number of terms")
-    terms = np.array([ac.terms for ac in acs], dtype=np.float64).reshape(m, K, 2)
-    b2, lam = terms[:, :, 0], terms[:, :, 1]
-    one_minus = 1.0 - lam * lam
-    # E: the (diagonal) block linking a node to its parent; x never links
-    e = np.concatenate((np.zeros((m, 1)), lam / one_minus), axis=1)
-    # leaf to root, one table row per shape class: a node's block S_c, its
-    # a = S_c^{-1} z and its F = S_c^{-1} E depend only on its ordered
-    # subtree shape, so each class does the arithmetic of any one member
-    shapes = tree.shape_classes()
-    counts = np.concatenate([c for _, c, _, _ in shapes])
-    bounds = np.cumsum([0] + [len(c) for _, c, _, _ in shapes])
-    links = counts.astype(np.float64)  # degree - 1 ...
-    links[: bounds[1]] -= 1.0  # ... and the root has no parent edge
-    S = np.zeros((counts.shape[0], m, K + 1, K + 1))
-    S[:, :, 0, 0] = [ac.nugget for ac in acs]
-    S[:, :, 0, 1:] = S[:, :, 1:, 0] = np.sqrt(b2)
-    idx = np.arange(1, K + 1)
-    S[:, :, idx, idx] = -(1.0 + links[:, None, None] * (lam * lam)) / one_minus
-    z = np.zeros((counts.shape[0], m, K + 1))
-    z[:, :, 0] = 1.0
-    a_at, f_at = [None] * len(shapes), [None] * len(shapes)
-    ef = ea = None  # E F and E a of the classes one level down
-    try:
-        for depth in range(len(shapes) - 1, -1, -1):
-            _, _, kids, starts = shapes[depth]
-            S_d, z_d = S[bounds[depth] : bounds[depth + 1]], z[bounds[depth] : bounds[depth + 1]]
-            if kids.size:
-                S_d[1:] -= np.add.reduceat(ef[kids], starts, axis=0)
-                z_d[1:] -= np.add.reduceat(ea[kids], starts, axis=0)
-            if depth:
-                inv = np.linalg.inv(S_d)
-                a_at[depth] = a = np.einsum("nmij,nmj->nmi", inv, z_d)
-                f_at[depth] = f = inv * e[:, None, :]
-                ef, ea = e[:, :, None] * f, e * a
-        # root to leaf, one row per node
-        root = shapes[0][0][0]
-        x = np.empty((n, m, K + 1))
-        x[0] = np.linalg.solve(S_d[root], z_d[root][:, :, None])[:, :, 0]
-        for depth, (nodes, parents, _, _) in enumerate(tree.level_runs(), start=1):
-            c = shapes[depth][0]
-            x[nodes] = a_at[depth][c] - np.einsum("nmij,nmj->nmi", f_at[depth][c], x[parents])
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError("covariance has a singular node block") from exc
-    results = []
-    for k, constant in enumerate(constants):
-        xk = x[:, k, 0]
-        total = xk.sum()
-        if not (np.all(np.isfinite(xk)) and total > 0):
-            raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
-        weights = xk / total
-        estimate = float(weights @ Y[k])
-        results.append(GlsResult(estimate=estimate, weights=weights, variance=1.0 / total + constant))
-    return results
+    return Y, constants
+
+
+def _sweep_tables(tree: ReferralTree) -> tuple:
+    """``shape_classes`` and ``level_runs`` of one tree as flat arrays, cached on the tree.
+
+    Class rows are numbered depth by depth, each depth's leaf class first.
+    Returns ``(key, counts, kids, nodes, parents, classes, root)``: each
+    class row's 2 depth + 1 if it has children (so the rows are sorted by
+    key), its number of children, the child class rows of every class in
+    row order, every non-root node in ``level_runs`` order with its parent
+    and class row, and the root's class row.
+    """
+    if "sweep" not in tree._cache:
+        shapes = tree.shape_classes()
+        sizes = [counts.size for _, counts, _, _ in shapes]
+        base = np.cumsum([0] + sizes)
+        counts = np.concatenate([counts for _, counts, _, _ in shapes])
+        runs = tree.level_runs()
+        none = [np.zeros(0, dtype=np.int64)]
+        tree._cache["sweep"] = (
+            2 * np.repeat(np.arange(len(shapes)), sizes) + (counts > 0),
+            counts,
+            np.concatenate([kids + base[d + 1] for d, (_, _, kids, _) in enumerate(shapes)]),
+            np.concatenate([nodes for nodes, _, _, _ in runs] + none),
+            np.concatenate([parents for _, parents, _, _ in runs] + none),
+            np.concatenate([shapes[d][0] + base[d] for d in range(1, len(shapes))] + none),
+            int(shapes[0][0][0]),
+        )
+    return tree._cache["sweep"]
+
+
+class _ForestPlan(NamedTuple):
+    """Index plan of one forest sweep; see ``_forest_plan``."""
+
+    members: np.ndarray
+    links: np.ndarray
+    bounds: list
+    kids: np.ndarray
+    kid_off: np.ndarray
+    starts: np.ndarray
+    roots: np.ndarray
+    nodes: np.ndarray
+    parents: np.ndarray
+    classes: np.ndarray
+    node_bounds: list
+    node_off: np.ndarray
+
+
+def _forest_plan(trees: list) -> _ForestPlan:
+    """Index plan of one sweep in which system i lives on ``trees[i]``.
+
+    Each system gets its own copy of its tree's class rows.  The rows of
+    all systems are regrouped by depth, each depth's leaf classes first, so
+    depth d's rows are ``bounds[2 d]:bounds[2 d + 2]`` and its non-leaf
+    rows the run from ``bounds[2 d + 1]``; within a depth the rows keep
+    system order and class order.  Each row has its system (``members``)
+    and its links below its block (children, less one at the root).  The
+    children of the non-leaf rows are listed row by row (row r's from
+    ``kid_off[r]``) as rows of the depth below, each depth's run starting
+    at ``starts`` in ``np.add.reduceat`` form.  ``roots`` is each system's
+    root row; the non-root nodes of all systems, shifted by each system's
+    node offset ``node_off``, stand depth by depth (depth d from
+    ``node_bounds[d]``) with their parents and their rows within their
+    depth.  The plan of a one-tree stack is cached on its tree.
+    """
+    one_tree = all(tree is trees[0] for tree in trees)
+    key = ("forest", len(trees))
+    if one_tree and key in trees[0]._cache:
+        return trees[0]._cache[key]
+    tables = [_sweep_tables(tree) for tree in trees]
+    sizes = np.array([[part.size for part in table[:6]] for table in tables])
+    order_key, counts, kids, nodes, parents, classes = (
+        np.concatenate(parts) for parts in zip(*(table[:6] for table in tables))
+    )
+    row_off = np.cumsum(sizes[:, 0]) - sizes[:, 0]
+    node_off = np.cumsum([0] + [tree.n for tree in trees])
+    kids += np.repeat(row_off, sizes[:, 2])
+    classes += np.repeat(row_off, sizes[:, 5])
+    node_depth = order_key[classes] >> 1
+    nodes += np.repeat(node_off[:-1], sizes[:, 3])
+    parents += np.repeat(node_off[:-1], sizes[:, 4])
+    order = np.argsort(order_key, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    owner = rank[np.repeat(np.arange(order.size), counts)]
+    counts, order_key = counts[order], order_key[order]
+    bounds = np.searchsorted(order_key, np.arange(order_key[-1] // 2 * 2 + 3))
+    block = bounds[order_key & -2]  # the first row of each row's depth
+    kids = rank[kids[np.argsort(owner, kind="stable")]]
+    kid_off = np.concatenate(([0], np.cumsum(counts)))
+    by_depth = np.argsort(node_depth, kind="stable")
+    rows = rank[classes[by_depth]]
+    plan = _ForestPlan(
+        members=np.repeat(np.arange(len(trees)), sizes[:, 0])[order],
+        links=counts - (order_key < 2).astype(np.float64),
+        bounds=bounds.tolist(),
+        kids=kids - block[kids],
+        kid_off=kid_off,
+        starts=kid_off[:-1] - kid_off[bounds[order_key | 1]],
+        roots=rank[row_off + [table[6] for table in tables]],
+        nodes=nodes[by_depth],
+        parents=parents[by_depth],
+        classes=rows - block[rows],
+        node_bounds=np.searchsorted(node_depth[by_depth], np.arange(bounds.size // 2 + 1)).tolist(),
+        node_off=node_off,
+    )
+    if one_tree:
+        trees[0]._cache[key] = plan
+    return plan
 
 
 def tree_covariance_mass(tree: ReferralTree, ac: AutoCovariance) -> float:

@@ -21,7 +21,7 @@ from .covariance import (
     AutoCovariance,
     printed_rse,
     tree_covariance_mass,
-    tree_gls_solve_stack,
+    tree_gls_solve_forest,
 )
 from .diagnostics import ranktwo_rse_value
 from .errors import (
@@ -273,32 +273,40 @@ def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     return _single_term_report("delta", sample, lam, (), rse)
 
 
-def _tree_gls(tree, acs, Y: np.ndarray, constants, rse: bool = True) -> list:
+def _tree_gls(stacks, rse: bool = True) -> list:
     """Estimate, weights and printed-variant RSE of each stacked system, or None.
 
-    System i is ``acs[i]`` plus ``constants[i]`` 11' with outcome row
-    ``Y[i]``; the covariances share a term count and one tree sweep.  A
-    system that is singular, or whose solve is refused, gives None: a stack
-    that fails is solved again one system at a time, so every other system
-    keeps its stacked bits.  Without ``rse`` each RSE is None and its
-    covariance-mass sweep is skipped.
+    ``stacks`` holds ``(tree, acs, Y, constants)`` stacks whose covariances
+    share a term count; system i of a stack is ``acs[i]`` plus
+    ``constants[i]`` 11' with outcome row ``Y[i]``.  All stacks share one
+    forest sweep, and the result is one list per stack.  A system that is
+    singular, or whose solve is refused, gives None: a forest that fails is
+    solved again one stack at a time, and a stack that fails one system at
+    a time, so every other system keeps its forest bits.  Without ``rse``
+    each RSE is None and its covariance-mass sweep is skipped.
     """
-    n = tree.n
     try:
-        results = tree_gls_solve_stack(tree, acs, Y, constants)
-        masses = [tree_covariance_mass(tree, ac) + c * n * n if rse else None
-                  for ac, c in zip(acs, constants)]
-        return [
-            (res.estimate, res.weights, printed_rse(res.variance, mass, n) if rse else None)
-            for res, mass in zip(results, masses)
-        ]
+        solved = tree_gls_solve_forest(stacks)
+        out = []
+        for (tree, acs, _, constants), results in zip(stacks, solved):
+            n = tree.n
+            masses = [tree_covariance_mass(tree, ac) + c * n * n if rse else None
+                      for ac, c in zip(acs, constants)]
+            out.append([
+                (res.estimate, res.weights, printed_rse(res.variance, mass, n) if rse else None)
+                for res, mass in zip(results, masses)
+            ])
+        return out
     except (SingularCovarianceError, InvalidParametersError):
+        if len(stacks) > 1:
+            return [_tree_gls([stack], rse)[0] for stack in stacks]
+        tree, acs, Y, constants = stacks[0]
         if len(acs) == 1:
-            return [None]
-        return [
-            _tree_gls(tree, [ac], Y[i : i + 1], [c], rse)[0]
+            return [[None]]
+        return [[
+            _tree_gls([(tree, [ac], Y[i : i + 1], [c])], rse)[0][0]
             for i, (ac, c) in enumerate(zip(acs, constants))
-        ]
+        ]]
 
 
 def qhat_spectrum(counts: np.ndarray):
@@ -337,7 +345,7 @@ def sbm_fgls(
     ``rse`` the report carries no RSE.
     """
     labels = _block_labels(sample, labels)
-    return _blockmodel_gls_columns(sample, [sample.y], [labels], rse)[0]
+    return _blockmodel_gls_columns([(sample, [sample.y], [labels])], rse)[0][0]
 
 
 def _block_labels(sample: RdsSample, labels) -> np.ndarray:
@@ -390,55 +398,68 @@ def _block_spectrum(sample: RdsSample, labels: np.ndarray):
     return cache[key]
 
 
-def _blockmodel_gls_columns(sample: RdsSample, columns: list, labels: list, rse: bool) -> list:
-    """``sbm_fgls`` of each outcome column over its labels, one report per column.
+def _blockmodel_gls_columns(jobs, rse: bool) -> list:
+    """``sbm_fgls`` of each outcome column over its labels, one list of reports per job.
 
-    ``columns[i]`` is estimated over ``labels[i]``, already checked by
-    ``_block_labels``; the sample gives the tree, the degrees and nothing
-    else.  Each column's loadings on its labels' spectrum make its plug-in
-    covariance; columns whose covariances share a term count share one
-    stacked tree sweep, and a column whose covariance is refused or
-    singular falls back to the sample mean alone.  Each report is the
-    one-column call's, bit for bit.  Without ``rse`` the reports carry no
-    RSE.
+    A job is ``(sample, columns, labels)``: ``columns[i]`` is estimated over
+    ``labels[i]``, already checked by ``_block_labels``, and the sample gives
+    the tree, the degrees and nothing else.  Each column's loadings on its
+    labels' spectrum make its plug-in covariance.  The columns of all jobs
+    whose covariances share a term count share one forest sweep, and a
+    column whose covariance is refused or singular falls back to the
+    sample mean alone.  Each report is the one-column call's, bit for bit.
+    Without ``rse`` the reports carry no RSE.
     """
-    n = sample.n
-    if n == 1:
-        return [_mean_report("sbm", Y, "single-node sample") for Y in columns]
     fields, stacks = [], {}
-    for i, (Y, blocks) in enumerate(zip(columns, labels)):
-        k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
-        beta_hat = f_hat.T @ Y / n
-        # the leading eigenvalue is 1 by construction: its spectral term is a
-        # multiple of the all-ones matrix, which leaves the GLS weights
-        # untouched; clamping the rest keeps the solve definite
-        lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-        beta2 = beta_hat[1:] ** 2
-        nugget = float(Y.var(ddof=1))
-        fields.append((notes, {"eigenvalues": tuple(lam), "beta2": tuple(beta2),
-                               "nugget": nugget, "K": k_eff}))
-        try:
-            # loadings or a nugget that overflow to inf are refused here; the
-            # solve they would feed is singular
-            ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
-        except (SingularCovarianceError, InvalidParametersError):
+    for j, (sample, columns, labels) in enumerate(jobs):
+        fields.append([])
+        n = sample.n
+        if n == 1:
             continue
-        stacks.setdefault(len(ac.terms), []).append((i, ac, float(beta_hat[0] ** 2)))
-    solved = [None] * len(columns)
-    for members in stacks.values():
-        rows, acs, constants = zip(*members)
-        Y = np.stack([columns[i] for i in rows])
-        for i, out in zip(rows, _tree_gls(sample.tree, acs, Y, constants, rse)):
-            solved[i] = out
+        for i, (Y, blocks) in enumerate(zip(columns, labels)):
+            k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
+            beta_hat = f_hat.T @ Y / n
+            # the leading eigenvalue is 1 by construction: its spectral term is a
+            # multiple of the all-ones matrix, which leaves the GLS weights
+            # untouched; clamping the rest keeps the solve definite
+            lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
+            beta2 = beta_hat[1:] ** 2
+            nugget = float(Y.var(ddof=1))
+            fields[j].append((notes, {"eigenvalues": tuple(lam), "beta2": tuple(beta2),
+                                      "nugget": nugget, "K": k_eff}))
+            try:
+                # loadings or a nugget that overflow to inf are refused here; the
+                # solve they would feed is singular
+                ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
+            except (SingularCovarianceError, InvalidParametersError):
+                continue
+            member = (i, ac, float(beta_hat[0] ** 2))
+            stacks.setdefault(len(ac.terms), {}).setdefault(j, []).append(member)
+    solved = {}
+    for forest in stacks.values():
+        args = []
+        for j, members in forest.items():
+            rows, acs, constants = zip(*members)
+            args.append((jobs[j][0].tree, acs, np.stack([jobs[j][1][i] for i in rows]),
+                         constants))
+        for (j, members), outs in zip(forest.items(), _tree_gls(args, rse)):
+            for (i, _, _), out in zip(members, outs):
+                solved[j, i] = out
     reports = []
-    for Y, (notes, kw), out in zip(columns, fields, solved):
-        if out is None:
-            note = "estimated covariance was singular; fell back to the sample mean"
-            reports.append(_mean_report("sbm", Y, *notes, note, **kw))
+    for j, (sample, columns, _) in enumerate(jobs):
+        if sample.n == 1:
+            reports.append([_mean_report("sbm", Y, "single-node sample") for Y in columns])
             continue
-        mu, weights, rse_value = out
-        reports.append(EstimateReport("sbm", mu, rse=rse_value, weights=weights, n=n,
-                                      warnings=notes, **kw))
+        reports.append([])
+        for i, (Y, (notes, kw)) in enumerate(zip(columns, fields[j])):
+            out = solved.get((j, i))
+            if out is None:
+                note = "estimated covariance was singular; fell back to the sample mean"
+                reports[j].append(_mean_report("sbm", Y, *notes, note, **kw))
+                continue
+            mu, weights, rse_value = out
+            reports[j].append(EstimateReport("sbm", mu, rse=rse_value, weights=weights,
+                                             n=sample.n, warnings=notes, **kw))
     return reports
 
 
@@ -456,7 +477,7 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     ac = AutoCovariance.from_spectrum(beta, spec.eigenvalues)
     if n == 1:
         return _mean_report("oracle_gls", Y, "single-node sample")
-    (out,) = _tree_gls(sample.tree, (ac,), Y[None], (0.0,))
+    ((out,),) = _tree_gls([(sample.tree, (ac,), Y[None], (0.0,))])
     terms = {"eigenvalues": tuple(lam for _, lam in ac.terms),
              "beta2": tuple(b2 for b2, _ in ac.terms)}
     if out is None:
@@ -472,33 +493,40 @@ FGLS_FALLBACK_NOTE = (
 )
 
 
-def _reweighted_samples(policy: str, samples: list, labels) -> tuple:
-    """The reweight step of ``run_recipe`` on samples that share a tree and degrees.
+def _reweighted_samples(policy: str, carriers: list, groups: list, labels) -> tuple:
+    """The reweight step of ``run_recipe`` on groups of samples.
 
-    Returns each sample with its outcomes divided by its estimated sampling
-    weights (outcomes that overflow raise), its ``fgls`` block labels (none
-    for ``vh``) and its notes: ``(FGLS_FALLBACK_NOTE,)`` where the harmonic
-    mean took over.  Samples are checked in turn, each as its one-sample
-    run checks it (``fgls``: ``labels``, then the degrees and the blocks).
+    The samples of group j share the tree and the degrees of
+    ``carriers[j]``.  Returns, per group, each sample with its outcomes divided by its
+    estimated sampling weights (outcomes that overflow raise), its ``fgls``
+    block labels (none for ``vh``) and its notes: ``(FGLS_FALLBACK_NOTE,)``
+    where the harmonic mean took over.  Samples are checked in turn, each
+    as its one-sample run checks it (``fgls``: ``labels``, then the degrees
+    and the blocks), before any normalizer is estimated; the ``fgls``
+    normalizers of all groups are estimated together.
     """
     if policy not in ("vh", "fgls"):
         raise InvalidParametersError(f"unknown reweighting {policy!r}")
     blocks = []
-    for sample in samples:
-        raw = None if labels is None or policy == "vh" else labels(sample)
-        _positive_degrees(sample)
-        if policy == "fgls":
-            blocks.append(_block_labels(sample, raw))
-    inv = 1.0 / samples[0].degree
+    for samples in groups:
+        blocks.append([])
+        for sample in samples:
+            raw = None if labels is None or policy == "vh" else labels(sample)
+            _positive_degrees(sample)
+            if policy == "fgls":
+                blocks[-1].append(_block_labels(sample, raw))
+    invs = [1.0 / sample.degree for sample in carriers]
     if policy == "vh":
-        scales = [(inv.mean(), False)] * len(samples)
+        scales = [[(inv.mean(), False)] * len(samples) for inv, samples in zip(invs, groups)]
     else:
-        scales = _inverse_degree_scales(samples[0], inv, blocks)
+        scales = _inverse_degree_scales(list(zip(carriers, invs, blocks)))
     weighted = [
-        sample.with_outcome_values(sample.y / (h_inv * sample.degree))
-        for sample, (h_inv, _) in zip(samples, scales)
+        [sample.with_outcome_values(sample.y / (h_inv * sample.degree))
+         for sample, (h_inv, _) in zip(samples, group_scales)]
+        for samples, group_scales in zip(groups, scales)
     ]
-    notes = [(FGLS_FALLBACK_NOTE,) if fell_back else () for _, fell_back in scales]
+    notes = [[(FGLS_FALLBACK_NOTE,) if fell_back else () for _, fell_back in group_scales]
+             for group_scales in scales]
     return weighted, blocks, notes
 
 
@@ -517,31 +545,37 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     """
     if policy == "none":
         return sample
-    (out,), _, (notes,) = _reweighted_samples(policy, [sample], lambda _: labels)
+    ((out,),), _, ((notes,),) = _reweighted_samples(policy, [sample], [[sample]], lambda _: labels)
     for note in notes:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
     return out
 
 
-def _inverse_degree_scales(sample: RdsSample, inv: np.ndarray, labels: list) -> list:
+def _inverse_degree_scales(jobs: list) -> list:
     """The ``fgls`` normalizer of ``reweight`` over each label array, and whether
-    the harmonic mean took over: one ``(h_inv, fell_back)`` pair per array.
+    the harmonic mean took over: per job, one ``(h_inv, fell_back)`` pair per array.
 
-    A normalizer depends on the tree, the degrees and the labels but not on
-    the outcome, so it is estimated once per call for each distinct label
-    set, all of them by one blockmodel call on the inverse degrees ``inv``.
-    Nothing is cached across calls; the referral spectrum under each label
-    set stays cached on the tree (``_block_spectrum``).
+    A job is ``(sample, inv, labels)``, ``inv`` the sample's inverse
+    degrees.  A normalizer depends on the tree, the degrees and the labels
+    but not on the outcome, so it is estimated once per call for each
+    distinct label set of a job, all of them by one blockmodel call on the
+    inverse degrees.  Nothing is cached across calls; the referral spectrum
+    under each label set stays cached on the tree (``_block_spectrum``).
     """
-    distinct = {blocks.tobytes(): blocks for blocks in labels}
-    columns = [inv] * len(distinct)
-    reports = _blockmodel_gls_columns(sample, columns, list(distinct.values()), False)
-    scales = {}
-    for key, report in zip(distinct, reports):
-        h_inv = report.mu_hat
-        fell_back = not np.isfinite(h_inv) or h_inv <= 0
-        scales[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
-    return [scales[blocks.tobytes()] for blocks in labels]
+    distinct = [{blocks.tobytes(): blocks for blocks in labels} for _, _, labels in jobs]
+    reports = _blockmodel_gls_columns(
+        [(sample, [inv] * len(sets), list(sets.values()))
+         for (sample, inv, _), sets in zip(jobs, distinct)], False
+    )
+    out = []
+    for (_, inv, labels), sets, job_reports in zip(jobs, distinct, reports):
+        scales = {}
+        for key, report in zip(sets, job_reports):
+            h_inv = report.mu_hat
+            fell_back = not np.isfinite(h_inv) or h_inv <= 0
+            scales[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
+        out.append([scales[blocks.tobytes()] for blocks in labels])
+    return out
 
 
 def fgls_reweight(sample: RdsSample, labels: np.ndarray | None = None) -> RdsSample:
@@ -593,20 +627,43 @@ def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = T
     With ``fgls`` and ``sbm_fgls`` all columns run in two stacked stages:
     the inverse-degree normalizer of each distinct label set, then every
     column's blockmodel GLS.  A column that is singular falls back alone,
-    and a column that raises raises what it raises on its own.
+    and a column that raises raises what it raises on its own.  This is
+    the batch of one job of ``run_recipe_batch``.
+    """
+    return run_recipe_batch(recipe, [(sample, columns)], rse=rse)[0]
+
+
+def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
+    """``run_recipe`` of each ``(sample, columns)`` job, one list of reports per job.
+
+    Every report equals its job's own ``run_recipe`` report bit for bit.
+    With ``fgls`` and ``sbm_fgls`` each of the two stages runs once for all
+    jobs, so all their blockmodel systems of one term count share one
+    forest sweep (``tree_gls_solve_forest``).  A batch that raises raises
+    what one of its jobs raises on its own; run the jobs one at a time to
+    find the first.
     """
     policy, estimate, labels = recipe
-    samples = [sample] if columns is None else [sample.with_outcome_values(y) for y in columns]
-    if policy == "none" or not samples:
-        return [estimate(s, rse=rse) for s in samples]
-    weighted, blocks, notes = _reweighted_samples(policy, samples, labels)
+    groups = [
+        [sample] if columns is None else [sample.with_outcome_values(y) for y in columns]
+        for sample, columns in jobs
+    ]
+    if policy == "none":
+        return [[estimate(s, rse=rse) for s in samples] for samples in groups]
+    weighted, blocks, notes = _reweighted_samples(
+        policy, [sample for sample, _ in jobs], groups, labels
+    )
     if policy == "fgls" and estimate is sbm_fgls:
-        reports = _blockmodel_gls_columns(sample, [w.y for w in weighted], blocks, rse)
+        reports = _blockmodel_gls_columns([
+            (sample, [w.y for w in group], group_blocks)
+            for (sample, _), group, group_blocks in zip(jobs, weighted, blocks)
+        ], rse)
     else:
-        reports = [estimate(w, rse=rse) for w in weighted]
+        reports = [[estimate(w, rse=rse) for w in group] for group in weighted]
     return [
-        replace(report, warnings=note + report.warnings) if note else report
-        for report, note in zip(reports, notes)
+        [replace(report, warnings=note + report.warnings) if note else report
+         for report, note in zip(group_reports, group_notes)]
+        for group_reports, group_notes in zip(reports, notes)
     ]
 
 
@@ -636,3 +693,13 @@ def apply_estimator_columns(
     (``run_recipe``).
     """
     return run_recipe(_named(name), sample, columns, rse=rse)
+
+
+def apply_estimator_batch(name: str, jobs, *, rse: bool = True) -> list:
+    """``apply_estimator_columns`` of each ``(sample, columns)`` job, one list per job.
+
+    ``sbm_y`` and ``sbm_z`` run each stage of all jobs in one forest sweep
+    per term count (``run_recipe_batch``); the reports are the per-job
+    bits.
+    """
+    return run_recipe_batch(_named(name), jobs, rse=rse)

@@ -20,7 +20,7 @@ from .estimators import (
     ESTIMATORS,
     FGLS_FALLBACK_NOTE,
     apply_estimator,
-    apply_estimator_columns,
+    apply_estimator_batch,
 )
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
@@ -190,33 +190,62 @@ def figure1_ratio(p_values, levels) -> list:
     return rows
 
 
-def _run_replicate(ctx: dict, r: int):
-    """Estimates keyed by (estimator, n, outcome) for replicate ``r``, or None.
+# replicates per serial chunk: enough that every blockmodel stage of a chunk
+# is one forest sweep over dozens of trees, few enough to keep little alive
+CHUNK_REPLICATES = 16
 
-    Only ``mu_hat`` is kept, so no estimator computes its RSE.  Each
-    estimator runs once per prefix size on all outcome columns together
-    (``apply_estimator_columns``), so the blockmodel estimators solve every
-    column in one stacked tree sweep per stage; the estimates are the
-    one-column bits.  ``ctx`` holds the config, the sampling graph, the
-    block labels and the outcome columns; the sampler reports contact
-    counts of the sampling graph, whose sparsity pattern preferential
-    reweighting leaves alone.
+
+def _run_chunk(ctx: dict, reps) -> list:
+    """Estimates keyed by (estimator, n, outcome) for each replicate of ``reps``, or None.
+
+    Each replicate draws its own sample (seed ``base_seed + r``); one that
+    exhausts its restarts gives None.  Then each estimator runs once on
+    every (replicate, size) prefix of the chunk, with all outcome columns
+    together (``apply_estimator_batch``): each stage of a blockmodel
+    estimator is one forest sweep per term count over every system of the
+    chunk.  Only ``mu_hat`` is kept, so no estimator computes its RSE, and
+    the estimates are the one-column bits.  A chunk that raises runs again
+    one prefix at a time, replicate by replicate and size by size, so it
+    raises what the first failing estimate raises.  ``ctx`` holds the
+    config, the sampling graph, the block labels and the outcome columns;
+    the sampler reports contact counts of the sampling graph, whose
+    sparsity pattern preferential reweighting leaves alone.
     """
-    cfg = ctx["cfg"]
+    cfg, outcomes = ctx["cfg"], ctx["outcomes"]
+    samples = []
+    for r in reps:
+        try:
+            sample, _ = rds_without_replacement(ctx["graph"], cfg.walk, cfg.base_seed + r)
+        except SamplingFailedError:
+            samples.append(None)
+            continue
+        samples.append(sample.with_blocks(ctx["z"]))
+    jobs = []  # (replicate within the chunk, n, (prefix, outcome columns))
+    for i, sample in enumerate(samples):
+        for n in cfg.sizes if sample is not None else ():
+            sub = sample.prefix(n)
+            jobs.append((i, n, (sub, [sub.with_outcome(y).y for y in outcomes.values()])))
     try:
-        sample, _ = rds_without_replacement(ctx["graph"], cfg.walk, cfg.base_seed + r)
-    except SamplingFailedError:
-        return None
-    sample = sample.with_blocks(ctx["z"])
-    results = {}
-    for n in cfg.sizes:
-        sub = sample.prefix(n)
-        columns = [sub.with_outcome(yvec).y for yvec in ctx["outcomes"].values()]
-        for est in cfg.estimators:
-            reports = apply_estimator_columns(est, sub, columns, rse=False)
-            for out_name, report in zip(ctx["outcomes"], reports):
-                results[(est, n, out_name)] = report.mu_hat
+        estimates = _estimate(ctx, jobs)
+    except Exception:
+        if len(jobs) < 2:
+            raise
+        estimates = [mu for job in jobs for mu in _estimate(ctx, [job])]
+    results = [None if sample is None else {} for sample in samples]
+    for (i, _, _), mu in zip(jobs, estimates):
+        results[i].update(mu)
     return results
+
+
+def _estimate(ctx: dict, jobs: list) -> list:
+    """Each job's estimates keyed by (estimator, n, outcome), every estimator on all jobs at once."""
+    estimates = [{} for _ in jobs]
+    for est in ctx["cfg"].estimators:
+        batch = apply_estimator_batch(est, [job for _, _, job in jobs], rse=False)
+        for out, (_, n, _), reports in zip(estimates, jobs, batch):
+            for out_name, report in zip(ctx["outcomes"], reports):
+                out[(est, n, out_name)] = report.mu_hat
+    return estimates
 
 
 # the replicate context of a worker process, set once by its initializer
@@ -228,7 +257,8 @@ def _init_worker(ctx: dict):
 
 
 def _run_worker_replicate(r: int):
-    return _run_replicate(_worker_ctx, r)
+    # one replicate per pool task keeps the workers' load balanced
+    return _run_chunk(_worker_ctx, [r])[0]
 
 
 def _prepare_population(cfg: ExperimentConfig):
@@ -276,7 +306,11 @@ def run_rmse_experiment(cfg: ExperimentConfig) -> RmseTable:
         ) as pool:
             per_replicate = list(pool.map(_run_worker_replicate, range(cfg.replicates)))
     else:
-        per_replicate = [_run_replicate(ctx, r) for r in range(cfg.replicates)]
+        per_replicate = [
+            results
+            for lo in range(0, cfg.replicates, CHUNK_REPLICATES)
+            for results in _run_chunk(ctx, range(lo, min(lo + CHUNK_REPLICATES, cfg.replicates)))
+        ]
 
     estimates: dict = {}
     failures = sum(results is None for results in per_replicate)

@@ -627,9 +627,10 @@ def test_fgls_fallback_warns_on_every_call():
                     block=np.arange(tree.n) % 2)
     calls = []
 
-    def not_positive(sample, columns, labels, rse):
+    def not_positive(jobs, rse):
         calls.append(rse)
-        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n) for _ in columns]
+        return [[r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n) for _ in columns]
+                for sample, columns, _ in jobs]
 
     want = s.y / (np.mean(1.0 / s.degree) * s.degree)
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
@@ -645,9 +646,10 @@ def test_apply_estimator_puts_the_fallback_note_first():
     s = make_sample(tree, np.arange(tree.n, dtype=float), degree=np.arange(1, tree.n + 1),
                     block=np.arange(tree.n) % 2)
 
-    def not_positive(sample, columns, labels, rse):
-        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
-                                 warnings=("the estimator's own note",)) for _ in columns]
+    def not_positive(jobs, rse):
+        return [[r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
+                                  warnings=("the estimator's own note",)) for _ in columns]
+                for sample, columns, _ in jobs]
 
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
         for name in ("sbm_y", "sbm_z"):
@@ -787,7 +789,7 @@ def test_a_dropped_block_stays_with_its_column():
     skipped = np.where(labels == 1, 2, labels)
     columns = [np.arange(n) % 2 * 1.0, np.arange(n) % 5 * 0.3, np.arange(n) % 3 * 0.5]
     label_sets = [labels, skipped, labels]
-    reports = estimators._blockmodel_gls_columns(sample, columns, label_sets, True)
+    (reports,) = estimators._blockmodel_gls_columns([(sample, columns, label_sets)], True)
     for i, (y, blocks, report) in enumerate(zip(columns, label_sets, reports)):
         alone = r.sbm_fgls(_cold(sample).with_outcome_values(y), blocks)
         assert repr(report.to_dict()) == repr(alone.to_dict())
@@ -802,13 +804,12 @@ def test_the_harmonic_mean_fallback_stays_with_its_label_set():
     odd = r.ESTIMATORS["sbm_y"].labels(sample.with_outcome_values(columns[1]))
     real = estimators._blockmodel_gls_columns
 
-    def not_positive(sample, ys, labels, rse):
-        reports = real(sample, ys, labels, rse)
-        return [
+    def not_positive(jobs, rse):
+        return [[
             replace(rep, mu_hat=-1.0)
             if np.array_equal(y, 1.0 / sample.degree) and np.array_equal(blocks, odd) else rep
             for y, blocks, rep in zip(ys, labels, reports)
-        ]
+        ] for (sample, ys, labels), reports in zip(jobs, real(jobs, rse))]
 
     unpatched = _outcome(_one_column_loop("sbm_y", _cold(sample), columns))
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):

@@ -264,27 +264,28 @@ def test_overlapping_replicates_leave_the_warnings_filters_alone():
     a_open, b_open, a_closed = (threading.Event() for _ in range(3))
     role = threading.local()
 
-    def estimate(name, sample, columns, *, rse=True):
+    def estimate(name, jobs, *, rse=True):
         if role.name == "A":
             a_open.set()
             assert b_open.wait(10)
         else:
             b_open.set()
             assert a_closed.wait(10)
-        return [r.mean_estimator(sample.with_outcome_values(y)) for y in columns]
+        return [[r.mean_estimator(sample.with_outcome_values(y)) for y in columns]
+                for sample, columns in jobs]
 
     def replicate(name):
         role.name = name
         if name == "B":
             assert a_open.wait(10)
-        results = experiment._run_replicate(ctx, 0)
+        (results,) = experiment._run_chunk(ctx, [0])
         if name == "A":
             a_closed.set()
         return results
 
     with warnings.catch_warnings():
         before = list(warnings.filters)
-        with mock.patch.object(experiment, "apply_estimator_columns", estimate):
+        with mock.patch.object(experiment, "apply_estimator_batch", estimate):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 a, b = pool.map(replicate, ["A", "B"])
         assert warnings.filters == before

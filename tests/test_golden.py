@@ -107,12 +107,11 @@ def _inverse_degrees_not_positive():
     """
     real = estimators._blockmodel_gls_columns
 
-    def patched(sample, columns, labels, rse):
-        reports = real(sample, columns, labels, rse)
-        return [
+    def patched(jobs, rse):
+        return [[
             replace(report, mu_hat=-1.0) if np.array_equal(y, 1.0 / sample.degree) else report
             for y, report in zip(columns, reports)
-        ]
+        ] for (sample, columns, _), reports in zip(jobs, real(jobs, rse))]
 
     return mock.patch.object(estimators, "_blockmodel_gls_columns", patched)
 
