@@ -15,8 +15,6 @@ from .covariance import (
     ranktwo_inverse_apply,
     ranktwo_solve_ones,
     theorem2_limit,
-    vandermonde_estimator,
-    vandermonde_weights,
 )
 from .diagnostics import (
     DiagnosticPoint,
@@ -55,6 +53,8 @@ from .estimators import (
     reweight,
     run_recipe,
     sbm_fgls,
+    vandermonde_estimator,
+    vandermonde_weights,
     vh_estimator,
 )
 from .experiment import (

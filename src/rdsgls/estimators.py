@@ -6,7 +6,8 @@ blockmodel plug-in over observed labels or via single-geometric-term fits
 to lag statistics.  Every estimate runs one path, ``run_recipe``: divide
 the outcomes by estimated sampling weights, then estimate.  A ``Recipe``
 names the two steps, and ``ESTIMATORS`` names the recipes; the command
-line builds its own from its flags.
+line builds its own from its flags.  The Vandermonde chain estimator,
+whose variance certifies the 1/n rate, lives here too.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     InvalidParametersError,
     InvalidSampleError,
     MissingLabelError,
+    ReducedSystemError,
     SingularCovarianceError,
 )
 from .netmodel import SpectralDecomp, beta_coefficients, normalized_spectrum
@@ -703,3 +705,53 @@ def apply_estimator_batch(name: str, jobs, *, rse: bool = True) -> list:
     bits.
     """
     return run_recipe_batch(_named(name), jobs, rse=rse)
+
+
+def vandermonde_weights(eigenvalues: np.ndarray) -> np.ndarray:
+    """Coefficients killing all non-leading spectral terms along a chain.
+
+    Solves sum_a g_a lam_l^{a-1} = [l == 1] over the given eigenvalues,
+    which must start with 1 and be pairwise distinct.
+    """
+    lams = np.asarray(eigenvalues, dtype=np.float64)
+    K = lams.shape[0]
+    if K < 1 or abs(lams[0] - 1.0) > 1e-12:
+        raise InvalidParametersError("eigenvalues must start with the leading value 1")
+    diffs = np.abs(lams[:, None] - lams[None, :]) + np.eye(K)
+    if diffs.min() < 1e-12:
+        raise ReducedSystemError(
+            "repeated eigenvalues: reduced Vandermonde systems are unsupported"
+        )
+    V = np.power(lams[:, None], np.arange(K)[None, :])
+    rhs = np.zeros(K)
+    rhs[0] = 1.0
+    return np.linalg.solve(V, rhs)
+
+
+def vandermonde_estimator(sample: RdsSample, eigenvalues: np.ndarray) -> float:
+    """Chain average over disjoint root-to-leaf runs on a complete binary tree.
+
+    Takes one length-K run downward from every node K - 1 levels above the
+    leaves (always descending to the first child), weights the K outcomes
+    by the Vandermonde coefficients, and averages across runs.
+    """
+    lams = np.asarray(eigenvalues, dtype=np.float64)
+    K = lams.shape[0]
+    gamma = vandermonde_weights(lams)
+    tree = sample.tree
+    n = tree.n
+    H = tree.num_levels
+    heap_parents = (np.arange(1, n) - 1) // 2
+    if n != 2**H - 1 or not np.array_equal(tree.parent[1:], heap_parents):
+        raise InvalidParametersError("chain estimator requires a complete binary tree")
+    if H < K:
+        raise InvalidParametersError(f"tree has {H} levels, need at least {K}")
+    Y = sample.y
+    starts = np.arange(2 ** (H - K) - 1, 2 ** (H - K + 1) - 1, dtype=np.int64)
+    # descending always to the first child: v -> 2v + 1 under heap numbering
+    runs = np.zeros(len(starts))
+    node = starts
+    for a in range(K):
+        runs += gamma[a] * Y[node]
+        node = 2 * node + 1
+    return float(runs.mean())

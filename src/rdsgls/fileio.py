@@ -2,7 +2,7 @@
 
 Numeric formatting is pinned for reproducible artifacts: CSV floats carry
 10 significant digits, JSON floats 17.  Every CSV table is written by
-``_write_csv``, each cell through ``fmt_csv``.  A sample CSV is read by
+``_write_csv``, column by column.  A sample CSV is read by
 one ``np.loadtxt`` call, or row by row by ``csv`` where that call might
 read it differently.
 """
@@ -29,18 +29,21 @@ CSV_FLOAT = "%.10g"
 JSON_FLOAT = "%.17g"
 
 
-def fmt_csv(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return CSV_FLOAT % float(x)
-    return str(x)
+def _write_csv(path, header, columns):
+    """Write ``header``, then one row per entry of the equal-length ``columns``.
 
-
-def _write_csv(path, header, rows):
-    """Write ``header``, then each row of ``rows`` with every cell through ``fmt_csv``."""
+    Each column of floats is formatted once, with ``CSV_FLOAT``; ``csv``
+    writes every other cell as ``str`` gives it.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        floats = values.dtype.kind == "f"
+        cells.append([CSV_FLOAT % v for v in values.tolist()] if floats else values.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(map(fmt_csv, row) for row in rows)
+        writer.writerows(zip(*cells, strict=True))
 
 
 # ---------------------------------------------------------------- edge lists
@@ -104,7 +107,7 @@ def write_attributes(path, blocks=None, block_names=None, outcomes=None):
         columns.append(blocks if block_names is None else [block_names[b] for b in blocks])
     header.extend(outcomes)
     columns.extend(outcomes.values())
-    _write_csv(path, header, zip(*columns, strict=True))
+    _write_csv(path, header, columns)
 
 
 def read_attributes(path):
@@ -172,9 +175,9 @@ def write_sample(sample: RdsSample, path, block_names=None):
         blocks = [block_names[b] for b in sample.block]
     else:
         blocks = sample.block.tolist()
-    y = blank if sample.outcome is None else sample.outcome.tolist()
-    columns = (sample.tree.parent.tolist(), sample.node.tolist(), y, sample.degree.tolist())
-    _write_csv(path, SAMPLE_HEADER, zip(range(sample.n), *columns, blocks))
+    y = blank if sample.outcome is None else sample.outcome
+    columns = (range(sample.n), sample.tree.parent, sample.node, y, sample.degree, blocks)
+    _write_csv(path, SAMPLE_HEADER, columns)
 
 
 def read_sample(path) -> RdsSample:
@@ -342,7 +345,7 @@ def write_report(report: EstimateReport, path):
 
 def write_rmse_table(table: RmseTable, path):
     header = ["estimator", "n", "outcome", "rmse", "bias", "sd", "replicates", "failures"]
-    _write_csv(path, header, table.to_csv_rows())
+    _write_csv(path, header, zip(*table.to_csv_rows()))
 
 
 def write_diagnostics(dataset: DiagnosticDataset, path):
@@ -351,12 +354,12 @@ def write_diagnostics(dataset: DiagnosticDataset, path):
     points = [(pt.estimator, pt.lambda_hat, pt.rse, variant) for pt in dataset.points]
     curve = [("ranktwo_curve", lam, val, variant)
              for lam, val in zip(dataset.grey_grid, dataset.grey_rse)]
-    _write_csv(path, ["estimator", "lambda_hat", "rse", "variant"], points + curve)
+    _write_csv(path, ["estimator", "lambda_hat", "rse", "variant"], zip(*points, *curve))
 
 
 def write_figure1(rows, path):
     header = ["p", "levels", "n", "var_gls", "var_mean", "ratio"]
-    _write_csv(path, header, ([r[k] for k in header] for r in rows))
+    _write_csv(path, header, ([row[k] for row in rows] for k in header))
 
 
 # ------------------------------------------------------------------ configs

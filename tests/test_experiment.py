@@ -238,6 +238,41 @@ def test_desk_rmse_digest(tmp_path, jobs):
     assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == DESK_ROWS_REPR_SHA256
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sbm_y_on_a_many_valued_column_raises(jobs):
+    # the 40-node prefixes take 40 distinct values, too many to define blocks
+    n_pop = 200
+    cfg = small_config(
+        dcsbm=None,
+        graph=r.WeightedGraph.from_dense(np.ones((n_pop, n_pop)) - np.eye(n_pop)),
+        graph_outcomes={"trait": np.arange(n_pop) * 0.1},
+        outcomes={"trait": r.OutcomeSpec(kind="column", values=("trait",))},
+        estimators=("mean", "sbm_y"),
+        sizes=(20, 40),
+        replicates=5,
+        jobs=jobs,
+    )
+    message = "^outcome takes too many distinct values to define blocks$"
+    with pytest.raises(r.InvalidParametersError, match=message):
+        r.run_rmse_experiment(cfg)
+
+
+def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first():
+    # run estimator by estimator over the chunk, the 80-node mean fails
+    # first; run replicate by replicate and size by size, the 40-node vh does
+    real = experiment.apply_estimator_batch
+
+    def failing(name, jobs, *, rse=True):
+        for sample, _ in jobs:
+            if (name, sample.n) in {("mean", 80), ("vh", 40)}:
+                raise r.InvalidSampleError(f"{name} at n = {sample.n}")
+        return real(name, jobs, rse=rse)
+
+    with mock.patch.object(experiment, "apply_estimator_batch", failing):
+        with pytest.raises(r.InvalidSampleError, match="^vh at n = 40$"):
+            r.run_rmse_experiment(small_config(estimators=("mean", "vh"), replicates=3))
+
+
 def test_concurrent_threads_match_sequential_runs():
     configs = [
         small_config(replicates=6),
