@@ -42,6 +42,7 @@ from .estimators import (
     EstimateReport,
     LagStatistics,
     apply_estimator,
+    apply_estimator_batch,
     apply_estimator_columns,
     auto_fgls,
     delta_fgls,
@@ -52,6 +53,7 @@ from .estimators import (
     qhat_spectrum,
     reweight,
     run_recipe,
+    run_recipe_batch,
     sbm_fgls,
     vandermonde_estimator,
     vandermonde_weights,

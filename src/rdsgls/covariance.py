@@ -229,18 +229,19 @@ def tree_gls_solve_forest(stacks) -> list:
     if any(len(ac.terms) != K for ac in acs):
         raise InvalidParametersError("stacked covariances must have the same number of terms")
     plan = _forest_plan([tree for tree, stack_acs, _, _ in stacks for _ in stack_acs])
-    bounds, kid_off, node_bounds, node_off = plan.bounds, plan.kid_off, plan.node_bounds, plan.node_off
+    bounds, kid_off, members = plan.bounds, plan.kid_off, plan.members
+    node_bounds, node_off = plan.node_bounds, plan.node_off
     terms = np.array([ac.terms for ac in acs], dtype=np.float64).reshape(len(acs), K, 2)
     b2, lam = terms[:, :, 0], terms[:, :, 1]
     one_minus = 1.0 - lam * lam
     # E: the (diagonal) block linking a node to its parent; x never links
-    e = np.concatenate((np.zeros((len(acs), 1)), lam / one_minus), axis=1)[plan.members]
-    S = np.zeros((plan.members.size, K + 1, K + 1))
-    S[:, 0, 0] = np.array([ac.nugget for ac in acs])[plan.members]
-    S[:, 0, 1:] = S[:, 1:, 0] = np.sqrt(b2)[plan.members]
+    e = np.concatenate((np.zeros((len(acs), 1)), lam / one_minus), axis=1)[members]
+    S = np.zeros((members.size, K + 1, K + 1))
+    S[:, 0, 0] = np.array([ac.nugget for ac in acs])[members]
+    S[:, 0, 1:] = S[:, 1:, 0] = np.sqrt(b2)[members]
     idx = np.arange(1, K + 1)
-    S[:, idx, idx] = -(1.0 + plan.links[:, None] * (lam * lam)[plan.members]) / one_minus[plan.members]
-    z = np.zeros((plan.members.size, K + 1))
+    S[:, idx, idx] = -(1.0 + plan.links[:, None] * (lam * lam)[members]) / one_minus[members]
+    z = np.zeros((members.size, K + 1))
     z[:, 0] = 1.0
     levels = len(node_bounds) - 1
     a_at, f_at = [None] * levels, [None] * levels
@@ -400,6 +401,7 @@ def _forest_plan(trees: list) -> _ForestPlan:
     kid_off = np.concatenate(([0], np.cumsum(counts)))
     by_depth = np.argsort(node_depth, kind="stable")
     rows = rank[classes[by_depth]]
+    levels = np.arange(len(bounds) // 2 + 1)
     plan = _ForestPlan(
         members=np.repeat(np.arange(len(trees)), sizes[:, 0])[order],
         links=counts - (order_key < 2).astype(np.float64),
@@ -411,7 +413,7 @@ def _forest_plan(trees: list) -> _ForestPlan:
         nodes=nodes[by_depth],
         parents=parents[by_depth],
         classes=rows - block[rows],
-        node_bounds=np.searchsorted(node_depth[by_depth], np.arange(bounds.size // 2 + 1)).tolist(),
+        node_bounds=np.searchsorted(node_depth[by_depth], levels).tolist(),
         node_off=node_off,
     )
     if one_tree:

@@ -275,40 +275,29 @@ def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     return _single_term_report("delta", sample, lam, (), rse)
 
 
-def _tree_gls(stacks, rse: bool = True) -> list:
-    """Estimate, weights and printed-variant RSE of each stacked system, or None.
+def _tree_gls(systems, rse: bool = True) -> list:
+    """Estimate, weights and printed-variant RSE of each system, or None.
 
-    ``stacks`` holds ``(tree, acs, Y, constants)`` stacks whose covariances
-    share a term count; system i of a stack is ``acs[i]`` plus
-    ``constants[i]`` 11' with outcome row ``Y[i]``.  All stacks share one
-    forest sweep, and the result is one list per stack.  A system that is
-    singular, or whose solve is refused, gives None: a forest that fails is
-    solved again one stack at a time, and a stack that fails one system at
+    A system ``(tree, ac, y, constant)`` is ``ac`` plus ``constant`` 11'
+    with outcome ``y`` on ``tree``; the covariances share a term count and
+    one forest sweep.  A system that is singular, or whose solve is
+    refused, gives None: a forest that fails is solved again one system at
     a time, so every other system keeps its forest bits.  Without ``rse``
     each RSE is None and its covariance-mass sweep is skipped.
     """
     try:
-        solved = tree_gls_solve_forest(stacks)
+        solved = tree_gls_solve_forest([(tree, [ac], y[None], [c]) for tree, ac, y, c in systems])
         out = []
-        for (tree, acs, _, constants), results in zip(stacks, solved):
+        for (res,), (tree, ac, _, c) in zip(solved, systems):
             n = tree.n
-            masses = [tree_covariance_mass(tree, ac) + c * n * n if rse else None
-                      for ac, c in zip(acs, constants)]
-            out.append([
-                (res.estimate, res.weights, printed_rse(res.variance, mass, n) if rse else None)
-                for res, mass in zip(results, masses)
-            ])
+            mass = tree_covariance_mass(tree, ac) + c * n * n if rse else None
+            out.append((res.estimate, res.weights,
+                        printed_rse(res.variance, mass, n) if rse else None))
         return out
     except (SingularCovarianceError, InvalidParametersError):
-        if len(stacks) > 1:
-            return [_tree_gls([stack], rse)[0] for stack in stacks]
-        tree, acs, Y, constants = stacks[0]
-        if len(acs) == 1:
-            return [[None]]
-        return [[
-            _tree_gls([(tree, [ac], Y[i : i + 1], [c])], rse)[0][0]
-            for i, (ac, c) in enumerate(zip(acs, constants))
-        ]]
+        if len(systems) == 1:
+            return [None]
+        return [_tree_gls([system], rse)[0] for system in systems]
 
 
 def qhat_spectrum(counts: np.ndarray):
@@ -412,7 +401,7 @@ def _blockmodel_gls_columns(jobs, rse: bool) -> list:
     sample mean alone.  Each report is the one-column call's, bit for bit.
     Without ``rse`` the reports carry no RSE.
     """
-    fields, stacks = [], {}
+    fields, forests = [], {}
     for j, (sample, columns, labels) in enumerate(jobs):
         fields.append([])
         n = sample.n
@@ -435,18 +424,12 @@ def _blockmodel_gls_columns(jobs, rse: bool) -> list:
                 ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
             except (SingularCovarianceError, InvalidParametersError):
                 continue
-            member = (i, ac, float(beta_hat[0] ** 2))
-            stacks.setdefault(len(ac.terms), {}).setdefault(j, []).append(member)
+            system = (sample.tree, ac, Y, float(beta_hat[0] ** 2))
+            forests.setdefault(len(ac.terms), []).append(((j, i), system))
     solved = {}
-    for forest in stacks.values():
-        args = []
-        for j, members in forest.items():
-            rows, acs, constants = zip(*members)
-            args.append((jobs[j][0].tree, acs, np.stack([jobs[j][1][i] for i in rows]),
-                         constants))
-        for (j, members), outs in zip(forest.items(), _tree_gls(args, rse)):
-            for (i, _, _), out in zip(members, outs):
-                solved[j, i] = out
+    for members in forests.values():
+        keys, systems = zip(*members)
+        solved.update(zip(keys, _tree_gls(systems, rse)))
     reports = []
     for j, (sample, columns, _) in enumerate(jobs):
         if sample.n == 1:
@@ -479,7 +462,7 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     ac = AutoCovariance.from_spectrum(beta, spec.eigenvalues)
     if n == 1:
         return _mean_report("oracle_gls", Y, "single-node sample")
-    ((out,),) = _tree_gls([(sample.tree, (ac,), Y[None], (0.0,))])
+    (out,) = _tree_gls([(sample.tree, ac, Y, 0.0)])
     terms = {"eigenvalues": tuple(lam for _, lam in ac.terms),
              "beta2": tuple(b2 for b2, _ in ac.terms)}
     if out is None:

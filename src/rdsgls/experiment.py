@@ -190,8 +190,8 @@ def figure1_ratio(p_values, levels) -> list:
     return rows
 
 
-# replicates per serial chunk: enough that every blockmodel stage of a chunk
-# is one forest sweep over dozens of trees, few enough to keep little alive
+# replicates per serial chunk: enough that each blockmodel stage of a chunk
+# sweeps dozens of trees at once, few enough to keep little alive
 CHUNK_REPLICATES = 16
 
 
@@ -200,16 +200,16 @@ def _run_chunk(ctx: dict, reps) -> list:
 
     Each replicate draws its own sample (seed ``base_seed + r``); one that
     exhausts its restarts gives None.  Then each estimator runs once on
-    every (replicate, size) prefix of the chunk, with all outcome columns
-    together (``apply_estimator_batch``): each stage of a blockmodel
-    estimator is one forest sweep per term count over every system of the
-    chunk.  Only ``mu_hat`` is kept, so no estimator computes its RSE, and
-    the estimates are the one-column bits.  A chunk that raises runs again
-    one prefix at a time, replicate by replicate and size by size, so it
-    raises what the first failing estimate raises.  ``ctx`` holds the
-    config, the sampling graph, the block labels and the outcome columns;
-    the sampler reports contact counts of the sampling graph, whose
-    sparsity pattern preferential reweighting leaves alone.
+    every (replicate, size) prefix of the chunk and all outcome columns
+    (``apply_estimator_batch``), so each blockmodel stage is one forest
+    sweep per term count for the whole chunk, not one tree sweep per
+    prefix.  Only ``mu_hat`` is kept, so no RSE is computed; the estimates
+    are the one-column bits.  A chunk that raises runs again one prefix at
+    a time, replicate by replicate and size by size, and so raises what
+    that loop raises first.  ``ctx`` holds the config, the sampling graph,
+    the block labels and the outcome columns; the sampler reports contact
+    counts of the sampling graph, whose sparsity pattern preferential
+    reweighting leaves alone.
     """
     cfg, outcomes = ctx["cfg"], ctx["outcomes"]
     samples = []
@@ -238,7 +238,7 @@ def _run_chunk(ctx: dict, reps) -> list:
 
 
 def _estimate(ctx: dict, jobs: list) -> list:
-    """Each job's estimates keyed by (estimator, n, outcome), every estimator on all jobs at once."""
+    """Each job's estimates keyed by (estimator, n, outcome); each estimator runs once."""
     estimates = [{} for _ in jobs]
     for est in ctx["cfg"].estimators:
         batch = apply_estimator_batch(est, [job for _, _, job in jobs], rse=False)

@@ -92,20 +92,18 @@ def test_forest_equals_each_trees_stack(stacks):
 @PROPERTY
 @given(stacks=forests())
 def test_forest_fallback_gives_each_system_its_own_bits(stacks):
-    # estimators._tree_gls re-solves a failed forest stack by stack and a
-    # failed stack system by system: a singular system alone gives None
-    outs = estimators._tree_gls(stacks, rse=False)
-    for (tree, acs, Y, constants), stack_outs in zip(stacks, outs):
-        assert len(stack_outs) == len(acs)
-        for i, out in enumerate(stack_outs):
-            try:
-                (want,) = tree_gls_solve_stack(tree, [acs[i]], Y[i : i + 1], [constants[i]])
-            except r.SingularCovarianceError:
-                assert out is None
-                continue
-            mu, weights, rse = out
-            assert weights.tobytes() == want.weights.tobytes()
-            assert repr(mu) == repr(want.estimate) and rse is None
+    # estimators._tree_gls re-solves a failed forest system by system: a
+    # singular system alone gives None
+    systems = [(tree, ac, y, c) for tree, acs, Y, cs in stacks for ac, y, c in zip(acs, Y, cs)]
+    for (tree, ac, y, constant), out in zip(systems, estimators._tree_gls(systems, rse=False)):
+        try:
+            (want,) = tree_gls_solve_stack(tree, [ac], y[None], [constant])
+        except r.SingularCovarianceError:
+            assert out is None
+            continue
+        mu, weights, rse = out
+        assert weights.tobytes() == want.weights.tobytes()
+        assert repr(mu) == repr(want.estimate) and rse is None
 
 
 def test_a_singular_system_falls_back_alone():
@@ -118,22 +116,20 @@ def test_a_singular_system_falls_back_alone():
                [0.0, 0.5, 1.0]) for i, tree in enumerate(trees)]
     with pytest.raises(r.SingularCovarianceError):
         tree_gls_solve_forest(stacks)
-    outs = estimators._tree_gls(stacks, rse=True)
-    assert [[out is None for out in stack] for stack in outs] == [
-        [False] * 3, [False, True, False], [False] * 3
-    ]
-    for (tree, acs, Y, constants), stack in zip(stacks, outs):
-        for i, out in enumerate(stack):
-            if out is not None:
-                (want,) = estimators._tree_gls([(tree, [acs[i]], Y[i : i + 1], [constants[i]])])
-                assert out[1].tobytes() == want[0][1].tobytes()
-                assert repr(out[0]) == repr(want[0][0]) and repr(out[2]) == repr(want[0][2])
+    systems = [(tree, ac, y, c) for tree, acs, Y, cs in stacks for ac, y, c in zip(acs, Y, cs)]
+    outs = estimators._tree_gls(systems, rse=True)
+    assert [out is None for out in outs] == [False] * 4 + [True] + [False] * 4
+    for system, out in zip(systems, outs):
+        if out is not None:
+            (want,) = estimators._tree_gls([system])
+            assert out[1].tobytes() == want[1].tobytes()
+            assert repr(out[0]) == repr(want[0]) and repr(out[2]) == repr(want[2])
 
 
 def test_forest_of_large_trees_sums_each_system_alone():
     # past numpy's 8,192-element buffer, each system's weights still sum
     # over its own contiguous run as the one-tree stack sums them
-    trees = [r.galton_watson_tree(OFFSPRING_FAST, n, seed)[0] for n, seed in ((9000, 3), (300, 4))]
+    trees = [r.galton_watson_tree(OFFSPRING_FAST, n, seed)[0] for n, seed in ((9000, 3), (99, 4))]
     ac = r.AutoCovariance(terms=((0.6, 0.7), (0.2, -0.3)), nugget=0.5)
     stacks = [(tree, [ac, ac], np.vstack([np.ones(tree.n), np.arange(tree.n) % 7.0]), None)
               for tree in trees]
