@@ -482,13 +482,14 @@ def _reweighted_samples(policy: str, carriers: list, groups: list, labels) -> tu
     """The reweight step of ``run_recipe`` on groups of samples.
 
     The samples of group j share the tree and the degrees of
-    ``carriers[j]``.  Returns, per group, each sample with its outcomes divided by its
-    estimated sampling weights (outcomes that overflow raise), its ``fgls``
-    block labels (none for ``vh``) and its notes: ``(FGLS_FALLBACK_NOTE,)``
-    where the harmonic mean took over.  Samples are checked in turn, each
-    as its one-sample run checks it (``fgls``: ``labels``, then the degrees
-    and the blocks), before any normalizer is estimated; the ``fgls``
-    normalizers of all groups are estimated together.
+    ``carriers[j]``.  Returns, per group, each sample with its outcomes
+    divided by its estimated sampling weights (outcomes that overflow
+    raise), its ``fgls`` block labels (none for ``vh``) and its notes:
+    ``(FGLS_FALLBACK_NOTE,)`` where the harmonic mean took over.  Samples
+    are checked in turn, each as its one-sample run checks it (``fgls``:
+    ``labels``, then the degrees and the blocks), before any normalizer is
+    estimated; the ``fgls`` normalizers of all groups are estimated
+    together.
     """
     if policy not in ("vh", "fgls"):
         raise InvalidParametersError(f"unknown reweighting {policy!r}")
@@ -538,7 +539,7 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
 
 def _inverse_degree_scales(jobs: list) -> list:
     """The ``fgls`` normalizer of ``reweight`` over each label array, and whether
-    the harmonic mean took over: per job, one ``(h_inv, fell_back)`` pair per array.
+    the harmonic mean took over: per job, one ``(h_inv, fell_back)`` per array.
 
     A job is ``(sample, inv, labels)``, ``inv`` the sample's inverse
     degrees.  A normalizer depends on the tree, the degrees and the labels
@@ -678,16 +679,6 @@ def apply_estimator_columns(
     (``run_recipe``).
     """
     return run_recipe(_named(name), sample, columns, rse=rse)
-
-
-def apply_estimator_batch(name: str, jobs, *, rse: bool = True) -> list:
-    """``apply_estimator_columns`` of each ``(sample, columns)`` job, one list per job.
-
-    ``sbm_y`` and ``sbm_z`` run each stage of all jobs in one forest sweep
-    per term count (``run_recipe_batch``); the reports are the per-job
-    bits.
-    """
-    return run_recipe_batch(_named(name), jobs, rse=rse)
 
 
 def vandermonde_weights(eigenvalues: np.ndarray) -> np.ndarray:

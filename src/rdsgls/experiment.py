@@ -20,7 +20,7 @@ from .estimators import (
     ESTIMATORS,
     FGLS_FALLBACK_NOTE,
     apply_estimator,
-    apply_estimator_batch,
+    run_recipe_batch,
 )
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
@@ -201,7 +201,7 @@ def _run_chunk(ctx: dict, reps) -> list:
     Each replicate draws its own sample (seed ``base_seed + r``); one that
     exhausts its restarts gives None.  Then each estimator runs once on
     every (replicate, size) prefix of the chunk and all outcome columns
-    (``apply_estimator_batch``), so each blockmodel stage is one forest
+    (``run_recipe_batch``), so each blockmodel stage is one forest
     sweep per term count for the whole chunk, not one tree sweep per
     prefix.  Only ``mu_hat`` is kept, so no RSE is computed; the estimates
     are the one-column bits.  A chunk that raises runs again one prefix at
@@ -228,6 +228,8 @@ def _run_chunk(ctx: dict, reps) -> list:
     try:
         estimates = _estimate(ctx, jobs)
     except Exception:
+        # whatever it was, the prefix-by-prefix run re-raises the error
+        # that the replicate-by-replicate loop meets first
         if len(jobs) < 2:
             raise
         estimates = [mu for job in jobs for mu in _estimate(ctx, [job])]
@@ -241,7 +243,7 @@ def _estimate(ctx: dict, jobs: list) -> list:
     """Each job's estimates keyed by (estimator, n, outcome); each estimator runs once."""
     estimates = [{} for _ in jobs]
     for est in ctx["cfg"].estimators:
-        batch = apply_estimator_batch(est, [job for _, _, job in jobs], rse=False)
+        batch = run_recipe_batch(ESTIMATORS[est], [job for _, _, job in jobs], rse=False)
         for out, (_, n, _), reports in zip(estimates, jobs, batch):
             for out_name, report in zip(ctx["outcomes"], reports):
                 out[(est, n, out_name)] = report.mu_hat

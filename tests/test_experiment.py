@@ -260,15 +260,16 @@ def test_sbm_y_on_a_many_valued_column_raises(jobs):
 def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first():
     # run estimator by estimator over the chunk, the 80-node mean fails
     # first; run replicate by replicate and size by size, the 40-node vh does
-    real = experiment.apply_estimator_batch
+    real = experiment.run_recipe_batch
+    names = {recipe: name for name, recipe in r.ESTIMATORS.items()}
 
-    def failing(name, jobs, *, rse=True):
+    def failing(recipe, jobs, *, rse=True):
         for sample, _ in jobs:
-            if (name, sample.n) in {("mean", 80), ("vh", 40)}:
-                raise r.InvalidSampleError(f"{name} at n = {sample.n}")
-        return real(name, jobs, rse=rse)
+            if (names[recipe], sample.n) in {("mean", 80), ("vh", 40)}:
+                raise r.InvalidSampleError(f"{names[recipe]} at n = {sample.n}")
+        return real(recipe, jobs, rse=rse)
 
-    with mock.patch.object(experiment, "apply_estimator_batch", failing):
+    with mock.patch.object(experiment, "run_recipe_batch", failing):
         with pytest.raises(r.InvalidSampleError, match="^vh at n = 40$"):
             r.run_rmse_experiment(small_config(estimators=("mean", "vh"), replicates=3))
 
@@ -299,7 +300,7 @@ def test_overlapping_replicates_leave_the_warnings_filters_alone():
     a_open, b_open, a_closed = (threading.Event() for _ in range(3))
     role = threading.local()
 
-    def estimate(name, jobs, *, rse=True):
+    def estimate(recipe, jobs, *, rse=True):
         if role.name == "A":
             a_open.set()
             assert b_open.wait(10)
@@ -320,7 +321,7 @@ def test_overlapping_replicates_leave_the_warnings_filters_alone():
 
     with warnings.catch_warnings():
         before = list(warnings.filters)
-        with mock.patch.object(experiment, "apply_estimator_batch", estimate):
+        with mock.patch.object(experiment, "run_recipe_batch", estimate):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 a, b = pool.map(replicate, ["A", "B"])
         assert warnings.filters == before
