@@ -222,7 +222,9 @@ def _run_chunk(ctx: dict, reps) -> list:
         samples.append(sample.with_blocks(ctx["z"]))
     jobs = []  # (replicate within the chunk, n, (prefix, outcome columns))
     for i, sample in enumerate(samples):
-        for n in cfg.sizes if sample is not None else ():
+        if sample is None:
+            continue
+        for n in cfg.sizes:
             sub = sample.prefix(n)
             jobs.append((i, n, (sub, [sub.with_outcome(y).y for y in outcomes.values()])))
     try:
