@@ -372,7 +372,9 @@ def _forest_plan(trees: list) -> _ForestPlan:
     root row; the non-root nodes of all systems, shifted by each system's
     node offset ``node_off``, stand depth by depth (depth d from
     ``node_bounds[d]``) with their parents and their rows within their
-    depth.  The plan of a one-tree stack is cached on its tree.
+    depth.  The plan of a one-tree stack is cached on its tree; any other
+    plan is built per call from the trees' cached ``_sweep_tables``: next
+    to the sweep it is cheap, so plans are not shared across calls.
     """
     one_tree = all(tree is trees[0] for tree in trees)
     key = ("forest", len(trees))

@@ -376,7 +376,7 @@ def _block_spectrum(sample: RdsSample, labels: np.ndarray):
     z = np.searchsorted(present, labels)
     k_eff = present.size
 
-    qhat = referral_counts(replace(sample, block=z), k_eff)
+    qhat = referral_counts(sample._sharing(block=z), k_eff)
     # renormalize to the counts' own total (n - 1) / n: this can move the last
     # bit of an entry, and the recorded report digests include it
     qhat = qhat * ((n - 1) / n / qhat.sum())
@@ -478,41 +478,39 @@ FGLS_FALLBACK_NOTE = (
 )
 
 
-def _reweighted_samples(policy: str, carriers: list, groups: list, labels) -> tuple:
-    """The reweight step of ``run_recipe`` on groups of samples.
+def _reweighted_rows(policy: str, samples: list, rows: list, labels) -> tuple:
+    """The reweight step of ``run_recipe`` on the (m, n) outcome rows of each sample.
 
-    The samples of group j share the tree and the degrees of
-    ``carriers[j]``.  Returns, per group, each sample with its outcomes
-    divided by its estimated sampling weights (outcomes that overflow
-    raise), its ``fgls`` block labels (none for ``vh``) and its notes:
-    ``(FGLS_FALLBACK_NOTE,)`` where the harmonic mean took over.  Samples
-    are checked in turn, each as its one-sample run checks it (``fgls``:
-    ``labels``, then the degrees and the blocks), before any normalizer is
-    estimated; the ``fgls`` normalizers of all groups are estimated
-    together.
+    Returns, per sample, its rows divided by their estimated sampling weights
+    in one array (values that overflow raise), and per row its ``fgls`` block
+    labels (none for ``vh``) and its notes: ``(FGLS_FALLBACK_NOTE,)`` where
+    the harmonic mean took over.  Rows are checked in turn as their
+    one-column runs check them (``fgls``: ``labels``, the degrees, the
+    blocks), then the ``fgls`` normalizers of all samples are estimated at once.
     """
     if policy not in ("vh", "fgls"):
         raise InvalidParametersError(f"unknown reweighting {policy!r}")
     blocks = []
-    for samples in groups:
+    for sample, Y in zip(samples, rows):
         blocks.append([])
-        for sample in samples:
-            raw = None if labels is None or policy == "vh" else labels(sample)
-            _positive_degrees(sample)
+        for i, y in enumerate(Y):
+            raw = (None if labels is None or policy == "vh"
+                   else labels(sample.with_outcome_values(y)))
+            if not i:  # every row has the same degrees
+                _positive_degrees(sample)
             if policy == "fgls":
                 blocks[-1].append(_block_labels(sample, raw))
-    invs = [1.0 / sample.degree for sample in carriers]
+    invs = [1.0 / sample.degree for sample in samples]
     if policy == "vh":
-        scales = [[(inv.mean(), False)] * len(samples) for inv, samples in zip(invs, groups)]
+        scales = [[(inv.mean(), False)] * len(Y) for inv, Y in zip(invs, rows)]
     else:
-        scales = _inverse_degree_scales(list(zip(carriers, invs, blocks)))
-    weighted = [
-        [sample.with_outcome_values(sample.y / (h_inv * sample.degree))
-         for sample, (h_inv, _) in zip(samples, group_scales)]
-        for samples, group_scales in zip(groups, scales)
-    ]
-    notes = [[(FGLS_FALLBACK_NOTE,) if fell_back else () for _, fell_back in group_scales]
-             for group_scales in scales]
+        scales = _inverse_degree_scales(list(zip(samples, invs, blocks)))
+    weighted = [Y / (np.array([h for h, _ in row_scales]).reshape(-1, 1) * sample.degree)
+                for sample, Y, row_scales in zip(samples, rows, scales)]
+    if not all(np.isfinite(W).all() for W in weighted):
+        raise InvalidSampleError("outcomes must be finite")
+    notes = [[(FGLS_FALLBACK_NOTE,) if fell_back else () for _, fell_back in row_scales]
+             for row_scales in scales]
     return weighted, blocks, notes
 
 
@@ -531,10 +529,10 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     """
     if policy == "none":
         return sample
-    ((out,),), _, ((notes,),) = _reweighted_samples(policy, [sample], [[sample]], lambda _: labels)
+    (out,), _, ((notes,),) = _reweighted_rows(policy, [sample], [sample.y[None]], lambda _: labels)
     for note in notes:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
-    return out
+    return sample.with_outcome_values(out[0])
 
 
 def _inverse_degree_scales(jobs: list) -> list:
@@ -610,11 +608,9 @@ def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = T
     note comes first in a report's ``warnings``; nothing is warned.
     Without ``rse`` the estimators that fit a covariance report no RSE and
     skip its work; every other field and the weights are the same bits.
-    With ``fgls`` and ``sbm_fgls`` all columns run in two stacked stages:
-    the inverse-degree normalizer of each distinct label set, then every
-    column's blockmodel GLS.  A column that is singular falls back alone,
-    and a column that raises raises what it raises on its own.  This is
-    the batch of one job of ``run_recipe_batch``.
+    A column that is singular falls back alone, and a column that raises
+    raises what it raises on its own.  This is the batch of one job of
+    ``run_recipe_batch``.
     """
     return run_recipe_batch(recipe, [(sample, columns)], rse=rse)[0]
 
@@ -623,34 +619,45 @@ def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
     """``run_recipe`` of each ``(sample, columns)`` job, one list of reports per job.
 
     Every report equals its job's own ``run_recipe`` report bit for bit.
-    With ``fgls`` and ``sbm_fgls`` each of the two stages runs once for all
-    jobs, so all their blockmodel systems of one term count share one
-    forest sweep (``tree_gls_solve_forest``).  A batch that raises raises
+    A reweighted job's columns travel as one (m, n) array, checked and
+    divided whole; a sample is built per column only for an estimator that
+    takes one.  With ``fgls`` and ``sbm_fgls`` two stages run once for all
+    jobs: the inverse-degree normalizer of each distinct label set, then
+    every column's blockmodel GLS, each one forest sweep
+    (``tree_gls_solve_forest``) per term count.  A batch that raises raises
     what one of its jobs raises on its own; run the jobs one at a time to
     find the first.
     """
     policy, estimate, labels = recipe
-    groups = [
-        [sample] if columns is None else [sample.with_outcome_values(y) for y in columns]
-        for sample, columns in jobs
-    ]
     if policy == "none":
-        return [[estimate(s, rse=rse) for s in samples] for samples in groups]
-    weighted, blocks, notes = _reweighted_samples(
-        policy, [sample for sample, _ in jobs], groups, labels
-    )
+        groups = [[sample] if columns is None else [sample.with_outcome_values(y) for y in columns]
+                  for sample, columns in jobs]
+        return [[estimate(s, rse=rse) for s in group] for group in groups]
+    samples = [sample for sample, _ in jobs]
+    rows = [_outcome_rows(sample, columns) for sample, columns in jobs]
+    weighted, blocks, notes = _reweighted_rows(policy, samples, rows, labels)
     if policy == "fgls" and estimate is sbm_fgls:
-        reports = _blockmodel_gls_columns([
-            (sample, [w.y for w in group], group_blocks)
-            for (sample, _), group, group_blocks in zip(jobs, weighted, blocks)
-        ], rse)
+        reports = _blockmodel_gls_columns(list(zip(samples, weighted, blocks)), rse)
     else:
-        reports = [[estimate(w, rse=rse) for w in group] for group in weighted]
+        reports = [[estimate(sample.with_outcome_values(y), rse=rse) for y in W]
+                   for sample, W in zip(samples, weighted)]
     return [
         [replace(report, warnings=note + report.warnings) if note else report
-         for report, note in zip(group_reports, group_notes)]
-        for group_reports, group_notes in zip(reports, notes)
+         for report, note in zip(job_reports, job_notes)]
+        for job_reports, job_notes in zip(reports, notes)
     ]
+
+
+def _outcome_rows(sample: RdsSample, columns) -> np.ndarray:
+    """A job's (m, n) outcome array: ``columns``, each checked as ``with_outcome_values``
+    checks it, or the sample's own outcome."""
+    if columns is None:
+        return sample.y[None]
+    if (isinstance(columns, np.ndarray) and columns.shape[1:] == (sample.n,)
+            and np.isfinite(columns).all()):
+        return columns.astype(np.float64, copy=False)
+    # column by column, so that the first bad column raises its own error
+    return np.array([sample.with_outcome_values(y).y for y in columns]).reshape(-1, sample.n)
 
 
 def _named(name: str) -> Recipe:

@@ -113,9 +113,11 @@ class ExperimentConfig:
             raise InvalidParametersError(
                 f"preferential_weight must be finite and positive, got {self.preferential_weight}"
             )
+        num_nodes = self.dcsbm.z.size if self.graph is None else self.graph.num_nodes
         if self.dcsbm is not None:
             num_blocks = self.dcsbm.num_blocks
         elif self.graph_blocks is not None:
+            _check_node_values("graph_blocks", self.graph_blocks, num_nodes)
             num_blocks = int(np.max(self.graph_blocks)) + 1
         else:
             num_blocks = 1
@@ -126,11 +128,27 @@ class ExperimentConfig:
                         f"outcome {name!r}: the network has no attribute column "
                         f"{spec.values[0]!r}"
                     )
+                _check_node_values(f"outcome {name!r} (attribute column {spec.values[0]!r})",
+                                   self.graph_outcomes[spec.values[0]], num_nodes)
             elif spec.kind != "bernoulli" and len(spec.values) != num_blocks:
                 raise InvalidParametersError(
                     f"outcome {name!r}: {spec.kind} gives {len(spec.values)} values "
                     f"for {num_blocks} blocks"
                 )
+
+
+def _check_node_values(what: str, values, num_nodes: int):
+    """Raise unless ``values`` is one finite number per network node; name the first bad node."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < num_nodes:
+        raise InvalidParametersError(f"{what} has no value for node {values.size} "
+                                     f"of the {num_nodes}-node network")
+    if values.size > num_nodes:
+        raise InvalidParametersError(f"{what} has {values.size} values for the "
+                                     f"{num_nodes}-node network; node {num_nodes} does not exist")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidParametersError(f"{what} is not finite at node {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -200,18 +218,18 @@ def _run_chunk(ctx: dict, reps) -> list:
 
     Each replicate draws its own sample (seed ``base_seed + r``); one that
     exhausts its restarts gives None.  Then each estimator runs once on
-    every (replicate, size) prefix of the chunk and all outcome columns
-    (``run_recipe_batch``), so each blockmodel stage is one forest
-    sweep per term count for the whole chunk, not one tree sweep per
-    prefix.  Only ``mu_hat`` is kept, so no RSE is computed; the estimates
-    are the one-column bits.  A chunk that raises runs again one prefix at
-    a time, replicate by replicate and size by size, and so raises what
-    that loop raises first.  ``ctx`` holds the config, the sampling graph,
-    the block labels and the outcome columns; the sampler reports contact
-    counts of the sampling graph, whose sparsity pattern preferential
-    reweighting leaves alone.
+    every (replicate, size) prefix of the chunk, whose outcome columns are
+    one array gathered from the stacked population columns
+    (``run_recipe_batch``), so each blockmodel stage is one forest sweep
+    per term count for the whole chunk.  Only ``mu_hat`` is kept, so no
+    RSE is computed; the estimates are the one-column bits.  A chunk that
+    raises runs again one prefix at a time, and so raises what the
+    replicate-by-replicate loop raises first.  ``ctx`` holds the config,
+    the sampling graph, the block labels and the outcome columns by name;
+    the sampler reports contact counts of the sampling graph, whose
+    sparsity pattern preferential reweighting leaves alone.
     """
-    cfg, outcomes = ctx["cfg"], ctx["outcomes"]
+    cfg, Y = ctx["cfg"], np.array(list(ctx["outcomes"].values()))  # Y: (outcomes, N)
     samples = []
     for r in reps:
         try:
@@ -220,13 +238,13 @@ def _run_chunk(ctx: dict, reps) -> list:
             samples.append(None)
             continue
         samples.append(sample.with_blocks(ctx["z"]))
-    jobs = []  # (replicate within the chunk, n, (prefix, outcome columns))
+    jobs = []  # (replicate within the chunk, n, (prefix, its (outcomes, n) columns))
     for i, sample in enumerate(samples):
         if sample is None:
             continue
         for n in cfg.sizes:
             sub = sample.prefix(n)
-            jobs.append((i, n, (sub, [sub.with_outcome(y).y for y in outcomes.values()])))
+            jobs.append((i, n, (sub, Y.take(sub.node, axis=1))))
     try:
         estimates = _estimate(ctx, jobs)
     except Exception:

@@ -43,6 +43,7 @@ class WeightedGraph:
     weights: sp.csr_array
     degrees: np.ndarray
     allow_isolated: bool = False
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.weights
@@ -72,6 +73,7 @@ class WeightedGraph:
         object.__setattr__(graph, "weights", mat)
         object.__setattr__(graph, "degrees", np.asarray(mat.sum(axis=1)).ravel())
         object.__setattr__(graph, "allow_isolated", allow_isolated)
+        object.__setattr__(graph, "_cache", {})
         graph._check_isolated()
         return graph
 
@@ -137,16 +139,23 @@ class WeightedGraph:
         """Restrict to the largest connected component.
 
         Returns ``(subgraph, kept)`` where ``kept`` maps new ids to the
-        original node ids.
+        original node ids; of equal largest components, the one with the
+        lowest node id.  A graph returned is marked connected, and so is
+        returned as it is if restricted again.
         """
+        if "connected" in self._cache:
+            return self, np.arange(self.num_nodes)
         ncomp, labels = connected_components(self.weights, directed=False)
         if ncomp <= 1 and not self.isolated_nodes.size:
+            self._cache["connected"] = True
             return self, np.arange(self.num_nodes)
         sizes = np.bincount(labels, minlength=ncomp)
         keep = labels == int(np.argmax(sizes))
         kept = np.flatnonzero(keep)
         sub = self.weights[np.ix_(kept, kept)]
-        return WeightedGraph._from_symmetric(sp.csr_array(sub)), kept
+        graph = WeightedGraph._from_symmetric(sp.csr_array(sub))
+        graph._cache["connected"] = True
+        return graph, kept
 
     def reweighted_within_blocks(self, z, weight):
         """Copy with every same-block edge given weight ``weight``.

@@ -9,7 +9,7 @@ edge weights.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,7 @@ class RdsSample:
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "degree", np.asarray(self.degree, dtype=np.float64))
         if self.outcome is not None:
-            outcome = np.asarray(self.outcome, dtype=np.float64)
-            if not np.isfinite(outcome).all():
-                raise InvalidSampleError("outcomes must be finite")
-            object.__setattr__(self, "outcome", outcome)
+            object.__setattr__(self, "outcome", _finite_outcomes(self.outcome))
         if self.block is not None:
             object.__setattr__(self, "block", np.asarray(self.block, dtype=np.int64))
         n = self.tree.n
@@ -72,15 +69,24 @@ class RdsSample:
 
     def with_outcome(self, y_population: np.ndarray) -> "RdsSample":
         """Attach outcomes by evaluating a population vector at the sampled nodes."""
-        y = np.asarray(y_population, dtype=np.float64)
-        return replace(self, outcome=y[self.node])
+        return self.with_outcome_values(np.asarray(y_population, dtype=np.float64)[self.node])
 
     def with_outcome_values(self, values: np.ndarray) -> "RdsSample":
-        return replace(self, outcome=np.asarray(values, dtype=np.float64))
+        """This sample with outcome column ``values``.  Only the new column is
+        checked, as the constructor checks it; the other arrays are shared."""
+        outcome = _finite_outcomes(values)
+        if outcome.shape[0] != self.n:
+            raise InvalidParametersError("outcome must have one entry per tree node")
+        return self._sharing(outcome=outcome)
 
     def with_blocks(self, z_population: np.ndarray) -> "RdsSample":
-        z = np.asarray(z_population, dtype=np.int64)
-        return replace(self, block=z[self.node])
+        return self._sharing(block=np.asarray(z_population, dtype=np.int64)[self.node])
+
+    def _sharing(self, **checked) -> "RdsSample":
+        """This sample with the ``checked`` arrays in place, run through no check."""
+        out = object.__new__(RdsSample)
+        out.__dict__.update(self.__dict__, **checked)
+        return out
 
     def prefix(self, n: int) -> "RdsSample":
         """First n participants in recruitment order."""
@@ -91,6 +97,13 @@ class RdsSample:
             outcome=None if self.outcome is None else self.outcome[:n],
             block=None if self.block is None else self.block[:n],
         )
+
+
+def _finite_outcomes(values) -> np.ndarray:
+    outcome = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(outcome).all():
+        raise InvalidSampleError("outcomes must be finite")
+    return outcome
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import rdsgls as r
 from conftest import random_tree
 from rdsgls import estimators
+from rdsgls.cli import PLAIN_ESTIMATORS
 from rdsgls.presets import table1_fixture_sample, two_state_chain
 
 
@@ -851,3 +852,60 @@ def test_a_reweighted_outcome_that_overflows_raises(name):
                          block=np.arange(tree.n) % 3)
     with np.errstate(all="ignore"), pytest.raises(r.InvalidSampleError, match="finite"):
         r.apply_estimator(name, sample)
+
+
+# every named recipe and every `rdsgls estimate` flag pair
+BATCH_RECIPES = {
+    **r.ESTIMATORS,
+    **{f"{name}/{policy}": estimators.Recipe(policy, estimate)
+       for name, estimate in PLAIN_ESTIMATORS.items() for policy in estimators.REWEIGHTINGS},
+}
+
+
+@st.composite
+def prefix_jobs(draw):
+    """One to three prefixes of a labeled sample (one node, at times), each with
+    one to four outcome columns as one (m, n) array: a few levels, a constant,
+    a +/-1e200 column (the blockmodel covariance overflows, so it falls back
+    to the mean) or the largest float (reweighted, it overflows)."""
+    sample = draw(labeled_samples())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    jobs = []
+    for _ in range(draw(st.integers(1, 3))):
+        sub = sample.prefix(draw(st.sampled_from([1, sample.n, draw(st.integers(1, sample.n))])))
+        n = sub.n
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["levels", "levels", "constant", "singular", "overflow"]))
+            if kind == "levels":
+                rows.append(rng.integers(0, draw(st.integers(1, 5)), n) * draw(st.floats(0.1, 3.0)))
+            elif kind == "constant":
+                rows.append(np.full(n, draw(st.floats(-2.0, 2.0))))
+            elif kind == "singular":
+                rows.append(np.where(np.arange(n) % 2 == 0, 1e200, -1e200))
+            else:
+                rows.append(np.full(n, np.finfo(np.float64).max))
+        jobs.append((sub, np.array(rows, dtype=np.float64)))
+    return jobs
+
+
+@settings(max_examples=15, deadline=None)
+@given(jobs=prefix_jobs())
+@pytest.mark.parametrize("rse", [True, False])
+@pytest.mark.parametrize("recipe", list(BATCH_RECIPES))
+def test_array_columns_equal_one_column_runs(recipe, rse, jobs):
+    recipe = BATCH_RECIPES[recipe]
+    alone = [
+        _outcome(lambda: r.run_recipe(recipe, _cold(sub).with_outcome_values(y), rse=rse))
+        for sub, Y in jobs for y in Y
+    ]
+    batch = _outcome(lambda: [
+        report
+        for reports in r.run_recipe_batch(recipe, [(_cold(sub), Y) for sub, Y in jobs], rse=rse)
+        for report in reports
+    ])
+    raised = [out for out in alone if isinstance(out, tuple)]
+    if raised:
+        assert batch in raised
+    else:
+        assert batch == [report for out in alone for report in out]

@@ -374,6 +374,70 @@ def test_sizes_and_jobs_are_validated(overrides, field):
         small_config(**overrides)
 
 
+def column_config(**overrides):
+    """A ten-node complete graph whose outcome is its attribute column ``trait``."""
+    base = dict(
+        dcsbm=None,
+        graph=r.WeightedGraph.from_dense(np.ones((10, 10)) - np.eye(10)),
+        graph_outcomes={"trait": np.arange(10) * 0.5},
+        outcomes={"height": r.OutcomeSpec(kind="column", values=("trait",))},
+        walk=r.WalkConfig(offspring_pmf=(0.0, 1.0), target_n=5, seed_rule="uniform"),
+        sizes=(5,),
+    )
+    base.update(overrides)
+    return small_config(**base)
+
+
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        ({"graph_outcomes": {"trait": np.zeros(9)}},
+         r"^outcome 'height' \(attribute column 'trait'\) has no value for node 9 of the 10-node "
+         r"network$"),
+        ({"graph_outcomes": {"trait": np.zeros(11)}},
+         r"^outcome 'height' \(attribute column 'trait'\) has 11 values for the 10-node network; "
+         r"node 10 does not exist$"),
+        ({"graph_outcomes": {"trait": np.r_[np.zeros(4), np.nan, np.zeros(5)]}},
+         r"^outcome 'height' \(attribute column 'trait'\) is not finite at node 4$"),
+        ({"graph_blocks": np.zeros(9, dtype=np.int64)},
+         r"^graph_blocks has no value for node 9 of the 10-node network$"),
+        ({"graph_blocks": np.zeros(12, dtype=np.int64)},
+         r"^graph_blocks has 12 values for the 10-node network; node 10 does not exist$"),
+    ],
+)
+def test_network_columns_must_cover_every_node(overrides, message):
+    with pytest.raises(r.InvalidParametersError, match=message):
+        column_config(**overrides)
+
+
+def test_a_network_column_drives_the_experiment():
+    table = r.run_rmse_experiment(column_config(estimators=("mean",), replicates=3))
+    assert table.mu_true == {"height": 2.25}
+    assert np.isfinite([row.rmse for row in table.rows]).all()
+
+
+def test_a_chunk_checks_no_sample_per_outcome_column():
+    # RdsSample's own checks run per replicate and prefix, never per column
+    def count(names):
+        specs = desk_config().outcomes
+        cfg = desk_config(outcomes={name: specs[name] for name in names}, replicates=6)
+        graph, z, columns = experiment._prepare_population(cfg)
+        ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": columns}
+        real, runs = r.RdsSample.__post_init__, []
+
+        def counting(self):
+            runs.append(1)
+            real(self)
+
+        with mock.patch.object(r.RdsSample, "__post_init__", counting):
+            results = experiment._run_chunk(ctx, range(cfg.replicates))
+        assert len(results) == cfg.replicates and any(results)
+        return len(runs)
+
+    names = ("aligned", "correlated", "uncorrelated")
+    assert count(names) == count(names[:1]) > 0
+
+
 def test_emit_diagnostics_point_structure():
     params = table1_dcsbm(500, expected_degree=14.0, rng_seed=5)
     graph, kept = r.dcsbm_sample(params, 5).largest_component()

@@ -295,6 +295,24 @@ def test_largest_component_prunes_isolated():
     assert sub.degrees.min() > 0
 
 
+def test_largest_component_keeps_the_first_of_equal_components():
+    # {0, 2, 4} and {1, 3, 5} tie; the component of node 0 is kept
+    graph = r.WeightedGraph.from_edges(6, [(1, 3, 1.0), (3, 5, 1.0), (0, 2, 1.0), (2, 4, 1.0)])
+    sub, kept = graph.largest_component()
+    assert kept.tolist() == [0, 2, 4]
+    assert sorted(sub.edge_list()) == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_a_returned_component_is_not_searched_again(connected):
+    edges = [(0, 1, 1.0), (1, 2, 1.0)] + ([] if connected else [(3, 4, 1.0)])
+    graph, _ = r.WeightedGraph.from_edges(3 if connected else 5, edges).largest_component()
+    with mock.patch.object(netmodel, "connected_components", side_effect=AssertionError):
+        again, kept = graph.largest_component()
+    assert again is graph
+    assert kept.tolist() == [0, 1, 2]
+
+
 def dense_dcsbm_sample(params, rng_seed):
     """Reference draw: the full n x n probability product per row chunk, in stream order."""
     rng = as_rng(rng_seed, STREAM_NETWORK)

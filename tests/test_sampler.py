@@ -311,6 +311,22 @@ def test_sample_rejects_nonfinite_outcomes():
             sample.with_outcome_values(y)
 
 
+def test_a_new_outcome_column_is_checked_alone():
+    tree = r.complete_binary_tree(3)
+    sample = r.RdsSample(tree=tree, node=np.arange(tree.n), degree=np.ones(tree.n),
+                         block=np.zeros(tree.n, dtype=np.int64))
+    wrong_length = "^outcome must have one entry per tree node$"
+    with pytest.raises(r.InvalidParametersError, match=wrong_length):
+        sample.with_outcome_values(np.zeros(tree.n + 1))
+    with pytest.raises(r.InvalidSampleError, match="^outcomes must be finite$"):
+        sample.with_outcome_values(np.r_[np.nan, np.zeros(tree.n)])
+    labeled = sample.with_outcome_values(np.arange(tree.n))
+    assert labeled.y.dtype == np.float64 and labeled.y.tolist() == list(range(tree.n))
+    for name in ("tree", "node", "degree", "block"):
+        assert getattr(labeled, name) is getattr(sample, name)
+    assert sample.outcome is None
+
+
 def test_prefix_sample_consistency(chain09):
     tree = r.complete_binary_tree(5)
     sample = r.markov_walk(tree, chain09, 4, y=np.array([1.0, 0.0]), blocks=np.array([0, 1]))
