@@ -174,14 +174,13 @@ def tree_gls_solve(
     of (K+1) x (K+1) node blocks and root-to-leaf back substitution solve
     it, and stay valid as the nugget goes to zero.  A node's elimination
     depends only on its ordered subtree shape, so it runs once per shape
-    class (``ReferralTree.shape_classes``): O(C K^3) for C classes plus
-    O(n K^2) back substitution.  The constant term changes the variance
-    but not the weights (Sherman-Morrison).  This is the one-system case
-    of ``tree_gls_solve_stack``; a non-finite outcome raises
+    class (``_sweep_tables``): O(C K^3) for C classes plus O(n K^2) back
+    substitution.  The constant term changes the variance but not the
+    weights (Sherman-Morrison).  This is the forest of one system
+    (``tree_gls_solve_forest``); a non-finite outcome raises
     ``InvalidParametersError``.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    return tree_gls_solve_stack(tree, (ac,), Y[None], (constant,))[0]
+    return tree_gls_solve_forest([(tree, ac, Y, constant)])[0]
 
 
 def tree_gls_solve_stack(
@@ -189,46 +188,65 @@ def tree_gls_solve_stack(
 ) -> list:
     """``tree_gls_solve`` of m systems on one tree in one sweep, one result per system.
 
-    ``acs`` holds m covariances with the same number K of terms, ``Y`` the
-    m outcome rows (shape m x n) and ``constants`` the m constant terms
-    (default all zero).  This is the forest of one tree
-    (``tree_gls_solve_forest``): O(C m K^3) + O(n m K^2) time for C shape
-    classes, and row i equals the one-system solve of system i bit for
-    bit.  Raises ``InvalidParametersError`` naming the first non-finite
-    outcome and ``SingularCovarianceError`` if any system is singular;
-    solve the systems one at a time to find which.
+    ``acs`` holds m covariances of one term count, ``Y`` the m outcome rows
+    (m x n) and ``constants`` the m constant terms (default zeros).  Once
+    checked as arrays, row i is system i of one ``tree_gls_solve_forest``,
+    with its bits and its errors.
     """
-    return tree_gls_solve_forest([(tree, acs, Y, constants)])[0]
+    Y = np.asarray(Y, dtype=np.float64)
+    m = len(acs)
+    if m < 1:
+        raise InvalidParametersError("a stack needs at least one covariance")
+    if Y.ndim != 2 or Y.shape[1] != tree.n:
+        raise InvalidParametersError("outcome length must match the tree")
+    if Y.shape[0] != m:
+        raise InvalidParametersError(f"{Y.shape[0]} outcome rows for {m} covariances")
+    bad = np.argwhere(~np.isfinite(Y))
+    if bad.size:
+        raise InvalidParametersError(f"outcome row {bad[0, 0]} is not finite at node {bad[0, 1]}")
+    constants = (0.0,) * m if constants is None else tuple(constants)
+    if len(constants) != m:
+        raise InvalidParametersError(f"{len(constants)} constant terms for {m} covariances")
+    return tree_gls_solve_forest([(tree, ac, y, c) for ac, y, c in zip(acs, Y, constants)])
 
 
-def tree_gls_solve_forest(stacks) -> list:
-    """``tree_gls_solve_stack`` of each ``(tree, acs, Y, constants)`` stack in one sweep.
+def tree_gls_solve_forest(systems) -> list:
+    """``tree_gls_solve`` of each ``(tree, ac, y, constant)`` system in one sweep.
 
-    Returns one list of results per stack.  All covariances of all stacks
-    share one term count K.  The leaf-to-root elimination fills one table
-    row per shape class, depth and system: a node's block S_c, its a =
-    S_c^{-1} z and its F = S_c^{-1} E depend only on its ordered subtree
-    shape (``ReferralTree.shape_classes``), so each class does the
-    arithmetic of any one member.  Per depth the rows of every system of
-    every tree stand in one table, each row holding its own system's
-    nugget, loadings, eigenvalues and links; each depth's classes are
-    eliminated by one batched inverse, all roots by one batched solve, and
-    the back substitution gathers each node's row by its class.  Classes
-    are not shared across trees or systems: a row serves only the
-    covariance it was built under, and running every class row under every
-    system's covariance costs more than the separate rows it saves.  Each
-    batched call does each matrix's own arithmetic, and each system's
-    weights are summed over its own contiguous run of nodes, so every
-    result equals the one-tree stack's bit for bit.  Raises what the
-    one-tree stack raises: the first bad stack's error, in stack order,
-    and ``SingularCovarianceError`` if any system is singular.
+    One result per system (none for no systems); the covariances share a
+    term count K, and systems may share trees.  A node's block S_c, its
+    a = S_c^{-1} z and its F = S_c^{-1} E depend only on its ordered subtree
+    shape (``_sweep_tables``), so the elimination fills one table row per
+    shape class and system, each with its own system's covariance: per
+    depth one batched inverse, all roots one batched solve, and the back
+    substitution gathers each node's row by its class.  Sharing rows
+    across systems would run every row under every covariance, which costs
+    more than it saves.  Each batched call does each matrix's own
+    arithmetic, and each system's weights are summed over its own run of
+    nodes, so every result equals the one-system solve bit for bit.
+    Raises ``InvalidParametersError`` for the first system whose outcome
+    has the wrong length or a non-finite entry (``outcome row i``) or whose
+    constant is negative, then for mixed term counts, and
+    ``SingularCovarianceError`` if any system is singular.
     """
-    checked = [_checked_stack(*stack) for stack in stacks]
-    acs = [ac for _, stack_acs, _, _ in stacks for ac in stack_acs]
+    if not systems:
+        return []
+    checked = []
+    for i, (tree, _, y, constant) in enumerate(systems):
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (tree.n,):
+            raise InvalidParametersError("outcome length must match the tree")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise InvalidParametersError(f"outcome row {i} is not finite at node {bad[0]}")
+        if not constant >= 0:
+            raise InvalidParametersError("constant covariance term must be >= 0")
+        checked.append((y, constant))
+    acs = [ac for _, ac, _, _ in systems]
     K = len(acs[0].terms)
     if any(len(ac.terms) != K for ac in acs):
         raise InvalidParametersError("stacked covariances must have the same number of terms")
-    plan = _forest_plan([tree for tree, stack_acs, _, _ in stacks for _ in stack_acs])
+    plan = _forest_plan([tree for tree, _, _, _ in systems])
     bounds, kid_off, members = plan.bounds, plan.kid_off, plan.members
     node_bounds, node_off = plan.node_bounds, plan.node_off
     terms = np.array([ac.terms for ac in acs], dtype=np.float64).reshape(len(acs), K, 2)
@@ -273,69 +291,57 @@ def tree_gls_solve_forest(stacks) -> list:
             )
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError("covariance has a singular node block") from exc
-    results, system = [], 0
-    for Y, constants in checked:
-        results.append([])
-        for k, constant in enumerate(constants):
-            xk = x[node_off[system] : node_off[system + 1], 0]
-            system += 1
-            total = xk.sum()
-            if not (np.all(np.isfinite(xk)) and total > 0):
-                raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
-            weights = xk / total
-            estimate = float(weights @ Y[k])
-            results[-1].append(
-                GlsResult(estimate=estimate, weights=weights, variance=1.0 / total + constant)
-            )
+    results = []
+    for i, (y, constant) in enumerate(checked):
+        xk = x[node_off[i] : node_off[i + 1], 0]
+        total = xk.sum()
+        if not (np.all(np.isfinite(xk)) and total > 0):
+            raise SingularCovarianceError("1' Sigma^{-1} 1 must be finite and positive")
+        weights = xk / total
+        results.append(GlsResult(estimate=float(weights @ y), weights=weights,
+                                 variance=1.0 / total + constant))
     return results
 
 
-def _checked_stack(tree: ReferralTree, acs, Y, constants) -> tuple:
-    """The outcome rows and constant terms of one stack, checked as arrays."""
-    Y = np.asarray(Y, dtype=np.float64)
-    m = len(acs)
-    if m < 1:
-        raise InvalidParametersError("a stack needs at least one covariance")
-    if Y.ndim != 2 or Y.shape[1] != tree.n:
-        raise InvalidParametersError("outcome length must match the tree")
-    if Y.shape[0] != m:
-        raise InvalidParametersError(f"{Y.shape[0]} outcome rows for {m} covariances")
-    bad = np.argwhere(~np.isfinite(Y))
-    if bad.size:
-        raise InvalidParametersError(f"outcome row {bad[0, 0]} is not finite at node {bad[0, 1]}")
-    constants = (0.0,) * m if constants is None else tuple(constants)
-    if len(constants) != m:
-        raise InvalidParametersError(f"{len(constants)} constant terms for {m} covariances")
-    if not all(c >= 0 for c in constants):
-        raise InvalidParametersError("constant covariance term must be >= 0")
-    return Y, constants
-
-
 def _sweep_tables(tree: ReferralTree) -> tuple:
-    """``shape_classes`` and ``level_runs`` of one tree as flat arrays, cached on the tree.
+    """The ordered subtree shape classes of one tree as flat tables, cached on the tree.
 
-    Class rows are numbered depth by depth, each depth's leaf class first.
-    Returns ``(key, counts, kids, nodes, parents, classes, root)``: each
-    class row's 2 depth + 1 if it has children (so the rows are sorted by
-    key), its number of children, the child class rows of every class in
-    row order, every non-root node in ``level_runs`` order with its parent
-    and class row, and the root's class row.
+    Nodes of one depth with equal sequences of child classes, so equal
+    ordered subtree shapes, share a class and its table row.  Rows stand
+    depth by depth, each depth's leaf class first, then its classes as they
+    first appear in ``level_runs`` order.  Returns ``(key, counts, kids,
+    nodes, parents, classes, root)``: each row's 2 depth + 1 if it has
+    children (so the rows are sorted by key), its number of children, the
+    child rows of every row in row order, every non-root node in
+    ``level_runs`` order with its parent and row, and the root's row.
+    One pass over the depths, leaves up: O(n).
     """
     if "sweep" not in tree._cache:
-        shapes = tree.shape_classes()
-        sizes = [counts.size for _, counts, _, _ in shapes]
-        base = np.cumsum([0] + sizes)
-        counts = np.concatenate([counts for _, counts, _, _ in shapes])
         runs = tree.level_runs()
+        local = np.zeros(tree.n, dtype=np.int64)  # each node's class within its depth
+        shapes = [{}]  # per depth, leaves up: each class's child classes, in class order
+        for nodes, _, heads, starts in runs[::-1]:
+            below = local[nodes].tolist()
+            bounds = starts.tolist() + [len(below)]
+            ids = {}
+            local[heads] = [ids.setdefault(tuple(below[lo:hi]), len(ids) + 1)
+                            for lo, hi in zip(bounds, bounds[1:])]
+            shapes.append(ids)
+        shapes = shapes[::-1]
+        counts = np.array([k for ids in shapes for k in (0, *map(len, ids))], dtype=np.int64)
+        sizes = [len(ids) + 1 for ids in shapes]
+        base = np.cumsum([0] + sizes)
         none = [np.zeros(0, dtype=np.int64)]
+        nodes = np.concatenate([nodes for nodes, _, _, _ in runs] + none)
         tree._cache["sweep"] = (
             2 * np.repeat(np.arange(len(shapes)), sizes) + (counts > 0),
             counts,
-            np.concatenate([kids + base[d + 1] for d, (_, _, kids, _) in enumerate(shapes)]),
-            np.concatenate([nodes for nodes, _, _, _ in runs] + none),
+            np.array([k + b for ids, b in zip(shapes, base[1:].tolist()) for key in ids
+                      for k in key], dtype=np.int64),
+            nodes,
             np.concatenate([parents for _, parents, _, _ in runs] + none),
-            np.concatenate([shapes[d][0] + base[d] for d in range(1, len(shapes))] + none),
-            int(shapes[0][0][0]),
+            local[nodes] + base[tree.depths[nodes]],
+            int(local[0]),
         )
     return tree._cache["sweep"]
 
@@ -372,9 +378,8 @@ def _forest_plan(trees: list) -> _ForestPlan:
     root row; the non-root nodes of all systems, shifted by each system's
     node offset ``node_off``, stand depth by depth (depth d from
     ``node_bounds[d]``) with their parents and their rows within their
-    depth.  The plan of a one-tree stack is cached on its tree; any other
-    plan is built per call from the trees' cached ``_sweep_tables``: next
-    to the sweep it is cheap, so plans are not shared across calls.
+    depth.  A plan whose systems all live on one tree is cached on it; any
+    other is built per call from the trees' cached ``_sweep_tables``.
     """
     one_tree = all(tree is trees[0] for tree in trees)
     key = ("forest", len(trees))

@@ -286,9 +286,8 @@ def _tree_gls(systems, rse: bool = True) -> list:
     each RSE is None and its covariance-mass sweep is skipped.
     """
     try:
-        solved = tree_gls_solve_forest([(tree, [ac], y[None], [c]) for tree, ac, y, c in systems])
         out = []
-        for (res,), (tree, ac, _, c) in zip(solved, systems):
+        for res, (tree, ac, _, c) in zip(tree_gls_solve_forest(systems), systems):
             n = tree.n
             mass = tree_covariance_mass(tree, ac) + c * n * n if rse else None
             out.append((res.estimate, res.weights,
@@ -603,8 +602,8 @@ REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.valu
 def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = True) -> list:
     """Reweight, then estimate: the one path of every estimate, one report per column.
 
-    Runs on the sample's own outcome (a ``none`` recipe on the sample as
-    given), or once per outcome column of ``columns``.  The reweighting's
+    Runs on the sample's own outcome, or once per outcome column of
+    ``columns``.  The reweighting's
     note comes first in a report's ``warnings``; nothing is warned.
     Without ``rse`` the estimators that fit a covariance report no RSE and
     skip its work; every other field and the weights are the same bits.
@@ -619,22 +618,21 @@ def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
     """``run_recipe`` of each ``(sample, columns)`` job, one list of reports per job.
 
     Every report equals its job's own ``run_recipe`` report bit for bit.
-    A reweighted job's columns travel as one (m, n) array, checked and
-    divided whole; a sample is built per column only for an estimator that
-    takes one.  With ``fgls`` and ``sbm_fgls`` two stages run once for all
-    jobs: the inverse-degree normalizer of each distinct label set, then
-    every column's blockmodel GLS, each one forest sweep
+    A job's columns travel as one C-contiguous (m, n) array, reweighted
+    whole; a sample is built per column only for an estimator that takes
+    one.  With ``fgls`` and ``sbm_fgls`` two stages run once for all jobs:
+    the inverse-degree normalizer of each distinct label set, then every
+    column's blockmodel GLS, each one forest sweep
     (``tree_gls_solve_forest``) per term count.  A batch that raises raises
     what one of its jobs raises on its own; run the jobs one at a time to
     find the first.
     """
     policy, estimate, labels = recipe
-    if policy == "none":
-        groups = [[sample] if columns is None else [sample.with_outcome_values(y) for y in columns]
-                  for sample, columns in jobs]
-        return [[estimate(s, rse=rse) for s in group] for group in groups]
     samples = [sample for sample, _ in jobs]
     rows = [_outcome_rows(sample, columns) for sample, columns in jobs]
+    if policy == "none":
+        return [[estimate(sample.with_outcome_values(y), rse=rse) for y in Y]
+                for sample, Y in zip(samples, rows)]
     weighted, blocks, notes = _reweighted_rows(policy, samples, rows, labels)
     if policy == "fgls" and estimate is sbm_fgls:
         reports = _blockmodel_gls_columns(list(zip(samples, weighted, blocks)), rse)
@@ -650,14 +648,15 @@ def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
 
 def _outcome_rows(sample: RdsSample, columns) -> np.ndarray:
     """A job's (m, n) outcome array: ``columns``, each checked as ``with_outcome_values``
-    checks it, or the sample's own outcome."""
+    checks it, or the sample's own outcome.  It is C-contiguous, so that a
+    row's dot products give the same bits whatever the layout of ``columns``."""
     if columns is None:
-        return sample.y[None]
-    if (isinstance(columns, np.ndarray) and columns.shape[1:] == (sample.n,)
-            and np.isfinite(columns).all()):
-        return columns.astype(np.float64, copy=False)
-    # column by column, so that the first bad column raises its own error
-    return np.array([sample.with_outcome_values(y).y for y in columns]).reshape(-1, sample.n)
+        columns = sample.y[None]
+    elif not (isinstance(columns, np.ndarray) and columns.shape[1:] == (sample.n,)
+              and np.isfinite(columns).all()):
+        # column by column, so that the first bad column raises its own error
+        columns = [sample.with_outcome_values(y).y for y in columns]
+    return np.ascontiguousarray(columns, dtype=np.float64).reshape(-1, sample.n)
 
 
 def _named(name: str) -> Recipe:

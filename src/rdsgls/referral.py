@@ -10,7 +10,6 @@ distance matrix serves only ``rdsgls.reference``, the n x n oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,40 +125,6 @@ class ReferralTree:
                 runs.append((nodes, parents, heads, starts))
             self._cache["runs"] = runs
         return self._cache["runs"]
-
-    def shape_classes(self) -> list:
-        """Ordered subtree shapes per depth, for eliminating each shape once.
-
-        Entry ``d`` describes depth ``d`` as ``(classes, counts, kids,
-        starts)``.  ``classes`` gives each node of the depth (in
-        ``level_runs`` order; the root alone at depth 0) a class id: 0 for
-        a leaf, and equal ids for nodes whose ordered sequences of child
-        classes are equal, so for equal ordered subtree shapes.
-        ``counts[c]`` is class c's number of children, and ``kids`` the
-        child classes (ids at depth ``d + 1``) of classes 1, 2, ... in
-        child order, class c's run starting at ``starts[c - 1]``
-        (``np.add.reduceat`` form).  Built once per tree in O(n).
-        """
-        if "shapes" not in self._cache:
-            runs = self.level_runs()
-            cls = np.zeros(self.n, dtype=np.int64)
-            shapes = []
-            for depth in range(len(runs), -1, -1):
-                ids = {}
-                if depth < len(runs):  # the children of this depth's nodes
-                    nodes, _, heads, starts = runs[depth]
-                    below = cls[nodes].tolist()
-                    bounds = starts.tolist() + [len(below)]
-                    cls[heads] = [
-                        ids.setdefault(tuple(below[lo:hi]), len(ids) + 1)
-                        for lo, hi in zip(bounds, bounds[1:])
-                    ]
-                counts = np.array([0] + [len(key) for key in ids], dtype=np.int64)
-                kids = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.int64)
-                level = runs[depth - 1][0] if depth else np.zeros(1, dtype=np.int64)
-                shapes.append((cls[level], counts, kids, np.cumsum(counts)[:-1]))
-            self._cache["shapes"] = shapes[::-1]
-        return self._cache["shapes"]
 
     def distance_matrix(self) -> np.ndarray:
         """Dense pairwise distance matrix (uint16).

@@ -899,13 +899,16 @@ def test_array_columns_equal_one_column_runs(recipe, rse, jobs):
         _outcome(lambda: r.run_recipe(recipe, _cold(sub).with_outcome_values(y), rse=rse))
         for sub, Y in jobs for y in Y
     ]
-    batch = _outcome(lambda: [
-        report
-        for reports in r.run_recipe_batch(recipe, [(_cold(sub), Y) for sub, Y in jobs], rse=rse)
-        for report in reports
-    ])
     raised = [out for out in alone if isinstance(out, tuple)]
-    if raised:
-        assert batch in raised
-    else:
-        assert batch == [report for out in alone for report in out]
+    # F-ordered columns, as ``Y[:, idx]`` gives them, must give the same bits
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        batch = _outcome(lambda: [
+            report
+            for reports in r.run_recipe_batch(
+                recipe, [(_cold(sub), layout(Y)) for sub, Y in jobs], rse=rse)
+            for report in reports
+        ])
+        if raised:
+            assert batch in raised
+        else:
+            assert batch == [report for out in alone for report in out]

@@ -1,8 +1,8 @@
 """The forest tree GLS sweep against one-tree stacks, bit for bit.
 
-``tree_gls_solve_stack`` is the forest of one tree, and its bits are held
-by ``test_tree_gls_pin.py``; here a forest of many trees, each with its
-own systems, must give every system the bits of its own tree's stack.
+``tree_gls_solve_stack`` maps its rows to the systems of one forest, and
+its bits are held by ``test_tree_gls_pin.py``; here a forest of systems
+on many trees must give every system the bits of its own tree's stack.
 """
 
 import ast
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls import covariance, estimators
-from rdsgls.covariance import tree_gls_solve_forest, tree_gls_solve_stack
+from rdsgls.covariance import tree_gls_solve, tree_gls_solve_forest, tree_gls_solve_stack
 from rdsgls.presets import OFFSPRING_FAST
 from test_tree_gls_pin import broom, caterpillar, galton_watson, kary, path, recursive, star
 
@@ -61,9 +61,15 @@ def forests(draw):
     return stacks
 
 
-def solve_or_error(stacks):
+def flat(stacks):
+    """The systems ``(tree, ac, y, constant)`` of the stacks, in order."""
+    return [(tree, ac, y, c) for tree, acs, Y, cs in stacks
+            for ac, y, c in zip(acs, Y, [0.0] * len(acs) if cs is None else cs)]
+
+
+def solve_or_error(solve, *args):
     try:
-        return tree_gls_solve_forest(stacks)
+        return solve(*args)
     except r.SingularCovarianceError:
         return None
 
@@ -79,14 +85,13 @@ def assert_same_bits(got, want):
 @PROPERTY
 @given(stacks=forests())
 def test_forest_equals_each_trees_stack(stacks):
-    alone = [solve_or_error([stack]) for stack in stacks]
-    forest = solve_or_error(stacks)
+    alone = [solve_or_error(tree_gls_solve_stack, *stack) for stack in stacks]
+    forest = solve_or_error(tree_gls_solve_forest, flat(stacks))
     if any(one is None for one in alone):
         assert forest is None
         return
-    assert forest is not None and len(forest) == len(stacks)
-    for got, (want,) in zip(forest, alone):
-        assert_same_bits(got, want)
+    assert forest is not None
+    assert_same_bits(forest, [res for one in alone for res in one])
 
 
 @PROPERTY
@@ -114,9 +119,9 @@ def test_a_singular_system_falls_back_alone():
     singular = r.AutoCovariance(terms=((0.0, 0.5), (0.0, -0.4)), nugget=0.0)
     stacks = [(tree, [good, singular if i == 1 else good, good], rng.normal(size=(3, tree.n)),
                [0.0, 0.5, 1.0]) for i, tree in enumerate(trees)]
+    systems = flat(stacks)
     with pytest.raises(r.SingularCovarianceError):
-        tree_gls_solve_forest(stacks)
-    systems = [(tree, ac, y, c) for tree, acs, Y, cs in stacks for ac, y, c in zip(acs, Y, cs)]
+        tree_gls_solve_forest(systems)
     outs = estimators._tree_gls(systems, rse=True)
     assert [out is None for out in outs] == [False] * 4 + [True] + [False] * 4
     for system, out in zip(systems, outs):
@@ -133,17 +138,21 @@ def test_forest_of_large_trees_sums_each_system_alone():
     ac = r.AutoCovariance(terms=((0.6, 0.7), (0.2, -0.3)), nugget=0.5)
     stacks = [(tree, [ac, ac], np.vstack([np.ones(tree.n), np.arange(tree.n) % 7.0]), None)
               for tree in trees]
-    for got, stack in zip(tree_gls_solve_forest(stacks), stacks):
-        assert_same_bits(got, tree_gls_solve_stack(*stack))
+    want = [res for stack in stacks for res in tree_gls_solve_stack(*stack)]
+    assert_same_bits(tree_gls_solve_forest(flat(stacks)), want)
 
 
 def test_forest_refuses_mixed_term_counts():
     tree = r.complete_binary_tree(3)
     one = r.AutoCovariance(terms=((1.0, 0.5),), nugget=1.0)
     two = r.AutoCovariance(terms=((1.0, 0.5), (0.5, -0.2)), nugget=1.0)
-    Y = np.ones((1, tree.n))
+    y = np.ones(tree.n)
     with pytest.raises(r.InvalidParametersError, match="same number of terms"):
-        tree_gls_solve_forest([(tree, [one], Y, None), (tree, [two], Y, None)])
+        tree_gls_solve_forest([(tree, one, y, 0.0), (tree, two, y, 0.0)])
+
+
+def test_empty_forest_solves_nothing():
+    assert tree_gls_solve_forest([]) == []
 
 
 def linalg_calls(name: str) -> list:
@@ -160,3 +169,11 @@ def test_one_sweep_holds_the_only_inverse_and_solve(name):
     # the one-tree stack and the forest share one sweep: a second call site
     # of either routine would mean the two had forked again
     assert len(linalg_calls(name)) == 1
+
+
+def test_the_sweep_caches_one_class_form():
+    # the shape classes live only in the flat tables: a per-depth copy of
+    # them on the tree would mean a second class builder had come back
+    tree = r.ReferralTree(galton_watson(np.random.default_rng(3), 80))
+    tree_gls_solve(tree, r.AutoCovariance(terms=((0.5, 0.4),), nugget=1.0), np.ones(tree.n))
+    assert set(tree._cache) == {"depths", "levels", "runs", "sweep", ("forest", 1)}

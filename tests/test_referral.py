@@ -9,6 +9,7 @@ from scipy.sparse import csgraph
 
 import rdsgls as r
 from conftest import random_tree
+from rdsgls.covariance import _sweep_tables
 
 
 def test_single_node_tree():
@@ -230,12 +231,11 @@ def _ordered_shape(children, node):
 
 
 def _classes_by_node(tree):
-    """Each node's shape class id, from ``shape_classes`` and ``level_runs``."""
-    shapes = tree.shape_classes()
+    """Each node's shape class row, from ``_sweep_tables``."""
+    _, _, _, nodes, _, classes, root = _sweep_tables(tree)
     cls = np.empty(tree.n, dtype=np.int64)
-    cls[0] = shapes[0][0][0]
-    for (nodes, _, _, _), (classes, _, _, _) in zip(tree.level_runs(), shapes[1:]):
-        cls[nodes] = classes
+    cls[0] = root
+    cls[nodes] = classes
     return cls
 
 
@@ -256,28 +256,33 @@ def test_shape_classes_are_sound(seed, n, reach, fan):
     shape = [_ordered_shape(children, v) for v in range(n)]
     cls = _classes_by_node(tree)
     depths = tree.depths
+    key, counts, kids, _, _, _, _ = _sweep_tables(tree)
+    # rows stand depth by depth, sorted by key, each depth's leaf row first
+    assert np.all(np.diff(key) >= 0)
+    first = np.searchsorted(key, 2 * np.arange(tree.num_levels))
+    assert key[first].tolist() == (2 * np.arange(tree.num_levels)).tolist()
+    assert np.all(counts[first] == 0) and np.all((counts > 0) == (key & 1 == 1))
     for v in range(n):
-        assert (cls[v] == 0) == (not children[v])
+        assert key[cls[v]] >> 1 == depths[v]
+        assert (cls[v] == first[depths[v]]) == (not children[v])
         for w in range(v):
-            if depths[v] == depths[w] and cls[v] == cls[w]:
+            if cls[v] == cls[w]:
                 assert shape[v] == shape[w]
-    # each class's table row lists the child classes of every member
-    for depth, (classes, counts, kids, starts) in enumerate(tree.shape_classes()):
-        assert counts[0] == 0 and len(starts) == len(counts) - 1
-        members = np.flatnonzero(depths == depth)
-        for v in members:
-            c = cls[v]
-            assert counts[c] == len(children[v])
-            if c:
-                assert kids[starts[c - 1] : starts[c - 1] + counts[c]].tolist() == [
-                    cls[k] for k in children[v]
-                ]
+    # each class's table row lists the child class rows of every member
+    kid_off = np.cumsum(counts) - counts
+    for v in range(n):
+        c = cls[v]
+        assert counts[c] == len(children[v])
+        assert kids[kid_off[c] : kid_off[c] + counts[c]].tolist() == [cls[k] for k in children[v]]
 
 
 def test_shape_class_counts():
     def per_depth(tree):
-        return [(np.unique(classes).tolist(), counts.tolist())
-                for classes, counts, _, _ in tree.shape_classes()]
+        key, counts, _, _, _, _, _ = _sweep_tables(tree)
+        cls, depths = _classes_by_node(tree), tree.depths
+        first = np.searchsorted(key, 2 * np.arange(tree.num_levels))
+        return [(np.unique(cls[depths == d] - first[d]).tolist(), counts[key >> 1 == d].tolist())
+                for d in range(tree.num_levels)]
 
     binary = per_depth(r.complete_binary_tree(6))
     assert binary == [([1], [0, 2])] * 5 + [([0], [0])]
@@ -290,4 +295,4 @@ def test_shape_class_counts():
 
 def test_shape_classes_are_cached():
     tree = r.complete_binary_tree(4)
-    assert tree.shape_classes() is tree.shape_classes()
+    assert _sweep_tables(tree) is _sweep_tables(tree)
