@@ -379,7 +379,8 @@ def _forest_plan(trees: list) -> _ForestPlan:
     node offset ``node_off``, stand depth by depth (depth d from
     ``node_bounds[d]``) with their parents and their rows within their
     depth.  A plan whose systems all live on one tree is cached on it; any
-    other is built per call from the trees' cached ``_sweep_tables``.
+    other is built per call from the trees' cached ``_sweep_tables``: next
+    to the sweep it is cheap, so plans are not shared across calls.
     """
     one_tree = all(tree is trees[0] for tree in trees)
     key = ("forest", len(trees))
