@@ -332,10 +332,10 @@ def sbm_fgls(
     Labels run over 0..max(labels); blocks never visited by the sample
     are dropped (with a warning).  Eigenvalues are clamped to +/-0.999
     before the covariance build so the solve stays definite.  Without
-    ``rse`` the report carries no RSE.
+    ``rse`` the report carries no RSE.  This is the batch stage
+    ``_blockmodel_gls_columns`` on one column.
     """
-    labels = _block_labels(sample, labels)
-    return _blockmodel_gls_columns([(sample, [sample.y], [labels])], rse)[0][0]
+    return _blockmodel_gls_columns([(sample, sample.y, _block_labels(sample, labels))], rse)[0]
 
 
 def _block_labels(sample: RdsSample, labels) -> np.ndarray:
@@ -388,62 +388,58 @@ def _block_spectrum(sample: RdsSample, labels: np.ndarray):
     return cache[key]
 
 
-def _blockmodel_gls_columns(jobs, rse: bool) -> list:
-    """``sbm_fgls`` of each outcome column over its labels, one list of reports per job.
+def _blockmodel_gls_columns(columns, rse: bool) -> list:
+    """``sbm_fgls`` of each ``(sample, y, labels)`` column, one report per column.
 
-    A job is ``(sample, columns, labels)``: ``columns[i]`` is estimated over
-    ``labels[i]``, already checked by ``_block_labels``, and the sample gives
+    ``labels`` is already checked by ``_block_labels``, and the sample gives
     the tree, the degrees and nothing else.  Each column's loadings on its
-    labels' spectrum make its plug-in covariance.  The columns of all jobs
-    whose covariances share a term count share one forest sweep, and a
-    column whose covariance is refused or singular falls back to the
-    sample mean alone.  Each report is the one-column call's, bit for bit.
-    Without ``rse`` the reports carry no RSE.
+    labels' spectrum make its plug-in covariance.  The columns whose
+    covariances share a term count share one forest sweep, and a column
+    whose covariance is refused or singular falls back to the sample mean
+    alone.  Each report is the one-column call's, bit for bit.  Without
+    ``rse`` the reports carry no RSE.
     """
     fields, forests = [], {}
-    for j, (sample, columns, labels) in enumerate(jobs):
-        fields.append([])
-        n = sample.n
-        if n == 1:
+    for i, (sample, Y, blocks) in enumerate(columns):
+        if sample.n == 1:
+            fields.append(None)
             continue
-        for i, (Y, blocks) in enumerate(zip(columns, labels)):
-            k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
-            beta_hat = f_hat.T @ Y / n
-            # the leading eigenvalue is 1 by construction: its spectral term is a
-            # multiple of the all-ones matrix, which leaves the GLS weights
-            # untouched; clamping the rest keeps the solve definite
-            lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-            beta2 = beta_hat[1:] ** 2
-            nugget = float(Y.var(ddof=1))
-            fields[j].append((notes, {"eigenvalues": tuple(lam), "beta2": tuple(beta2),
-                                      "nugget": nugget, "K": k_eff}))
-            try:
-                # loadings or a nugget that overflow to inf are refused here; the
-                # solve they would feed is singular
-                ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
-            except (SingularCovarianceError, InvalidParametersError):
-                continue
-            system = (sample.tree, ac, Y, float(beta_hat[0] ** 2))
-            forests.setdefault(len(ac.terms), []).append(((j, i), system))
+        k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
+        beta_hat = f_hat.T @ Y / sample.n
+        # the leading eigenvalue is 1 by construction: its spectral term is a
+        # multiple of the all-ones matrix, which leaves the GLS weights
+        # untouched; clamping the rest keeps the solve definite
+        lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
+        beta2 = beta_hat[1:] ** 2
+        nugget = float(Y.var(ddof=1))
+        fields.append((notes, {"eigenvalues": tuple(lam), "beta2": tuple(beta2),
+                               "nugget": nugget, "K": k_eff}))
+        try:
+            # loadings or a nugget that overflow to inf are refused here; the
+            # solve they would feed is singular
+            ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
+        except (SingularCovarianceError, InvalidParametersError):
+            continue
+        system = (sample.tree, ac, Y, float(beta_hat[0] ** 2))
+        forests.setdefault(len(ac.terms), []).append((i, system))
     solved = {}
     for members in forests.values():
         keys, systems = zip(*members)
         solved.update(zip(keys, _tree_gls(systems, rse)))
     reports = []
-    for j, (sample, columns, _) in enumerate(jobs):
-        if sample.n == 1:
-            reports.append([_mean_report("sbm", Y, "single-node sample") for Y in columns])
+    for i, ((sample, Y, _), field) in enumerate(zip(columns, fields)):
+        if field is None:
+            reports.append(_mean_report("sbm", Y, "single-node sample"))
             continue
-        reports.append([])
-        for i, (Y, (notes, kw)) in enumerate(zip(columns, fields[j])):
-            out = solved.get((j, i))
-            if out is None:
-                note = "estimated covariance was singular; fell back to the sample mean"
-                reports[j].append(_mean_report("sbm", Y, *notes, note, **kw))
-                continue
-            mu, weights, rse_value = out
-            reports[j].append(EstimateReport("sbm", mu, rse=rse_value, weights=weights,
-                                             n=sample.n, warnings=notes, **kw))
+        notes, kw = field
+        out = solved.get(i)
+        if out is None:
+            note = "estimated covariance was singular; fell back to the sample mean"
+            reports.append(_mean_report("sbm", Y, *notes, note, **kw))
+            continue
+        mu, weights, rse_value = out
+        reports.append(EstimateReport("sbm", mu, rse=rse_value, weights=weights,
+                                      n=sample.n, warnings=notes, **kw))
     return reports
 
 
@@ -477,40 +473,45 @@ FGLS_FALLBACK_NOTE = (
 )
 
 
-def _reweighted_rows(policy: str, samples: list, rows: list, labels) -> tuple:
-    """The reweight step of ``run_recipe`` on the (m, n) outcome rows of each sample.
+def _reweighted(policy: str, columns: list, labels) -> tuple:
+    """The reweight step of ``run_recipe`` on a flat list of ``(sample, y)`` columns.
 
-    Returns, per sample, its rows divided by their estimated sampling weights
-    in one array (values that overflow raise), and per row its ``fgls`` block
-    labels (none for ``vh``) and its notes: ``(FGLS_FALLBACK_NOTE,)`` where
-    the harmonic mean took over.  Rows are checked in turn as their
-    one-column runs check them (``fgls``: ``labels``, the degrees, the
-    blocks), then the ``fgls`` normalizers of all samples are estimated at once.
+    Returns one ``(sample, y / weights, blocks)`` per column, ``blocks`` its
+    ``fgls`` block labels (else None), and one note tuple per column:
+    ``(FGLS_FALLBACK_NOTE,)`` where the harmonic mean took over.  Columns
+    are checked in turn as their one-column runs check them (``fgls``:
+    ``labels``, a sample's degrees the first time it is seen, the blocks).
+    Each sample's inverse degrees are computed once, and their ``fgls``
+    normalizer once per distinct (sample, label set), all by one blockmodel
+    call and not cached.  A reweighted value that overflows raises.
     """
+    if policy == "none":
+        return [(sample, y, None) for sample, y in columns], [()] * len(columns)
     if policy not in ("vh", "fgls"):
         raise InvalidParametersError(f"unknown reweighting {policy!r}")
-    blocks = []
-    for sample, Y in zip(samples, rows):
-        blocks.append([])
-        for i, y in enumerate(Y):
-            raw = (None if labels is None or policy == "vh"
-                   else labels(sample.with_outcome_values(y)))
-            if not i:  # every row has the same degrees
-                _positive_degrees(sample)
-            if policy == "fgls":
-                blocks[-1].append(_block_labels(sample, raw))
-    invs = [1.0 / sample.degree for sample in samples]
+    invs, blocks = {}, []
+    for sample, y in columns:
+        raw = None if labels is None or policy == "vh" else labels(sample.with_outcome_values(y))
+        if id(sample) not in invs:
+            invs[id(sample)] = 1.0 / _positive_degrees(sample)
+        blocks.append(_block_labels(sample, raw) if policy == "fgls" else None)
     if policy == "vh":
-        scales = [[(inv.mean(), False)] * len(Y) for inv, Y in zip(invs, rows)]
+        keys = [id(sample) for sample, _ in columns]
+        scales = {key: (inv.mean(), ()) for key, inv in invs.items()}
     else:
-        scales = _inverse_degree_scales(list(zip(samples, invs, blocks)))
-    weighted = [Y / (np.array([h for h, _ in row_scales]).reshape(-1, 1) * sample.degree)
-                for sample, Y, row_scales in zip(samples, rows, scales)]
-    if not all(np.isfinite(W).all() for W in weighted):
+        keys = [(id(sample), b.tobytes()) for (sample, _), b in zip(columns, blocks)]
+        distinct = {key: (sample, invs[key[0]], b)
+                    for key, (sample, _), b in zip(keys, columns, blocks)}
+        scales = {}
+        for key, report in zip(distinct, _blockmodel_gls_columns(list(distinct.values()), False)):
+            h_inv = report.mu_hat
+            scales[key] = ((h_inv, ()) if np.isfinite(h_inv) and h_inv > 0
+                           else (float(invs[key[0]].mean()), (FGLS_FALLBACK_NOTE,)))
+    weighted = [(sample, y / (scales[key][0] * sample.degree), b)
+                for (sample, y), key, b in zip(columns, keys, blocks)]
+    if not all(np.isfinite(w).all() for _, w, _ in weighted):
         raise InvalidSampleError("outcomes must be finite")
-    notes = [[(FGLS_FALLBACK_NOTE,) if fell_back else () for _, fell_back in row_scales]
-             for row_scales in scales]
-    return weighted, blocks, notes
+    return weighted, [scales[key][1] for key in keys]
 
 
 def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -> RdsSample:
@@ -524,41 +525,14 @@ def reweight(sample: RdsSample, policy: str, labels: np.ndarray | None = None) -
     estimate is not positive the plain harmonic mean takes over, with a
     ``RuntimeWarning`` on every such call (``run_recipe`` carries that note
     in the report instead).  Both reject non-positive degrees.  This is the
-    reweight step of ``run_recipe``.
+    reweight step of ``run_recipe`` on one column.
     """
     if policy == "none":
         return sample
-    (out,), _, ((notes,),) = _reweighted_rows(policy, [sample], [sample.y[None]], lambda _: labels)
+    ((_, y, _),), (notes,) = _reweighted(policy, [(sample, sample.y)], lambda _: labels)
     for note in notes:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
-    return sample.with_outcome_values(out[0])
-
-
-def _inverse_degree_scales(jobs: list) -> list:
-    """The ``fgls`` normalizer of ``reweight`` over each label array, and whether
-    the harmonic mean took over: per job, one ``(h_inv, fell_back)`` per array.
-
-    A job is ``(sample, inv, labels)``, ``inv`` the sample's inverse
-    degrees.  A normalizer depends on the tree, the degrees and the labels
-    but not on the outcome, so it is estimated once per call for each
-    distinct label set of a job, all of them by one blockmodel call on the
-    inverse degrees.  Nothing is cached across calls; the referral spectrum
-    under each label set stays cached on the tree (``_block_spectrum``).
-    """
-    distinct = [{blocks.tobytes(): blocks for blocks in labels} for _, _, labels in jobs]
-    reports = _blockmodel_gls_columns(
-        [(sample, [inv] * len(sets), list(sets.values()))
-         for (sample, inv, _), sets in zip(jobs, distinct)], False
-    )
-    out = []
-    for (_, inv, labels), sets, job_reports in zip(jobs, distinct, reports):
-        scales = {}
-        for key, report in zip(sets, job_reports):
-            h_inv = report.mu_hat
-            fell_back = not np.isfinite(h_inv) or h_inv <= 0
-            scales[key] = (float(inv.mean()) if fell_back else h_inv, fell_back)
-        out.append([scales[blocks.tobytes()] for blocks in labels])
-    return out
+    return sample.with_outcome_values(y)
 
 
 def fgls_reweight(sample: RdsSample, labels: np.ndarray | None = None) -> RdsSample:
@@ -618,32 +592,28 @@ def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
     """``run_recipe`` of each ``(sample, columns)`` job, one list of reports per job.
 
     Every report equals its job's own ``run_recipe`` report bit for bit.
-    A job's columns travel as one C-contiguous (m, n) array, reweighted
-    whole; a sample is built per column only for an estimator that takes
-    one.  With ``fgls`` and ``sbm_fgls`` two stages run once for all jobs:
-    the inverse-degree normalizer of each distinct label set, then every
-    column's blockmodel GLS, each one forest sweep
+    The columns of all jobs travel as one flat list of ``(sample, y)``
+    pairs, each job's taken from one C-contiguous (m, n) array, through the
+    reweight step and the estimate; the reports are grouped by job only on
+    return.  A sample is built per column only for an estimator that takes
+    one.  With ``fgls`` and ``sbm_fgls`` two blockmodel stages run once for
+    all jobs: the inverse-degree normalizer of each distinct (sample, label
+    set), then every column's GLS, each one forest sweep
     (``tree_gls_solve_forest``) per term count.  A batch that raises raises
     what one of its jobs raises on its own; run the jobs one at a time to
     find the first.
     """
     policy, estimate, labels = recipe
-    samples = [sample for sample, _ in jobs]
     rows = [_outcome_rows(sample, columns) for sample, columns in jobs]
-    if policy == "none":
-        return [[estimate(sample.with_outcome_values(y), rse=rse) for y in Y]
-                for sample, Y in zip(samples, rows)]
-    weighted, blocks, notes = _reweighted_rows(policy, samples, rows, labels)
+    columns, notes = _reweighted(
+        policy, [(sample, y) for (sample, _), Y in zip(jobs, rows) for y in Y], labels)
     if policy == "fgls" and estimate is sbm_fgls:
-        reports = _blockmodel_gls_columns(list(zip(samples, weighted, blocks)), rse)
+        reports = _blockmodel_gls_columns(columns, rse)
     else:
-        reports = [[estimate(sample.with_outcome_values(y), rse=rse) for y in W]
-                   for sample, W in zip(samples, weighted)]
-    return [
-        [replace(report, warnings=note + report.warnings) if note else report
-         for report, note in zip(job_reports, job_notes)]
-        for job_reports, job_notes in zip(reports, notes)
-    ]
+        reports = [estimate(sample.with_outcome_values(y), rse=rse) for sample, y, _ in columns]
+    reports = iter(replace(report, warnings=note + report.warnings) if note else report
+                   for report, note in zip(reports, notes))
+    return [[next(reports) for _ in Y] for Y in rows]
 
 
 def _outcome_rows(sample: RdsSample, columns) -> np.ndarray:

@@ -105,6 +105,12 @@ class ExperimentConfig:
             raise InvalidParametersError(
                 f"sizes must list one or more sample sizes >= 1, got {tuple(self.sizes)}"
             )
+        for name in ("sizes", "estimators"):
+            values = tuple(getattr(self, name))
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:  # each would add the same RMSE rows again
+                raise InvalidParametersError(
+                    f"{name} list {repeated[0]} twice: {' '.join(map(str, values))}")
         if self.jobs < 1:
             raise InvalidParametersError(f"jobs must be >= 1, got {self.jobs}")
         if self.walk.target_n < max(self.sizes):

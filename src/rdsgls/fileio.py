@@ -317,6 +317,8 @@ def _json_value(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
+        if not np.isfinite(x):
+            raise InvalidParametersError(f"{float(x)} is not a JSON number")
         return JSON_FLOAT % float(x)
     if isinstance(x, str):
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -326,18 +328,25 @@ def _json_value(x) -> str:
 
 
 def report_to_json(report: EstimateReport) -> str:
+    """The report as JSON text; a field holding a non-finite number raises,
+    naming the field, because JSON has no such number."""
     lines = ["{"]
     items = list(report.to_dict().items())
     for k, (key, value) in enumerate(items):
         comma = "," if k < len(items) - 1 else ""
-        lines.append(f'  "{key}": {_json_value(value)}{comma}')
+        try:
+            lines.append(f'  "{key}": {_json_value(value)}{comma}')
+        except InvalidParametersError as exc:
+            raise InvalidParametersError(f"report field {key!r}: {exc}") from None
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def write_report(report: EstimateReport, path):
+    """Write ``report_to_json``; a report it refuses leaves no file."""
+    text = report_to_json(report)
     with open(path, "w") as fh:
-        fh.write(report_to_json(report))
+        fh.write(text)
 
 
 # ------------------------------------------------------------- result CSVs
@@ -432,10 +441,22 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     relative to the config file.  Every key is read through ``_setting``:
     a value that does not parse, or a missing ``[network] edges`` of an
     edge-list network, is an ``InvalidParametersError`` naming its
-    ``[section] key``.
+    ``[section] key``; an ``[outcomes]`` line names its outcome.  A
+    repeated section or key, a key before the first section header or a
+    line that is not ``key = value`` is a ``ParseError`` naming its line.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # values are read literally: a '%' is part of its value, not interpolation
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ParseError(path, exc.lineno, f"[{exc.section}] {exc.option} is set twice") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ParseError(path, exc.lineno, f"section [{exc.section}] appears twice") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ParseError(path, exc.lineno, "expected a [section] header first") from None
+    except configparser.ParsingError as exc:
+        raise ParseError(path, exc.errors[0][0], "expected 'key = value'") from None
     if not read:
         raise ParseError(path, 0, "config file not found or unreadable")
     base = Path(path).parent

@@ -325,6 +325,36 @@ def test_bad_outcome_specs_exit_two(tmp_path, capsys, command, network, outcome,
     assert not any(path.exists() for path in outs)
 
 
+GOOD_CONFIG = (
+    "[network]\nsource = dcsbm\nnodes = 200\nexpected_degree = 10\ntheta = uniform\n"
+    "[outcomes]\na = bernoulli:0.5\n"
+    "[run]\nsizes = 30\nreplicates = 3\nseed = 8\n"
+)
+MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: ")
+    (("a = bernoulli:0.5\n", "a = bernoulli:0.5\na = bernoulli:0.4\n"),
+     "{cfg}:8: [outcomes] a is set twice"),
+    (("[run]\n", "[run]\nsizes = 30\n[run]\n"), "{cfg}:10: section [run] appears twice"),
+    (("[network]\n", "nodes = 300\n[network]\n"), "{cfg}:1: expected a [section] header first"),
+    (("[run]\n", "[run]\nreplicates\n"), "{cfg}:9: expected 'key = value'"),
+    (("nodes = 200", "nodes = 300%"),
+     "[network] nodes = '300%': invalid literal for int() with base 10: '300%'"),
+    (("bernoulli:0.5", "bernoulli:50%"),
+     "outcome 'a' = 'bernoulli:50%': could not convert string to float: '50%'"),
+]
+
+
+@pytest.mark.parametrize(("edit", "message"), MALFORMED_CONFIGS,
+                         ids=["repeated key", "repeated section", "no section header",
+                              "no equals sign", "percent in a setting", "percent in an outcome"])
+def test_malformed_configs_exit_two(tmp_path, capsys, edit, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(GOOD_CONFIG.replace(*edit, 1))
+    out = tmp_path / "out.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     from rdsgls.cli import _resolve_seed
 

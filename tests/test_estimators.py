@@ -628,10 +628,10 @@ def test_fgls_fallback_warns_on_every_call():
                     block=np.arange(tree.n) % 2)
     calls = []
 
-    def not_positive(jobs, rse):
+    def not_positive(columns, rse):
         calls.append(rse)
-        return [[r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n) for _ in columns]
-                for sample, columns, _ in jobs]
+        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n)
+                for sample, _, _ in columns]
 
     want = s.y / (np.mean(1.0 / s.degree) * s.degree)
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
@@ -647,10 +647,10 @@ def test_apply_estimator_puts_the_fallback_note_first():
     s = make_sample(tree, np.arange(tree.n, dtype=float), degree=np.arange(1, tree.n + 1),
                     block=np.arange(tree.n) % 2)
 
-    def not_positive(jobs, rse):
-        return [[r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
-                                  warnings=("the estimator's own note",)) for _ in columns]
-                for sample, columns, _ in jobs]
+    def not_positive(columns, rse):
+        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
+                                 warnings=("the estimator's own note",))
+                for sample, _, _ in columns]
 
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
         for name in ("sbm_y", "sbm_z"):
@@ -790,7 +790,8 @@ def test_a_dropped_block_stays_with_its_column():
     skipped = np.where(labels == 1, 2, labels)
     columns = [np.arange(n) % 2 * 1.0, np.arange(n) % 5 * 0.3, np.arange(n) % 3 * 0.5]
     label_sets = [labels, skipped, labels]
-    (reports,) = estimators._blockmodel_gls_columns([(sample, columns, label_sets)], True)
+    reports = estimators._blockmodel_gls_columns(
+        [(sample, y, blocks) for y, blocks in zip(columns, label_sets)], True)
     for i, (y, blocks, report) in enumerate(zip(columns, label_sets, reports)):
         alone = r.sbm_fgls(_cold(sample).with_outcome_values(y), blocks)
         assert repr(report.to_dict()) == repr(alone.to_dict())
@@ -805,12 +806,12 @@ def test_the_harmonic_mean_fallback_stays_with_its_label_set():
     odd = r.ESTIMATORS["sbm_y"].labels(sample.with_outcome_values(columns[1]))
     real = estimators._blockmodel_gls_columns
 
-    def not_positive(jobs, rse):
-        return [[
+    def not_positive(columns, rse):
+        return [
             replace(rep, mu_hat=-1.0)
             if np.array_equal(y, 1.0 / sample.degree) and np.array_equal(blocks, odd) else rep
-            for y, blocks, rep in zip(ys, labels, reports)
-        ] for (sample, ys, labels), reports in zip(jobs, real(jobs, rse))]
+            for (sample, y, blocks), rep in zip(columns, real(columns, rse))
+        ]
 
     unpatched = _outcome(_one_column_loop("sbm_y", _cold(sample), columns))
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
@@ -867,12 +868,17 @@ def prefix_jobs(draw):
     """One to three prefixes of a labeled sample (one node, at times), each with
     one to four outcome columns as one (m, n) array: a few levels, a constant,
     a +/-1e200 column (the blockmodel covariance overflows, so it falls back
-    to the mean) or the largest float (reweighted, it overflows)."""
+    to the mean) or the largest float (reweighted, it overflows).  At times
+    two jobs share one prefix object, whose normalizers the batch shares."""
     sample = draw(labeled_samples())
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     jobs = []
     for _ in range(draw(st.integers(1, 3))):
-        sub = sample.prefix(draw(st.sampled_from([1, sample.n, draw(st.integers(1, sample.n))])))
+        if jobs and draw(st.booleans()):
+            sub = draw(st.sampled_from([sub for sub, _ in jobs]))
+        else:
+            sub = sample.prefix(
+                draw(st.sampled_from([1, sample.n, draw(st.integers(1, sample.n))])))
         n = sub.n
         rows = []
         for _ in range(draw(st.integers(1, 4))):
@@ -902,10 +908,12 @@ def test_array_columns_equal_one_column_runs(recipe, rse, jobs):
     raised = [out for out in alone if isinstance(out, tuple)]
     # F-ordered columns, as ``Y[:, idx]`` gives them, must give the same bits
     for layout in (np.ascontiguousarray, np.asfortranarray):
+        # one cold copy per prefix object, so that a prefix shared by two jobs stays shared
+        cold = {id(sub): _cold(sub) for sub, _ in jobs}
         batch = _outcome(lambda: [
             report
             for reports in r.run_recipe_batch(
-                recipe, [(_cold(sub), layout(Y)) for sub, Y in jobs], rse=rse)
+                recipe, [(cold[id(sub)], layout(Y)) for sub, Y in jobs], rse=rse)
             for report in reports
         ])
         if raised:

@@ -367,6 +367,8 @@ def test_preferential_weight_must_be_finite_and_positive(weight):
         ({"sizes": (40, -5)}, "sizes"),
         ({"jobs": 0}, "jobs"),
         ({"jobs": -3}, "jobs"),
+        ({"sizes": (20, 40, 20)}, "^sizes list 20 twice: 20 40 20$"),
+        ({"estimators": ("mean", "vh", "mean")}, "^estimators list mean twice: mean vh mean$"),
     ],
 )
 def test_sizes_and_jobs_are_validated(overrides, field):
@@ -543,3 +545,25 @@ def test_replicates_skip_the_rse_and_share_each_spectrum():
             partitions += len(labels)
     assert partitions > 0
     assert calls["qhat_spectrum"] == partitions
+
+
+def test_a_chunk_runs_each_blockmodel_stage_in_one_call():
+    # sbm_y and sbm_z each make one blockmodel call for all the fgls normalizers
+    # of a chunk and one for all its estimates; a call per job or column fails
+    def calls(names):
+        cfg = desk_config(estimators=names, replicates=6)
+        graph, z, columns = experiment._prepare_population(cfg)
+        ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": columns}
+        real, made = estimators._blockmodel_gls_columns, []
+
+        def counting(*args):
+            made.append(1)
+            return real(*args)
+
+        with mock.patch.object(estimators, "_blockmodel_gls_columns", counting):
+            results = experiment._run_chunk(ctx, range(cfg.replicates))
+        assert sum(result is not None for result in results) > 1
+        return len(made)
+
+    assert calls(("sbm_y",)) == calls(("sbm_z",)) == 2
+    assert calls(tuple(r.ESTIMATORS)) == 4

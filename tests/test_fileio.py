@@ -317,6 +317,19 @@ def test_report_json_golden_format():
     assert float(text.split('"mu_hat": ')[1].split(",")[0]) == 0.7
 
 
+@pytest.mark.parametrize(("field", "value"), [
+    ("mu_hat", np.nan), ("eigenvalues", (0.5, -np.inf)), ("nugget", np.inf), ("rse", np.nan),
+])
+def test_report_json_refuses_non_finite_numbers(tmp_path, field, value):
+    rep = r.EstimateReport(**{"estimator": "sbm", "mu_hat": 0.7, "n": 5, field: value})
+    with pytest.raises(r.InvalidParametersError, match=f"^report field '{field}': "):
+        fileio.report_to_json(rep)
+    out = tmp_path / "report.json"
+    with pytest.raises(r.InvalidParametersError):
+        fileio.write_report(rep, out)
+    assert not out.exists()
+
+
 def test_config_parsing(tmp_path):
     cfg_text = """
 [network]

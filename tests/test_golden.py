@@ -107,11 +107,11 @@ def _inverse_degrees_not_positive():
     """
     real = estimators._blockmodel_gls_columns
 
-    def patched(jobs, rse):
-        return [[
+    def patched(columns, rse):
+        return [
             replace(report, mu_hat=-1.0) if np.array_equal(y, 1.0 / sample.degree) else report
-            for y, report in zip(columns, reports)
-        ] for (sample, columns, _), reports in zip(jobs, real(jobs, rse))]
+            for (sample, y, _), report in zip(columns, real(columns, rse))
+        ]
 
     return mock.patch.object(estimators, "_blockmodel_gls_columns", patched)
 
@@ -173,6 +173,20 @@ def test_diagnose_gives_each_estimators_own_reason(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert dispatch(["diagnose", "--sample", str(sample), "--out", str(out)]) == 0
     assert capsys.readouterr().err == OVERFLOW_LINES
+
+
+@pytest.mark.parametrize("reweighting", ["fgls", "none"])
+def test_estimate_refuses_a_report_json_cannot_hold(tmp_path, capsys, reweighting):
+    # the blockmodel loadings and nugget overflow to inf, which JSON has no number for
+    sample = tmp_path / "overflow.csv"
+    sample.write_text(OVERFLOW_SAMPLE)
+    out = tmp_path / "report.json"
+    argv = ["estimate", "--sample", str(sample), "--estimator", "sbm",
+            "--reweight", reweighting, "--out", str(out)]
+    with np.errstate(all="ignore"):
+        assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: report field 'beta2': inf is not a JSON number\n"
+    assert not out.exists()
 
 
 def test_figure1_csv_bytes(tmp_path):
