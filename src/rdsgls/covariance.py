@@ -183,33 +183,6 @@ def tree_gls_solve(
     return tree_gls_solve_forest([(tree, ac, Y, constant)])[0]
 
 
-def tree_gls_solve_stack(
-    tree: ReferralTree, acs, Y: np.ndarray, constants=None
-) -> list:
-    """``tree_gls_solve`` of m systems on one tree in one sweep, one result per system.
-
-    ``acs`` holds m covariances of one term count, ``Y`` the m outcome rows
-    (m x n) and ``constants`` the m constant terms (default zeros).  Once
-    checked as arrays, row i is system i of one ``tree_gls_solve_forest``,
-    with its bits and its errors.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    m = len(acs)
-    if m < 1:
-        raise InvalidParametersError("a stack needs at least one covariance")
-    if Y.ndim != 2 or Y.shape[1] != tree.n:
-        raise InvalidParametersError("outcome length must match the tree")
-    if Y.shape[0] != m:
-        raise InvalidParametersError(f"{Y.shape[0]} outcome rows for {m} covariances")
-    bad = np.argwhere(~np.isfinite(Y))
-    if bad.size:
-        raise InvalidParametersError(f"outcome row {bad[0, 0]} is not finite at node {bad[0, 1]}")
-    constants = (0.0,) * m if constants is None else tuple(constants)
-    if len(constants) != m:
-        raise InvalidParametersError(f"{len(constants)} constant terms for {m} covariances")
-    return tree_gls_solve_forest([(tree, ac, y, c) for ac, y, c in zip(acs, Y, constants)])
-
-
 def tree_gls_solve_forest(systems) -> list:
     """``tree_gls_solve`` of each ``(tree, ac, y, constant)`` system in one sweep.
 

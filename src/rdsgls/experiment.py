@@ -214,8 +214,9 @@ def figure1_ratio(p_values, levels) -> list:
     return rows
 
 
-# replicates per serial chunk: enough that each blockmodel stage of a chunk
-# sweeps dozens of trees at once, few enough to keep little alive
+# most replicates per chunk, serial or pooled: enough that each blockmodel
+# stage of a chunk sweeps dozens of trees at once, few enough to keep little
+# alive; a pooled run cuts smaller chunks when that gives each worker several
 CHUNK_REPLICATES = 16
 
 
@@ -284,9 +285,20 @@ def _init_worker(ctx: dict):
     _worker_ctx.update(ctx)
 
 
-def _run_worker_replicate(r: int):
-    # one replicate per pool task keeps the workers' load balanced
-    return _run_chunk(_worker_ctx, [r])[0]
+def _run_worker_chunk(reps) -> list:
+    return _run_chunk(_worker_ctx, reps)
+
+
+def _chunks(replicates: int, jobs: int) -> list:
+    """The replicate ranges of a run, in order.
+
+    Serial runs take ``CHUNK_REPLICATES`` at a time.  Pooled runs take at
+    most that, and fewer if needed to give each worker about four chunks:
+    slow-law replicates restart and vary in cost, so one chunk per worker
+    would leave workers idle behind the slowest.
+    """
+    size = CHUNK_REPLICATES if jobs == 1 else min(CHUNK_REPLICATES, -(-replicates // (4 * jobs)))
+    return [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
 
 
 def _prepare_population(cfg: ExperimentConfig):
@@ -323,22 +335,25 @@ def run_rmse_experiment(cfg: ExperimentConfig) -> RmseTable:
 
     One population per config; per replicate one full-size referral sample,
     reused for every smaller size by prefix truncation.  Replicates that
-    exhaust the restart budget are dropped and counted as failures.
+    exhaust the restart budget are dropped and counted as failures.  The
+    replicates run in chunks (``_chunks``, ``_run_chunk``), in this process
+    or, with ``jobs > 1``, in a pool of no more workers than chunks; the
+    chunks come back in order, so the rows and the first error raised are
+    the serial run's.
     """
     graph, z, outcomes = _prepare_population(cfg)
     mu_true = {name: float(y.mean()) for name, y in outcomes.items()}
     ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": outcomes}
-    if cfg.jobs > 1:
+    chunks = _chunks(cfg.replicates, cfg.jobs)
+    workers = min(cfg.jobs, len(chunks))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=cfg.jobs, initializer=_init_worker, initargs=(ctx,)
+            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            per_replicate = list(pool.map(_run_worker_replicate, range(cfg.replicates)))
+            per_chunk = list(pool.map(_run_worker_chunk, chunks))
     else:
-        per_replicate = [
-            results
-            for lo in range(0, cfg.replicates, CHUNK_REPLICATES)
-            for results in _run_chunk(ctx, range(lo, min(lo + CHUNK_REPLICATES, cfg.replicates)))
-        ]
+        per_chunk = [_run_chunk(ctx, reps) for reps in chunks]
+    per_replicate = [results for chunk in per_chunk for results in chunk]
 
     estimates: dict = {}
     failures = sum(results is None for results in per_replicate)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -257,9 +257,11 @@ def test_sbm_y_on_a_many_valued_column_raises(jobs):
         r.run_rmse_experiment(cfg)
 
 
-def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first(jobs):
     # run estimator by estimator over the chunk, the 80-node mean fails
-    # first; run replicate by replicate and size by size, the 40-node vh does
+    # first; run replicate by replicate and size by size, the 40-node vh
+    # does, in this process or in a forked worker that inherits the patch
     real = experiment.run_recipe_batch
     names = {recipe: name for name, recipe in r.ESTIMATORS.items()}
 
@@ -271,7 +273,54 @@ def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first():
 
     with mock.patch.object(experiment, "run_recipe_batch", failing):
         with pytest.raises(r.InvalidSampleError, match="^vh at n = 40$"):
-            r.run_rmse_experiment(small_config(estimators=("mean", "vh"), replicates=3))
+            r.run_rmse_experiment(small_config(estimators=("mean", "vh"), replicates=3, jobs=jobs))
+
+
+def recording_pool(made: list):
+    """The real process pool, appending its worker count and the chunks it maps to ``made``."""
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append({"workers": max_workers})
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, chunks, **kwargs):
+            made[-1]["chunks"] = list(chunks)
+            return super().map(fn, made[-1]["chunks"], **kwargs)
+
+    return Pool
+
+
+def test_the_pool_starts_no_more_workers_than_chunks():
+    made = []
+    with mock.patch.object(experiment, "ProcessPoolExecutor", recording_pool(made)):
+        pooled = r.run_rmse_experiment(small_config(replicates=2, jobs=4))
+    assert [pool["workers"] for pool in made] == [2]
+    assert pooled.rows == r.run_rmse_experiment(small_config(replicates=2)).rows
+
+
+def test_serial_and_pooled_runs_hand_out_the_pinned_chunks():
+    cheap = dict(estimators=("mean",), sizes=(40,))
+    real, ranges = experiment._run_chunk, []
+
+    def recording(ctx, reps):
+        ranges.append(reps)
+        return real(ctx, reps)
+
+    with mock.patch.object(experiment, "_run_chunk", recording):
+        r.run_rmse_experiment(small_config(replicates=20, **cheap))
+        assert ranges == [range(0, 16), range(16, 20)]
+        ranges.clear()
+        r.run_rmse_experiment(small_config(replicates=5, **cheap))
+        assert ranges == [range(0, 5)]
+    made = []
+    with mock.patch.object(experiment, "ProcessPoolExecutor", recording_pool(made)):
+        r.run_rmse_experiment(small_config(replicates=100, jobs=2, **cheap))
+    (pool,) = made
+    chunks = pool["chunks"]
+    assert pool["workers"] == 2 and len(chunks) == 8
+    assert all(isinstance(chunk, range) and len(chunk) <= 13 for chunk in chunks)
+    assert [rep for chunk in chunks for rep in chunk] == list(range(100))
 
 
 def test_concurrent_threads_match_sequential_runs():

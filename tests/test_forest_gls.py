@@ -1,8 +1,8 @@
 """The forest tree GLS sweep against one-tree stacks, bit for bit.
 
-``tree_gls_solve_stack`` maps its rows to the systems of one forest, and
-its bits are held by ``test_tree_gls_pin.py``; here a forest of systems
-on many trees must give every system the bits of its own tree's stack.
+A stack is the forest of m systems on one tree, and its bits are held by
+``test_tree_gls_pin.py``; here a forest of systems on many trees must give
+every system the bits of its own tree's stack.
 """
 
 import ast
@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls import covariance, estimators
-from rdsgls.covariance import tree_gls_solve, tree_gls_solve_forest, tree_gls_solve_stack
+from rdsgls.covariance import tree_gls_solve, tree_gls_solve_forest
 from rdsgls.presets import OFFSPRING_FAST
-from test_tree_gls_pin import broom, caterpillar, galton_watson, kary, path, recursive, star
+from test_tree_gls_pin import broom, caterpillar, galton_watson, kary, path, recursive, stack, star
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -63,8 +63,7 @@ def forests(draw):
 
 def flat(stacks):
     """The systems ``(tree, ac, y, constant)`` of the stacks, in order."""
-    return [(tree, ac, y, c) for tree, acs, Y, cs in stacks
-            for ac, y, c in zip(acs, Y, [0.0] * len(acs) if cs is None else cs)]
+    return [system for one in stacks for system in stack(*one)]
 
 
 def solve_or_error(solve, *args):
@@ -85,7 +84,7 @@ def assert_same_bits(got, want):
 @PROPERTY
 @given(stacks=forests())
 def test_forest_equals_each_trees_stack(stacks):
-    alone = [solve_or_error(tree_gls_solve_stack, *stack) for stack in stacks]
+    alone = [solve_or_error(tree_gls_solve_forest, stack(*one)) for one in stacks]
     forest = solve_or_error(tree_gls_solve_forest, flat(stacks))
     if any(one is None for one in alone):
         assert forest is None
@@ -102,7 +101,7 @@ def test_forest_fallback_gives_each_system_its_own_bits(stacks):
     systems = [(tree, ac, y, c) for tree, acs, Y, cs in stacks for ac, y, c in zip(acs, Y, cs)]
     for (tree, ac, y, constant), out in zip(systems, estimators._tree_gls(systems, rse=False)):
         try:
-            (want,) = tree_gls_solve_stack(tree, [ac], y[None], [constant])
+            (want,) = tree_gls_solve_forest([(tree, ac, y, constant)])
         except r.SingularCovarianceError:
             assert out is None
             continue
@@ -138,7 +137,7 @@ def test_forest_of_large_trees_sums_each_system_alone():
     ac = r.AutoCovariance(terms=((0.6, 0.7), (0.2, -0.3)), nugget=0.5)
     stacks = [(tree, [ac, ac], np.vstack([np.ones(tree.n), np.arange(tree.n) % 7.0]), None)
               for tree in trees]
-    want = [res for stack in stacks for res in tree_gls_solve_stack(*stack)]
+    want = [res for one in stacks for res in tree_gls_solve_forest(stack(*one))]
     assert_same_bits(tree_gls_solve_forest(flat(stacks)), want)
 
 
@@ -166,8 +165,8 @@ def linalg_calls(name: str) -> list:
 
 @pytest.mark.parametrize("name", ["inv", "solve"])
 def test_one_sweep_holds_the_only_inverse_and_solve(name):
-    # the one-tree stack and the forest share one sweep: a second call site
-    # of either routine would mean the two had forked again
+    # every tree GLS solve runs the one forest sweep: a second call site
+    # of either routine would mean a second sweep had forked off
     assert len(linalg_calls(name)) == 1
 
 

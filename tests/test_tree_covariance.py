@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdsgls as r
-from rdsgls.covariance import tree_covariance_mass, tree_gls_solve, tree_gls_solve_stack
+from rdsgls.covariance import tree_covariance_mass, tree_gls_solve, tree_gls_solve_forest
 from rdsgls.diagnostics import GREY_LINE_GRID
 from rdsgls.referral import (
     MAX_DENSE_NODES,
@@ -14,6 +14,7 @@ from rdsgls.referral import (
     distance_power_apply,
     tree_distance_pgf,
 )
+from test_tree_gls_pin import stack
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -247,9 +248,9 @@ def test_stacked_sweep_rows_equal_solo_solves(systems):
     solo = [solo_or_none(tree, *args) for args in zip(acs, Y, constants)]
     if any(result is None for result in solo):
         with pytest.raises(r.SingularCovarianceError):
-            tree_gls_solve_stack(tree, acs, Y, constants)
+            tree_gls_solve_forest(stack(tree, acs, Y, constants))
         return
-    stacked = tree_gls_solve_stack(tree, acs, Y, constants)
+    stacked = tree_gls_solve_forest(stack(tree, acs, Y, constants))
     assert len(stacked) == len(acs)
     for row, one in zip(stacked, solo):
         assert row.weights.tobytes() == one.weights.tobytes()
@@ -263,17 +264,11 @@ def test_stacked_sweep_rejects_mismatched_systems():
     two = r.AutoCovariance(terms=((1.0, 0.5), (0.5, -0.2)), nugget=1.0)
     Y = np.ones((2, tree.n))
     with pytest.raises(r.InvalidParametersError, match="same number of terms"):
-        tree_gls_solve_stack(tree, [one, two], Y)
-    with pytest.raises(r.InvalidParametersError, match="outcome rows"):
-        tree_gls_solve_stack(tree, [one], Y)
+        tree_gls_solve_forest(stack(tree, [one, two], Y))
     with pytest.raises(r.InvalidParametersError, match="outcome length"):
-        tree_gls_solve_stack(tree, [one, one], Y[:, 1:])
-    with pytest.raises(r.InvalidParametersError, match="constant terms"):
-        tree_gls_solve_stack(tree, [one, one], Y, (0.0,))
+        tree_gls_solve_forest(stack(tree, [one, one], Y[:, 1:]))
     with pytest.raises(r.InvalidParametersError, match=">= 0"):
-        tree_gls_solve_stack(tree, [one, one], Y, (0.0, -1.0))
-    with pytest.raises(r.InvalidParametersError, match="at least one"):
-        tree_gls_solve_stack(tree, [], Y[:0])
+        tree_gls_solve_forest(stack(tree, [one, one], Y, (0.0, -1.0)))
 
 
 @st.composite
@@ -315,7 +310,7 @@ def repeated_shape_systems(draw):
 @given(systems=repeated_shape_systems())
 def test_stacked_sweep_matches_dense_reference_on_repeated_shapes(systems):
     tree, acs, Y, constants = systems
-    for fast, ac, c, y in zip(tree_gls_solve_stack(tree, acs, Y, constants), acs, constants, Y):
+    for fast, ac, c, y in zip(tree_gls_solve_forest(stack(tree, acs, Y, constants)), acs, constants, Y):
         dense = r.gls_solve(r.CovarianceMatrix(r.build_sigma(tree, ac).matrix + c, tree), y)
         assert np.allclose(fast.weights, dense.weights, rtol=1e-9, atol=1e-12)
         assert np.isclose(fast.estimate, dense.estimate, rtol=1e-9, atol=1e-12)
@@ -337,7 +332,7 @@ def test_sweep_inverts_one_block_per_shape_class(monkeypatch):
     assert tree.n == 2**14 - 1
     m = 3
     acs = [r.AutoCovariance(terms=((0.5, 0.4), (0.2, -0.3)), nugget=1.0)] * m
-    results = tree_gls_solve_stack(tree, acs, np.ones((m, tree.n)))
+    results = tree_gls_solve_forest(stack(tree, acs, np.ones((m, tree.n))))
     depth = tree.num_levels - 1
     assert 0 < sum(inverted) <= 2 * depth * m
     assert all(abs(res.estimate - 1.0) < 1e-9 for res in results)
@@ -349,7 +344,7 @@ def test_non_finite_outcomes_are_refused():
     Y = np.ones((2, tree.n))
     Y[1, 4] = np.nan
     with pytest.raises(r.InvalidParametersError, match="row 1 is not finite at node 4"):
-        tree_gls_solve_stack(tree, [ac, ac], Y)
+        tree_gls_solve_forest(stack(tree, [ac, ac], Y))
     for bad in (np.nan, np.inf, -np.inf):
         y = np.ones(tree.n)
         y[2] = bad

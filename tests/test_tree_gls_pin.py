@@ -2,8 +2,8 @@
 
 The digest below was recorded before the sweep began eliminating each
 distinct subtree shape once, so any change to the arithmetic of
-``tree_gls_solve_stack`` (weights, estimates, variances, or which systems
-are singular and how they fail) shows up here.
+``tree_gls_solve_forest`` on m systems of one tree (weights, estimates,
+variances, or which systems are singular and how they fail) shows up here.
 """
 
 import hashlib
@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 
 import rdsgls as r
-from rdsgls.covariance import tree_gls_solve_stack
+from rdsgls.covariance import tree_gls_solve_forest
 
 PIN_SHA256 = "d8c32a9d4aa1a6f7d43c54e44ae38fa977d2f849ccc79e9ebebc72c785e08a20"
 PIN_CASES = 400
@@ -52,6 +52,12 @@ def galton_watson(rng, n):
     return tree.parent
 
 
+def stack(tree, acs, Y, constants=None):
+    """The forest systems ``(tree, ac, y, constant)`` of m outcome rows on one tree; constants 0 by default."""
+    constants = [0.0] * len(acs) if constants is None else constants
+    return [(tree, ac, y, c) for ac, y, c in zip(acs, Y, constants)]
+
+
 def family():
     """(tree, acs, Y, constants) for every shape, size, term count and stack height."""
     rng = np.random.default_rng(20171015)
@@ -78,7 +84,7 @@ def test_stacked_sweep_matches_the_recorded_digest():
     cases = 0
     for tree, acs, Y, constants in family():
         try:
-            results = tree_gls_solve_stack(tree, acs, Y, constants)
+            results = tree_gls_solve_forest(stack(tree, acs, Y, constants))
         except r.RdsglsError as exc:
             digest.update(f"{type(exc).__name__}: {exc}\n".encode())
         else:
