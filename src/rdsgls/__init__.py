@@ -42,7 +42,6 @@ from .estimators import (
     EstimateReport,
     LagStatistics,
     apply_estimator,
-    apply_estimator_columns,
     auto_fgls,
     delta_fgls,
     fgls_reweight,

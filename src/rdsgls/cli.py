@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import fileio
-from .errors import RdsglsError
+from .errors import InvalidParametersError, RdsglsError
 from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, REWEIGHTINGS, Recipe, run_recipe
 from .experiment import emit_diagnostics, figure1_ratio, run_rmse_experiment
 from .sampler import WalkConfig, rds_without_replacement
@@ -28,12 +28,13 @@ PLAIN_ESTIMATORS = {name.split("_")[0]: recipe.estimate for name, recipe in ESTI
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
     env = os.environ.get("RDSGLS_SEED")
-    if env is not None:
+    if value is not None or env is None:
+        return DEFAULT_SEED if value is None else int(value)
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise InvalidParametersError(f"RDSGLS_SEED = {env!r} is not an integer") from None
 
 
 def _parse_levels(text: str):

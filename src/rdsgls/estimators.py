@@ -13,7 +13,7 @@ whose variance certifies the 1/n rate, lives here too.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     SingularCovarianceError,
 )
 from .netmodel import SpectralDecomp, beta_coefficients, normalized_spectrum
-from .sampler import RdsSample, referral_counts
+from .sampler import RdsSample
 
 EIGENVALUE_CLAMP = 0.999
 AUTO_GRID_POINTS = 401
@@ -59,8 +59,7 @@ class EstimateReport:
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             object.__setattr__(self, "weights", w)
-            if not abs(w.sum() - 1.0) <= 1e-10:
-                raise InvalidParametersError("report weights must sum to one")
+            _check_weights(w)
 
     def to_dict(self) -> dict:
         """JSON-facing view (weights omitted)."""
@@ -93,18 +92,46 @@ class LagStatistics:
     counts: dict
 
 
-def _mean_report(name: str, Y: np.ndarray, *notes: str, mu: float | None = None,
-                 **fields) -> EstimateReport:
-    """The sample mean of ``Y`` under equal weights, as estimator ``name`` reports it.
+def _check_weights(W: np.ndarray):
+    """Raise unless each row of ``W`` sums to one; a NaN sum fails too."""
+    if not (np.abs(W.sum(axis=-1) - 1.0) <= 1e-10).all():
+        raise InvalidParametersError("report weights must sum to one")
 
-    ``mean_estimator`` and every fallback to the sample mean report through
-    here.  ``notes`` become the report's warnings, ``mu`` (a constant
-    outcome's own value) replaces the mean, and ``fields`` fill the other
-    report fields.
-    """
-    n = len(Y)
-    return EstimateReport(name, float(Y.mean()) if mu is None else mu,
-                          weights=np.full(n, 1.0 / n), n=n, warnings=notes, **fields)
+
+class _Columns:
+    """A batch's columnar result: ``mu`` (m,), each column's report ``weights``,
+    ``rse``, other ``fields`` and ``notes``, and each job's column ``counts``."""
+
+    def __init__(self, m: int):
+        self.mu, self.weights, self.rse = np.empty(m), [None] * m, [None] * m
+        self.fields, self.notes, self.counts = [{}] * m, [()] * m, None
+
+    def mean(self, i: int, y: np.ndarray, *notes: str, mu: float | None = None, **fields):
+        """Column ``i`` as the sample mean of ``y`` under equal weights, or as ``mu``."""
+        self.mu[i] = y.mean() if mu is None else mu
+        self.weights[i] = np.full(y.size, 1.0 / y.size)
+        self.notes[i], self.fields[i] = notes, fields
+
+
+def _by_size(columns, idx=None) -> list:
+    """Columns ``idx`` (default all) by size: indices, and outcomes as the rows of one array."""
+    groups = {}
+    for i in range(len(columns)) if idx is None else idx:
+        groups.setdefault(columns[i][0].n, []).append(i)
+    return [(np.array(idx), np.array([columns[i][1] for i in idx])) for idx in groups.values()]
+
+
+def _one(estimate, sample: RdsSample, rse: bool, blocks=None) -> EstimateReport:
+    """``estimate``'s batch form on the sample's own outcome: the batch of one."""
+    name, form = _FORMS[estimate]
+    return _reports(name, form([(sample, sample.y, blocks)], rse), [sample.n])[0]
+
+
+def _reports(name: str, out: _Columns, ns) -> list:
+    """The reports of a columnar result, column i on ``ns[i]`` nodes."""
+    return [EstimateReport(name, mu, rse=rse, weights=w, n=n, warnings=notes, **fields)
+            for mu, w, rse, fields, notes, n in zip(out.mu.tolist(), out.weights, out.rse,
+                                                     out.fields, out.notes, ns)]
 
 
 def mean_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
@@ -114,7 +141,14 @@ def mean_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     every estimator of a ``Recipe`` takes.  The estimators that fall back
     to the sample mean report it the same way, under their own name.
     """
-    return _mean_report("mean", sample.y)
+    return _one(mean_estimator, sample, rse)
+
+
+def _mean_columns(columns, rse: bool) -> _Columns:
+    out = _Columns(len(columns))
+    for i, (_, y, _) in enumerate(columns):
+        out.mean(i, y)
+    return out
 
 
 def _positive_degrees(sample: RdsSample) -> np.ndarray:
@@ -129,94 +163,65 @@ def vh_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
 
     Like ``mean_estimator`` it reports no RSE and ignores ``rse``.
     """
-    Y = sample.y
-    inv = 1.0 / _positive_degrees(sample)
-    weights = inv / inv.sum()
-    return EstimateReport(
-        estimator="vh",
-        mu_hat=float(weights @ Y),
-        weights=weights,
-        n=sample.n,
-    )
+    return _one(vh_estimator, sample, rse)
+
+
+def _vh_columns(columns, rse: bool) -> _Columns:
+    out, weights = _Columns(len(columns)), {}  # one weight array per sample
+    for i, (sample, y, _) in enumerate(columns):
+        if id(sample) not in weights:
+            inv = 1.0 / _positive_degrees(sample)
+            weights[id(sample)] = inv / inv.sum()
+            _check_weights(weights[id(sample)])
+        out.weights[i] = weights[id(sample)]
+        out.mu[i] = out.weights[i] @ y
+    return out
 
 
 def lag_statistics(sample: RdsSample, m: float) -> LagStatistics:
-    """Centered products at lags 0-1 and squared differences at lags 1-2."""
-    Y = sample.y
-    n = sample.n
+    """Centered products at lags 0-1 and squared differences at lags 1-2: the
+    batch of one of ``_lag_rows``, which ``delta_fgls`` runs on many columns."""
+    *moments, count = (x[0] for x in _lag_rows(sample.y[None], sample.tree.parent[None], m))
+    return LagStatistics(*map(float, moments), {0: sample.n, 1: 2 * sample.n - 2, 2: int(count)})
+
+
+def _lag_rows(Y: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """``(gamma0, gamma1, delta1, delta2, d2_count)`` of each row of ``Y`` (r, n) on the
+    tree of parent row ``P[i]``, with the one-row bits: each row adds in its own order."""
+    r, n = Y.shape
     if n < 3:
         raise InsufficientDepthError("lag-2 statistics need at least 3 nodes")
-    tree = sample.tree
-    parents = tree.parent[1:]
-    kids = np.arange(1, n)
-    resid = Y - m
-
-    gamma0 = float(np.mean(resid**2))
-    prod1 = resid[parents] * resid[kids]
-    gamma1 = float(prod1.mean())
-    delta1 = float(np.mean((Y[parents] - Y[kids]) ** 2))
+    # each row's parents as indices into the flat rows
+    parents, flat = P[:, 1:], (P[:, 1:] + n * np.arange(r)[:, None]).ravel()
+    y_kids, y_flat, resid = Y[:, 1:], Y.ravel(), (Y - m).ravel()
+    gamma0 = (resid**2).reshape(r, n).mean(axis=1)
+    gamma1 = (resid[flat] * resid.reshape(r, n)[:, 1:].ravel()).reshape(r, -1).mean(axis=1)
+    delta1 = ((y_flat[flat].reshape(r, -1) - y_kids) ** 2).mean(axis=1)
 
     # distance-2 pairs: grandparent-grandchild plus siblings
-    deep = kids[parents > 0]
-    gp = tree.parent[parents[parents > 0]]
-    gp_sq = np.sum((Y[deep] - Y[gp]) ** 2)
-    gp_count = deep.size
+    deep = parents > 0
+    gp = np.maximum(P.ravel()[flat], 0) + (flat - parents.ravel())
+    gp_sq = ((y_kids.ravel() - y_flat[gp]) ** 2).reshape(r, -1)
+    gp_sq = np.array([np.sum(sq[d]) for sq, d in zip(gp_sq, deep)])
 
     # siblings: per parent, c (c - 1) ordered pairs with squared differences
-    # summing to 2 (c sum y^2 - (sum y)^2); bincount adds in node order,
-    # which is np.sum's order for fewer than 8 terms
-    y_kids = Y[kids]
-    c = np.bincount(parents, minlength=n)
-    s1 = np.bincount(parents, weights=y_kids, minlength=n)
-    s2 = np.bincount(parents, weights=y_kids**2, minlength=n)
-    wide = np.flatnonzero(c >= 8)
-    if wide.size:
+    # summing to 2 (c sum y^2 - (sum y)^2); bincount over row-offset parents
+    # adds in node order, which is np.sum's order for fewer than 8 terms
+    c, s1, s2 = (np.bincount(flat, weights=w, minlength=r * n).reshape(r, n)
+                 for w in (None, y_kids.ravel(), (y_kids**2).ravel()))
+    for i, p in zip(*np.nonzero(c >= 8)):
         # np.sum adds 8 or more terms pairwise: keep its order there
-        by_parent = kids[np.argsort(parents, kind="stable")]
-        ends = np.cumsum(c)
-        for p in wide:
-            yk = Y[by_parent[ends[p] - c[p] : ends[p]]]
-            s1[p] = np.sum(yk)
-            s2[p] = np.sum(yk**2)
-    groups = c >= 2
+        yk = y_kids[i, parents[i] == p]
+        s1[i, p], s2[i, p] = np.sum(yk), np.sum(yk**2)
+    groups, terms = c >= 2, np.zeros((r, n))
     # float_power calls the C library's pow, as ** on a NumPy scalar does;
     # ** on an array multiplies, which rounds differently about once in 1,200
-    terms = 2.0 * (c[groups] * s2[groups] - np.float_power(s1[groups], 2))
-    sib_sq = float(np.cumsum(terms)[-1]) if terms.size else 0.0
-    sib_count = int(c @ (c - 1))
-    d2_count = 2 * gp_count + sib_count
-    if d2_count == 0:
+    terms[groups] = 2.0 * (c[groups] * s2[groups] - np.float_power(s1[groups], 2))
+    d2_count = 2 * deep.sum(axis=1) + (c * (c - 1)).sum(axis=1)
+    if not d2_count.all():
         raise InsufficientDepthError("tree has no node pairs at distance 2")
-    delta2 = float((2.0 * gp_sq + sib_sq) / d2_count)
-    return LagStatistics(
-        gamma0=gamma0,
-        gamma1=gamma1,
-        delta1=delta1,
-        delta2=delta2,
-        counts={0: n, 1: 2 * (n - 1), 2: d2_count},
-    )
-
-
-def _single_term_report(name: str, sample: RdsSample, lam: float, beta2: tuple, rse: bool):
-    """GLS under one geometric covariance term, ``lam`` clamped to +/-0.999.
-
-    The solve of Sigma x = 1 has the O(n) closed form proportional to
-    1 - lam (deg - 1); the scale ``beta2`` drops out of the normalized
-    weights and is only reported.
-    """
-    lam = float(min(max(lam, -EIGENVALUE_CLAMP), EIGENVALUE_CLAMP))
-    tree = sample.tree
-    x = 1.0 - lam * (tree.degrees - 1.0)
-    weights = x / x.sum()
-    return EstimateReport(
-        estimator=name,
-        mu_hat=float(weights @ sample.y),
-        eigenvalues=(lam,),
-        beta2=beta2,
-        rse=ranktwo_rse_value(tree, lam) if rse else None,
-        weights=weights,
-        n=sample.n,
-    )
+    delta2 = (2.0 * gp_sq + np.cumsum(terms, axis=1)[:, -1]) / d2_count
+    return gamma0, gamma1, delta1, delta2, d2_count
 
 
 def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
@@ -227,36 +232,37 @@ def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     m whose estimate is closest to itself (a relaxed fixed point).  Without
     ``rse`` the report carries no RSE.
     """
-    Y = sample.y
-    n = sample.n
-    if n == 1:
-        return _mean_report("auto", Y, "single-node sample")
-    if np.all(Y == Y[0]):
-        return _mean_report("auto", Y, "constant outcome; returned the constant", mu=float(Y[0]))
-    tree = sample.tree
-    parents = tree.parent[1:]
-    kids = np.arange(1, n)
-    grid = np.linspace(Y.min(), Y.max(), AUTO_GRID_POINTS)
+    return _one(auto_fgls, sample, rse)
+
+
+def _auto_fit(Y: np.ndarray, P: np.ndarray, E: np.ndarray) -> tuple:
+    """``auto``'s grid search on each row of ``Y``, with parent rows ``P`` and
+    degrees - 1 ``E``: lambda and beta2 at the best grid point, and whether
+    any grid point was finite."""
+    n, div = Y.shape[1], AUTO_GRID_POINTS - 1
+    lo, hi = Y.min(axis=1)[:, None], Y.max(axis=1)[:, None]
+    at, step = np.arange(AUTO_GRID_POINTS, dtype=np.float64), (hi - lo) / div
+    # np.linspace of each row: it scales by the range where the step underflows
+    grid = np.where(step == 0, at / div * (hi - lo), at * step) + lo
+    grid[:, -1:] = hi
 
     # gamma0(m) and gamma1(m) are quadratics in m
-    sy2 = np.mean(Y**2)
-    sy = np.mean(Y)
+    sy2, sy = np.mean(Y**2, axis=1)[:, None], np.mean(Y, axis=1)[:, None]
     g0 = sy2 - 2.0 * grid * sy + grid**2
-    e_prod = np.mean(Y[parents] * Y[kids])
-    e_sum = np.mean(Y[parents] + Y[kids])
-    g1 = e_prod - grid * e_sum + grid**2
+    y_parents, y_kids = Y[np.arange(len(Y))[:, None], P[:, 1:]], Y[:, 1:]
+    g1 = (np.mean(y_parents * y_kids, axis=1)[:, None]
+          - grid * np.mean(y_parents + y_kids, axis=1)[:, None] + grid**2)
 
     lam = np.clip(g1 / g0, -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-    # the single-term GLS at every grid point, with its weights' sums in closed form
-    excess = tree.degrees - 1.0
-    mu = (Y.sum() - lam * (excess @ Y)) / (n - lam * excess.sum())
+    # the single-term GLS at every grid point, with its weights' sums in
+    # closed form; each row's dot product is a 1-D dot
+    dots = np.array([e @ y for e, y in zip(E, Y)])[:, None]
+    mu = (Y.sum(axis=1)[:, None] - lam * dots) / (n - lam * E.sum(axis=1)[:, None])
     gap = np.abs(mu - grid)
     ok = np.isfinite(gap)
-    if not ok.any():
-        return _mean_report("auto", Y, "grid search failed; fell back to the sample mean")
     gap[~ok] = np.inf
-    best = int(np.argmin(gap))
-    return _single_term_report("auto", sample, lam[best], (float(g0[best]),), rse)
+    best = (np.arange(len(Y)), np.argmin(gap, axis=1))
+    return lam[best], [(float(g),) for g in g0[best]], ok.any(axis=1)
 
 
 def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
@@ -267,12 +273,50 @@ def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     The denominator carries a 1/sqrt(n) smoothing term.  Without ``rse``
     the report carries no RSE.
     """
-    n = sample.n
-    if n == 1:
-        return _mean_report("delta", sample.y, "single-node sample")
-    stats = lag_statistics(sample, 0.0)
-    lam = (stats.delta2 - stats.delta1) / (stats.delta1 + n**-0.5)
-    return _single_term_report("delta", sample, lam, (), rse)
+    return _one(delta_fgls, sample, rse)
+
+
+def _single_term_columns(name: str, columns, rse: bool) -> _Columns:
+    """``auto_fgls`` or ``delta_fgls`` (by ``name``) of each column.
+
+    Each size's columns run as the rows of one array, each row on its own
+    tree's parent and degree rows, and each falls back on its own.  The GLS
+    under one geometric term, ``lam`` clamped to +/-0.999, has the O(n)
+    closed form proportional to 1 - lam (deg - 1); the scale ``beta2``
+    drops out of the normalized weights and is only reported.
+    """
+    out = _Columns(len(columns))
+    for idx, Y in _by_size(columns):
+        n = Y.shape[1]
+        flat = ((Y == Y[:, :1]).all(axis=1) if name == "auto" or n == 1
+                else np.zeros(len(Y), bool))
+        for i, y in zip(idx[flat], Y[flat]):
+            note = "single-node sample" if n == 1 else "constant outcome; returned the constant"
+            out.mean(i, y, note, mu=float(y[0]))
+        idx, Y = idx[~flat], Y[~flat]
+        trees = [columns[i][0].tree for i in idx]
+        if not trees:
+            continue
+        P, E = np.array([t.parent for t in trees]), np.array([t.degrees for t in trees]) - 1.0
+        if name == "auto":  # its eigenvalues come clamped
+            lam, beta2, found = _auto_fit(Y, P, E)
+            for i, y in zip(idx[~found], Y[~found]):
+                out.mean(i, y, "grid search failed; fell back to the sample mean")
+            rows = np.flatnonzero(found)
+        else:
+            _, _, delta1, delta2, _ = _lag_rows(Y, P, 0.0)
+            lam = np.clip((delta2 - delta1) / (delta1 + n**-0.5), -EIGENVALUE_CLAMP,
+                          EIGENVALUE_CLAMP)
+            beta2, rows = [()] * len(Y), np.arange(len(Y))
+        X = 1.0 - lam[:, None] * E
+        W = X / X.sum(axis=1)[:, None]
+        for j in rows:  # the RSE refuses a NaN lambda before the weights' check does
+            out.rse[idx[j]] = ranktwo_rse_value(trees[j], lam[j]) if rse else None
+        _check_weights(W[rows])
+        for j in rows:
+            out.mu[idx[j]], out.weights[idx[j]] = W[j] @ Y[j], W[j]
+            out.fields[idx[j]] = {"eigenvalues": (float(lam[j]),), "beta2": beta2[j]}
+    return out
 
 
 def _tree_gls(systems, rse: bool = True) -> list:
@@ -302,18 +346,25 @@ def _tree_gls(systems, rse: bool = True) -> list:
 def qhat_spectrum(counts: np.ndarray):
     """Steps shared by every blockmodel plug-in: symmetrize, normalize, decompose.
 
-    Returns ``(eigenvalues, U, D)`` with the leading eigenvalue first and
-    D the row sums of the symmetrized referral matrix ``counts``.  The
-    input scale is irrelevant: only relative referral frequencies matter.
+    Returns ``(eigenvalues, U, D)`` with the leading eigenvalue first and D
+    the row sums of the symmetrized referral matrix ``counts``.  The input
+    scale is irrelevant: only relative referral frequencies matter.  The
+    batch of one of ``_qhat_spectra``.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise InvalidParametersError("referral matrix must be square")
     if counts.sum() <= 0:
         raise InvalidParametersError("referral matrix has no mass")
-    sym = 0.5 * (counts + counts.T)
-    D = sym.sum(axis=1)
-    if D.min() <= 0:
+    vals, U, D = _qhat_spectra(counts[None])
+    return vals[0], U[0], D[0]
+
+
+def _qhat_spectra(counts: np.ndarray):
+    """``qhat_spectrum`` of each matrix of a (P, k, k) stack, each with its own bits."""
+    sym = 0.5 * (counts + np.swapaxes(counts, -1, -2))
+    D = sym.sum(axis=-1)
+    if not (D.min(axis=-1) > 0).all():
         raise MissingLabelError("a block has no referrals in or out")
     _, vals, U = normalized_spectrum(sym, D)
     return vals, U, D
@@ -335,7 +386,7 @@ def sbm_fgls(
     ``rse`` the report carries no RSE.  This is the batch stage
     ``_blockmodel_gls_columns`` on one column.
     """
-    return _blockmodel_gls_columns([(sample, sample.y, _block_labels(sample, labels))], rse)[0]
+    return _one(sbm_fgls, sample, rse, _block_labels(sample, labels))
 
 
 def _block_labels(sample: RdsSample, labels) -> np.ndarray:
@@ -350,97 +401,100 @@ def _block_labels(sample: RdsSample, labels) -> np.ndarray:
     return labels
 
 
-def _block_spectrum(sample: RdsSample, labels: np.ndarray):
-    """The outcome-free part of the blockmodel GLS over ``labels``.
+def _block_spectra(pairs) -> list:
+    """The outcome-free part of the blockmodel GLS of each ``(sample, labels)`` pair.
 
-    Returns ``(k_eff, notes, eigenvalues, f_hat)``: the number of visited
+    Each is ``(k_eff, notes, eigenvalues, f_hat)``: the number of visited
     blocks, the dropped-block note, the referral spectrum and the per-node
-    eigenfunctions.  Depends on the tree and the labels only, so it is
+    eigenfunctions.  It depends on the tree and the labels only, so it is
     cached on the tree by the label bytes: the ``fgls`` reweighting and the
-    blockmodel estimator that follows it share one spectrum.
+    blockmodel estimator that follows it share one spectrum.  The missing
+    ones come from one stacked pass, each with its one-pair bits: referral
+    counts by one offset ``np.bincount`` (exact integer counts), then one
+    ``_qhat_spectra`` per block count.  The first failing pair raises.
     """
-    key = ("spectrum", labels.tobytes())
-    cache = sample.tree._cache
-    if key in cache:
-        return cache[key]
-    n = sample.n
-    notes = []
-    K = int(labels.max()) + 1
-    present = np.unique(labels)
-    if present.min() < 0:
-        raise MissingLabelError("block labels must be nonnegative")
-    if present.size < K:
-        dropped = sorted(set(range(K)) - set(present.tolist()))
-        notes.append(f"dropped blocks with no visits: {dropped}")
-    z = np.searchsorted(present, labels)
-    k_eff = present.size
+    keys = [("spectrum", labels.tobytes()) for _, labels in pairs]
+    todo = {(id(sample.tree), key): (sample, labels, key)
+            for (sample, labels), key in zip(pairs, keys) if key not in sample.tree._cache}
+    by_k, cells, offset = {}, [], 0
+    for sample, labels, key in todo.values():
+        if labels.min() < 0:
+            raise MissingLabelError("block labels must be nonnegative")
+        visits = np.bincount(labels)
+        z, k = (np.cumsum(visits > 0) - 1)[labels], int(np.count_nonzero(visits))
+        dropped = np.flatnonzero(visits == 0).tolist()
+        notes = (f"dropped blocks with no visits: {dropped}",) if dropped else ()
+        # cell (u, v) of the pair's k x k counts: its tree edges from block u to v
+        cells.append(offset + z[sample.tree.parent[1:]] * k + z[1:])
+        by_k.setdefault(k, []).append((sample, key, notes, z, offset))
+        offset += k * k
+    counts = np.bincount(np.concatenate(cells), minlength=offset) if cells else None
+    for k, entries in by_k.items():
+        n = np.array([[[sample.n]] for sample, *_ in entries])
+        qhat = np.array([counts[off:off + k * k] for *_, off in entries]).reshape(-1, k, k) / n
+        # renormalize to the counts' own total (n - 1) / n: this can move the last
+        # bit of an entry, and the recorded report digests include it
+        qhat = qhat * ((n - 1) / n / qhat.reshape(-1, 1, k * k).sum(axis=2)[..., None])
+        for (sample, key, notes, z, _), vals, U, D in zip(entries, *_qhat_spectra(qhat)):
+            f_hat = U[z] / np.sqrt(D)[z][:, None]
+            vals.flags.writeable = f_hat.flags.writeable = False
+            sample.tree._cache[key] = (k, notes, vals, f_hat)
+    return [sample.tree._cache[key] for (sample, _), key in zip(pairs, keys)]
 
-    qhat = referral_counts(sample._sharing(block=z), k_eff)
-    # renormalize to the counts' own total (n - 1) / n: this can move the last
-    # bit of an entry, and the recorded report digests include it
-    qhat = qhat * ((n - 1) / n / qhat.sum())
 
-    vals, U, D = qhat_spectrum(qhat)
-    f_hat = U[z] / np.sqrt(D)[z][:, None]
-    vals.flags.writeable = False
-    f_hat.flags.writeable = False
-    cache[key] = (k_eff, tuple(notes), vals, f_hat)
-    return cache[key]
+def _blockmodel_gls_columns(columns, rse: bool) -> _Columns:
+    """``sbm_fgls`` of each ``(sample, y, labels)`` column, as one columnar result.
 
-
-def _blockmodel_gls_columns(columns, rse: bool) -> list:
-    """``sbm_fgls`` of each ``(sample, y, labels)`` column, one report per column.
-
-    ``labels`` is already checked by ``_block_labels``, and the sample gives
-    the tree, the degrees and nothing else.  Each column's loadings on its
-    labels' spectrum make its plug-in covariance.  The columns whose
-    covariances share a term count share one forest sweep, and a column
-    whose covariance is refused or singular falls back to the sample mean
-    alone.  Each report is the one-column call's, bit for bit.  Without
-    ``rse`` the reports carry no RSE.
+    ``labels`` is already checked by ``_block_labels``, or None for the
+    sample's own blocks, and the sample gives the tree, the degrees and
+    nothing else.  The spectra come from one stacked pass
+    (``_block_spectra``) and the nuggets from each size's columns at once.
+    Each column's loadings on its labels' spectrum make its plug-in
+    covariance.  The columns whose covariances share a term count share one
+    forest sweep, and a column whose covariance is refused or singular
+    falls back to the sample mean alone.  Each column has the one-column
+    call's bits.  Without ``rse`` no RSE is computed.
     """
-    fields, forests = [], {}
-    for i, (sample, Y, blocks) in enumerate(columns):
-        if sample.n == 1:
-            fields.append(None)
-            continue
-        k_eff, notes, vals, f_hat = _block_spectrum(sample, blocks)
-        beta_hat = f_hat.T @ Y / sample.n
-        # the leading eigenvalue is 1 by construction: its spectral term is a
-        # multiple of the all-ones matrix, which leaves the GLS weights
-        # untouched; clamping the rest keeps the solve definite
-        lam = np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP)
-        beta2 = beta_hat[1:] ** 2
-        nugget = float(Y.var(ddof=1))
-        fields.append((notes, {"eigenvalues": tuple(lam), "beta2": tuple(beta2),
-                               "nugget": nugget, "K": k_eff}))
+    out = _Columns(len(columns))
+    blocks = [_block_labels(sample, None) if b is None else b for sample, _, b in columns]
+    live = [i for i, (sample, _, _) in enumerate(columns) if sample.n > 1]
+    for i in set(range(len(columns))) - set(live):
+        out.mean(i, columns[i][1], "single-node sample")
+    nuggets, clamped, forests = np.empty(len(columns)), {}, {}
+    for idx, Y in _by_size(columns, live):
+        nuggets[idx] = Y.var(axis=1, ddof=1)
+    for i, (k_eff, notes, vals, f_hat) in zip(live, _block_spectra(
+            [(columns[i][0], blocks[i]) for i in live])):
+        sample, y, _ = columns[i]
+        if id(vals) not in clamped:
+            # the leading eigenvalue is 1 by construction: its spectral term is a
+            # multiple of the all-ones matrix, which leaves the GLS weights
+            # untouched; clamping the rest keeps the solve definite
+            clamped[id(vals)] = tuple(np.clip(vals[1:], -EIGENVALUE_CLAMP, EIGENVALUE_CLAMP))
+        lam = clamped[id(vals)]
+        beta_hat = f_hat.T @ y / sample.n
+        beta2, nugget = tuple(beta_hat[1:] ** 2), float(nuggets[i])
+        out.notes[i] = notes
+        out.fields[i] = {"eigenvalues": lam, "beta2": beta2, "nugget": nugget, "K": k_eff}
         try:
             # loadings or a nugget that overflow to inf are refused here; the
             # solve they would feed is singular
             ac = AutoCovariance(terms=tuple(zip(beta2, lam)), nugget=nugget)
         except (SingularCovarianceError, InvalidParametersError):
             continue
-        system = (sample.tree, ac, Y, float(beta_hat[0] ** 2))
+        system = (sample.tree, ac, y, float(beta_hat[0] ** 2))
         forests.setdefault(len(ac.terms), []).append((i, system))
     solved = {}
     for members in forests.values():
         keys, systems = zip(*members)
         solved.update(zip(keys, _tree_gls(systems, rse)))
-    reports = []
-    for i, ((sample, Y, _), field) in enumerate(zip(columns, fields)):
-        if field is None:
-            reports.append(_mean_report("sbm", Y, "single-node sample"))
-            continue
-        notes, kw = field
-        out = solved.get(i)
-        if out is None:
+    for i in live:
+        if solved.get(i) is None:
             note = "estimated covariance was singular; fell back to the sample mean"
-            reports.append(_mean_report("sbm", Y, *notes, note, **kw))
-            continue
-        mu, weights, rse_value = out
-        reports.append(EstimateReport("sbm", mu, rse=rse_value, weights=weights,
-                                      n=sample.n, warnings=notes, **kw))
-    return reports
+            out.mean(i, columns[i][1], *out.notes[i], note, **out.fields[i])
+        else:
+            out.mu[i], out.weights[i], out.rse[i] = solved[i]
+    return out
 
 
 def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> EstimateReport:
@@ -451,20 +505,18 @@ def oracle_gls(sample: RdsSample, spec: SpectralDecomp, y: np.ndarray) -> Estima
     estimators approximate.  A non-finite outcome at a sampled node raises
     ``InvalidSampleError``.
     """
-    n = sample.n
     Y = sample.with_outcome(y).y
-    beta = beta_coefficients(y, spec)
-    ac = AutoCovariance.from_spectrum(beta, spec.eigenvalues)
-    if n == 1:
-        return _mean_report("oracle_gls", Y, "single-node sample")
-    (out,) = _tree_gls([(sample.tree, ac, Y, 0.0)])
-    terms = {"eigenvalues": tuple(lam for _, lam in ac.terms),
-             "beta2": tuple(b2 for b2, _ in ac.terms)}
-    if out is None:
-        note = "exact covariance singular (outcome spectrally flat); used the mean"
-        return _mean_report("oracle_gls", Y, note, **terms)
-    mu, weights, rse = out
-    return EstimateReport("oracle_gls", mu, rse=rse, weights=weights, n=n, **terms)
+    ac = AutoCovariance.from_spectrum(beta_coefficients(y, spec), spec.eigenvalues)
+    out, terms = _Columns(1), {"eigenvalues": tuple(lam for _, lam in ac.terms),
+                               "beta2": tuple(b2 for b2, _ in ac.terms)}
+    if sample.n == 1:
+        out.mean(0, Y, "single-node sample")
+    elif (res := _tree_gls([(sample.tree, ac, Y, 0.0)])[0]) is None:
+        out.mean(0, Y, "exact covariance singular (outcome spectrally flat); used the mean",
+                 **terms)
+    else:
+        (out.mu[0], out.weights[0], out.rse[0]), out.fields[0] = res, terms
+    return _reports("oracle_gls", out, [sample.n])[0]
 
 
 FGLS_FALLBACK_NOTE = (
@@ -502,11 +554,10 @@ def _reweighted(policy: str, columns: list, labels) -> tuple:
         keys = [(id(sample), b.tobytes()) for (sample, _), b in zip(columns, blocks)]
         distinct = {key: (sample, invs[key[0]], b)
                     for key, (sample, _), b in zip(keys, columns, blocks)}
-        scales = {}
-        for key, report in zip(distinct, _blockmodel_gls_columns(list(distinct.values()), False)):
-            h_inv = report.mu_hat
-            scales[key] = ((h_inv, ()) if np.isfinite(h_inv) and h_inv > 0
-                           else (float(invs[key[0]].mean()), (FGLS_FALLBACK_NOTE,)))
+        h_invs = _blockmodel_gls_columns(list(distinct.values()), False).mu.tolist()
+        scales = {key: (h_inv, ()) if np.isfinite(h_inv) and h_inv > 0
+                  else (float(invs[key[0]].mean()), (FGLS_FALLBACK_NOTE,))
+                  for key, h_inv in zip(distinct, h_invs)}
     weighted = [(sample, y / (scales[key][0] * sample.degree), b)
                 for (sample, y), key, b in zip(columns, keys, blocks)]
     if not all(np.isfinite(w).all() for _, w, _ in weighted):
@@ -551,10 +602,11 @@ def _encode_outcome_blocks(sample: RdsSample) -> np.ndarray:
 class Recipe(NamedTuple):
     """An estimator as ``run_recipe`` runs it: reweight the outcomes, then estimate.
 
-    ``reweight`` names a policy of ``reweight``; ``estimate`` takes the
-    reweighted sample and a keyword-only ``rse``.  ``labels`` maps a sample
-    to the block labels of the ``fgls`` reweighting, which a blockmodel
-    estimator then uses too; without it both use the sample's own blocks.
+    ``reweight`` names a policy of ``reweight``; ``estimate`` is an estimator
+    of ``ESTIMATORS``, and a recipe runs its batch form.  ``labels`` maps a
+    sample to the block labels of the ``fgls`` reweighting, which a
+    blockmodel estimator then uses too; without it both use the sample's
+    own blocks.
     """
 
     reweight: str
@@ -572,18 +624,26 @@ ESTIMATORS = {
 }
 REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.values()))
 
+# each estimator's report name and batch form; the blockmodel one is looked up as it runs
+_FORMS = {
+    mean_estimator: ("mean", _mean_columns),
+    vh_estimator: ("vh", _vh_columns),
+    auto_fgls: ("auto", lambda columns, rse: _single_term_columns("auto", columns, rse)),
+    delta_fgls: ("delta", lambda columns, rse: _single_term_columns("delta", columns, rse)),
+    sbm_fgls: ("sbm", lambda columns, rse: _blockmodel_gls_columns(columns, rse)),
+}
+
 
 def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = True) -> list:
     """Reweight, then estimate: the one path of every estimate, one report per column.
 
     Runs on the sample's own outcome, or once per outcome column of
-    ``columns``.  The reweighting's
-    note comes first in a report's ``warnings``; nothing is warned.
-    Without ``rse`` the estimators that fit a covariance report no RSE and
-    skip its work; every other field and the weights are the same bits.
-    A column that is singular falls back alone, and a column that raises
-    raises what it raises on its own.  This is the batch of one job of
-    ``run_recipe_batch``.
+    ``columns``.  The reweighting's note comes first in a report's
+    ``warnings``; nothing is warned.  Without ``rse`` the estimators that
+    fit a covariance report no RSE and skip its work; every other field and
+    the weights are the same bits.  A column that is singular falls back
+    alone, and a column that raises raises what it raises on its own.  This
+    is the batch of one job of ``run_recipe_batch``.
     """
     return run_recipe_batch(recipe, [(sample, columns)], rse=rse)[0]
 
@@ -592,28 +652,47 @@ def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
     """``run_recipe`` of each ``(sample, columns)`` job, one list of reports per job.
 
     Every report equals its job's own ``run_recipe`` report bit for bit.
-    The columns of all jobs travel as one flat list of ``(sample, y)``
-    pairs, each job's taken from one C-contiguous (m, n) array, through the
-    reweight step and the estimate; the reports are grouped by job only on
-    return.  A sample is built per column only for an estimator that takes
-    one.  With ``fgls`` and ``sbm_fgls`` two blockmodel stages run once for
-    all jobs: the inverse-degree normalizer of each distinct (sample, label
-    set), then every column's GLS, each one forest sweep
-    (``tree_gls_solve_forest``) per term count.  A batch that raises raises
-    what one of its jobs raises on its own; run the jobs one at a time to
-    find the first.
+    Reports are built here alone, from the batch's columnar result
+    (``recipe_columns``).  A batch that raises raises what one of its jobs
+    raises on its own; run the jobs one at a time to find the first.
+    """
+    out = recipe_columns(recipe, jobs, rse=rse)
+    ns = [sample.n for (sample, _), m in zip(jobs, out.counts) for _ in range(m)]
+    reports = iter(_reports(_FORMS[recipe.estimate][0], out, ns))
+    return [[next(reports) for _ in range(m)] for m in out.counts]
+
+
+class JobBatch(list):
+    """``(sample, columns)`` jobs that recipes run on in turn, keeping each reweight
+    step, so that the recipes that share one (``auto``, ``delta``) run it once."""
+
+    def __init__(self, jobs=()):
+        super().__init__(jobs)
+        self.reweighted = {}
+
+
+def recipe_columns(recipe: Recipe, jobs, *, rse: bool = True) -> _Columns:
+    """The columnar result of ``run_recipe_batch``: every column of every job, in order.
+
+    The columns of all jobs, each job's from one C-contiguous (m, n) array,
+    travel as one flat list through the reweight step (kept on a
+    ``JobBatch``) and the estimator's batch form; the reweighting's notes
+    come first.  With ``fgls`` and ``sbm_fgls`` the normalizers of all
+    columns, then their estimates, are one blockmodel call each.  No report
+    is built.
     """
     policy, estimate, labels = recipe
-    rows = [_outcome_rows(sample, columns) for sample, columns in jobs]
-    columns, notes = _reweighted(
-        policy, [(sample, y) for (sample, _), Y in zip(jobs, rows) for y in Y], labels)
-    if policy == "fgls" and estimate is sbm_fgls:
-        reports = _blockmodel_gls_columns(columns, rse)
-    else:
-        reports = [estimate(sample.with_outcome_values(y), rse=rse) for sample, y, _ in columns]
-    reports = iter(replace(report, warnings=note + report.warnings) if note else report
-                   for report, note in zip(reports, notes))
-    return [[next(reports) for _ in Y] for Y in rows]
+    steps = jobs.reweighted if isinstance(jobs, JobBatch) else {}
+    if (policy, labels) not in steps:
+        rows = [_outcome_rows(sample, columns) for sample, columns in jobs]
+        steps[(policy, labels)] = _reweighted(
+            policy, [(sample, y) for (sample, _), Y in zip(jobs, rows) for y in Y], labels
+        ) + ([len(Y) for Y in rows],)
+    columns, notes, counts = steps[(policy, labels)]
+    out = _FORMS[estimate][1](columns, rse)
+    out.notes = [note + own if note else own for note, own in zip(notes, out.notes)]
+    out.counts = counts
+    return out
 
 
 def _outcome_rows(sample: RdsSample, columns) -> np.ndarray:
@@ -629,32 +708,15 @@ def _outcome_rows(sample: RdsSample, columns) -> np.ndarray:
     return np.ascontiguousarray(columns, dtype=np.float64).reshape(-1, sample.n)
 
 
-def _named(name: str) -> Recipe:
-    if name not in ESTIMATORS:
-        raise InvalidParametersError(f"unknown estimator {name!r}")
-    return ESTIMATORS[name]
-
-
 def apply_estimator(name: str, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
     """``run_recipe`` of the named recipe of ``ESTIMATORS`` on the sample.
 
     Without ``rse``, ``auto`` and ``delta`` skip ``ranktwo_rse_value``,
     ``sbm_y`` and ``sbm_z`` the ``tree_covariance_mass`` sweep.
     """
-    return run_recipe(_named(name), sample, rse=rse)[0]
-
-
-def apply_estimator_columns(
-    name: str, sample: RdsSample, columns, *, rse: bool = True
-) -> list:
-    """``apply_estimator`` on the sample once per outcome column, one report per column.
-
-    Report i equals ``apply_estimator(name, sample.with_outcome_values(
-    columns[i]), rse=rse)`` in every field and every bit of its weights;
-    ``sbm_y`` and ``sbm_z`` solve all columns in stacked stages
-    (``run_recipe``).
-    """
-    return run_recipe(_named(name), sample, columns, rse=rse)
+    if name not in ESTIMATORS:
+        raise InvalidParametersError(f"unknown estimator {name!r}")
+    return run_recipe(ESTIMATORS[name], sample, rse=rse)[0]
 
 
 def vandermonde_weights(eigenvalues: np.ndarray) -> np.ndarray:

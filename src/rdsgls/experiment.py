@@ -16,12 +16,9 @@ import numpy as np
 from .covariance import one_sigma_inv_one_ranktwo
 from .diagnostics import GREY_LINE_GRID, DiagnosticPoint, ranktwo_rse_curve
 from .errors import InvalidParametersError, SamplingFailedError
-from .estimators import (
-    ESTIMATORS,
-    FGLS_FALLBACK_NOTE,
-    apply_estimator,
-    run_recipe_batch,
-)
+from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, JobBatch, apply_estimator
+# the chunk's batch call is ``run_recipe_batch`` without the reports: it reads estimates alone
+from .estimators import recipe_columns as run_recipe_batch
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
     outcome_bernoulli,
@@ -226,10 +223,10 @@ def _run_chunk(ctx: dict, reps) -> list:
     Each replicate draws its own sample (seed ``base_seed + r``); one that
     exhausts its restarts gives None.  Then each estimator runs once on
     every (replicate, size) prefix of the chunk, whose outcome columns are
-    one array gathered from the stacked population columns
-    (``run_recipe_batch``), so each blockmodel stage is one forest sweep
-    per term count for the whole chunk.  Only ``mu_hat`` is kept, so no
-    RSE is computed; the estimates are the one-column bits.  A chunk that
+    one array gathered from the stacked population columns (``_estimate``),
+    so each blockmodel stage is one forest sweep per term count for the
+    whole chunk.  Only the estimates are read, so no report is built and no
+    RSE computed; they are the one-column bits.  A chunk that
     raises runs again one prefix at a time, and so raises what the
     replicate-by-replicate loop raises first.  ``ctx`` holds the config,
     the sampling graph, the block labels and the outcome columns by name;
@@ -267,13 +264,15 @@ def _run_chunk(ctx: dict, reps) -> list:
 
 
 def _estimate(ctx: dict, jobs: list) -> list:
-    """Each job's estimates keyed by (estimator, n, outcome); each estimator runs once."""
+    """Each job's estimates keyed by (estimator, n, outcome); each estimator runs
+    once, and ``auto`` and ``delta`` share one ``vh`` reweighting."""
     estimates = [{} for _ in jobs]
+    batch = JobBatch(job for _, _, job in jobs)
     for est in ctx["cfg"].estimators:
-        batch = run_recipe_batch(ESTIMATORS[est], [job for _, _, job in jobs], rse=False)
-        for out, (_, n, _), reports in zip(estimates, jobs, batch):
-            for out_name, report in zip(ctx["outcomes"], reports):
-                out[(est, n, out_name)] = report.mu_hat
+        mu = iter(run_recipe_batch(ESTIMATORS[est], batch, rse=False).mu.tolist())
+        for out, (_, n, _) in zip(estimates, jobs):
+            for out_name in ctx["outcomes"]:
+                out[(est, n, out_name)] = next(mu)
     return estimates
 
 

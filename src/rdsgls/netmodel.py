@@ -303,18 +303,15 @@ class BlockSpectrum:
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Flip columns so the first non-negligible coordinate is positive."""
-    V = V.copy()
-    for col in range(V.shape[1]):
-        v = V[:, col]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
-        if nz.size and v[nz[0]] < 0:
-            V[:, col] = -v
-    return V
+    """Flip columns so the first non-negligible coordinate is positive, per matrix of a stack."""
+    A = np.abs(V)
+    big = A > 1e-12 * np.fmax(1.0, A.max(axis=-2, keepdims=True))
+    lead = np.take_along_axis(V, big.argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(big.any(axis=-2, keepdims=True) & (lead < 0), -V, V)
 
 
 def _spectral_order(values: np.ndarray):
-    """Leading-first ordering: by |value| descending, ties by signed value."""
+    """Leading-first ordering along the last axis: by |value| descending, ties by signed value."""
     return np.lexsort((-values, -np.abs(values)))
 
 
@@ -501,13 +498,15 @@ def normalized_spectrum(S: np.ndarray, row: np.ndarray):
 
     Returns ``(S_L, eigenvalues, U)``: the normalized matrix, then its
     eigenpairs leading first, each eigenvector's first non-negligible
-    coordinate positive.  Callers check the row sums first.
+    coordinate positive.  Callers check the row sums first.  A stack of
+    matrices gives each matrix its own bits.
     """
     inv_sqrt = 1.0 / np.sqrt(row)
-    S_L = inv_sqrt[:, None] * S * inv_sqrt[None, :]
-    vals, U = np.linalg.eigh(0.5 * (S_L + S_L.T))
+    S_L = inv_sqrt[..., :, None] * S * inv_sqrt[..., None, :]
+    vals, U = np.linalg.eigh(0.5 * (S_L + np.swapaxes(S_L, -1, -2)))
     order = _spectral_order(vals)
-    return S_L, vals[order], _fix_signs(U[:, order])
+    U = np.take_along_axis(U, order[..., None, :], axis=-1)
+    return S_L, np.take_along_axis(vals, order, axis=-1), _fix_signs(U)
 
 
 def blockmodel_spectrum(B: np.ndarray, z: np.ndarray) -> BlockSpectrum:

@@ -365,6 +365,19 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert _resolve_seed(7) == 7
 
 
+def test_a_seed_variable_that_is_not_an_integer_is_named(tmp_path, monkeypatch, capsys):
+    edges, out = tmp_path / "path.txt", tmp_path / "sample.csv"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(11)))
+    monkeypatch.setenv("RDSGLS_SEED", "abc")
+    argv = ["simulate", "--edges", str(edges), "--target", "6", "--offspring", "0.5 0.5",
+            "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "error: RDSGLS_SEED = 'abc' is not an integer\n"
+    assert not out.exists()
+    # a --seed flag wins, and the variable is not read
+    assert dispatch([*argv, "--seed", "18"]) == 0
+
+
 def _fixture_with(tmp_path, line, column, value):
     """Copy of the VH fixture with one cell replaced (line 2 is the first record)."""
     rows = [row.split(",") for row in (DATA / "vh_fixture.csv").read_text().splitlines()]

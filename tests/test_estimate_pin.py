@@ -8,8 +8,8 @@ pipeline:
   standard error and the SHA-256 of the report file;
 - for each named recipe, with and without the RSE: the SHA-256 of the
   ``apply_estimator`` report's ``repr`` and weight bytes, and the same of
-  the three ``apply_estimator_columns`` reports, or the type and message
-  of what either call raised.
+  the three ``run_recipe`` reports on three outcome columns, or the type
+  and message of what either call raised.
 
 The small samples carry at most one fault each: a sample with two faults
 may name either of them.
@@ -102,7 +102,7 @@ def record_recipes(path) -> dict:
         for rse in (True, False):
             out[f"{name}/rse={rse}"] = _outcome(lambda: [r.apply_estimator(name, sample, rse=rse)])
             out[f"{name}/rse={rse}/columns"] = _outcome(
-                lambda: r.apply_estimator_columns(name, sample, columns, rse=rse)
+                lambda: r.run_recipe(r.ESTIMATORS[name], sample, columns, rse=rse)
             )
     return out
 

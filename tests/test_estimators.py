@@ -417,11 +417,18 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def labeled_samples(draw):
-    """Random recruitment trees with positive degrees, three blocks and a few outcome levels."""
-    n = draw(st.integers(3, 120))
+def labeled_samples(draw, other=False):
+    """Random recruitment trees with positive degrees, three blocks and a few outcome
+    levels.  ``other`` draws a second kind of tree: each pick counts back from its
+    node, so it is a path where the first kind is a star, and at times its root
+    has nine children or more."""
+    wide = other and draw(st.booleans())
+    n = draw(st.integers(10 if wide else 3, 120))
     picks = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n - 1, max_size=n - 1))
-    parent = np.array([-1] + [int(u * t) for t, u in enumerate(picks, start=1)])
+    parent = np.array([-1] + [t - 1 - int(u * t) if other else int(u * t)
+                              for t, u in enumerate(picks, start=1)])
+    if wide:
+        parent[1:10] = 0
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     return r.RdsSample(
         tree=r.ReferralTree(parent),
@@ -630,8 +637,9 @@ def test_fgls_fallback_warns_on_every_call():
 
     def not_positive(columns, rse):
         calls.append(rse)
-        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n)
-                for sample, _, _ in columns]
+        out = estimators._Columns(len(columns))
+        out.mu[:] = -1.0
+        return out
 
     want = s.y / (np.mean(1.0 / s.degree) * s.degree)
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
@@ -648,9 +656,10 @@ def test_apply_estimator_puts_the_fallback_note_first():
                     block=np.arange(tree.n) % 2)
 
     def not_positive(columns, rse):
-        return [r.EstimateReport(estimator="sbm", mu_hat=-1.0, n=sample.n,
-                                 warnings=("the estimator's own note",))
-                for sample, _, _ in columns]
+        out = estimators._Columns(len(columns))
+        out.mu[:] = -1.0
+        out.notes = [("the estimator's own note",)] * len(columns)
+        return out
 
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
         for name in ("sbm_y", "sbm_z"):
@@ -691,7 +700,7 @@ def _one_column_loop(name, sample, columns, rse=True):
 
 
 def _stacked(name, sample, columns, rse=True):
-    return lambda: r.apply_estimator_columns(name, sample, columns, rse=rse)
+    return lambda: r.run_recipe(r.ESTIMATORS[name], sample, columns, rse=rse)
 
 
 @st.composite
@@ -748,7 +757,7 @@ def _assert_isolated(name, sample, columns, odd, note):
     assert stacked == _outcome(_one_column_loop(name, _cold(sample), columns))
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        reports = r.apply_estimator_columns(name, _cold(sample), columns)
+        reports = r.run_recipe(r.ESTIMATORS[name], _cold(sample), columns)
     for i, report in enumerate(reports):
         assert (note in report.warnings) == (i == odd), (i, report.warnings)
 
@@ -768,7 +777,7 @@ def test_a_constant_column_keeps_the_others_bits(name):
     columns = [np.arange(15) % 2 * 1.0, np.full(15, 3.0), np.arange(15) % 3 * 0.5]
     stacked = _outcome(_stacked(name, _cold(sample), columns))
     assert stacked == _outcome(_one_column_loop(name, _cold(sample), columns))
-    reports = r.apply_estimator_columns(name, _cold(sample), columns)
+    reports = r.run_recipe(r.ESTIMATORS[name], _cold(sample), columns)
     assert abs(reports[1].mu_hat - 3.0) < 1e-12
     for i in (0, 2):
         assert not any("fell back" in w or "constant" in w for w in reports[i].warnings)
@@ -780,7 +789,7 @@ def test_a_singular_node_block_falls_back_alone():
     sample = _fifteen(degree=np.ones(15), block=np.zeros(15, dtype=int))
     columns = [np.arange(15) % 2 * 1.0, np.full(15, 3.0), np.arange(15) % 3 * 0.5]
     _assert_isolated("sbm_z", sample, columns, 1, SINGULAR_NOTE)
-    assert r.apply_estimator_columns("sbm_z", sample, columns)[1].warnings == (SINGULAR_NOTE,)
+    assert r.run_recipe(r.ESTIMATORS["sbm_z"], sample, columns)[1].warnings == (SINGULAR_NOTE,)
 
 
 def test_a_dropped_block_stays_with_its_column():
@@ -790,8 +799,9 @@ def test_a_dropped_block_stays_with_its_column():
     skipped = np.where(labels == 1, 2, labels)
     columns = [np.arange(n) % 2 * 1.0, np.arange(n) % 5 * 0.3, np.arange(n) % 3 * 0.5]
     label_sets = [labels, skipped, labels]
-    reports = estimators._blockmodel_gls_columns(
+    out = estimators._blockmodel_gls_columns(
         [(sample, y, blocks) for y, blocks in zip(columns, label_sets)], True)
+    reports = estimators._reports("sbm", out, [n] * len(columns))
     for i, (y, blocks, report) in enumerate(zip(columns, label_sets, reports)):
         alone = r.sbm_fgls(_cold(sample).with_outcome_values(y), blocks)
         assert repr(report.to_dict()) == repr(alone.to_dict())
@@ -807,17 +817,17 @@ def test_the_harmonic_mean_fallback_stays_with_its_label_set():
     real = estimators._blockmodel_gls_columns
 
     def not_positive(columns, rse):
-        return [
-            replace(rep, mu_hat=-1.0)
-            if np.array_equal(y, 1.0 / sample.degree) and np.array_equal(blocks, odd) else rep
-            for (sample, y, blocks), rep in zip(columns, real(columns, rse))
-        ]
+        out = real(columns, rse)
+        for i, (sample, y, blocks) in enumerate(columns):
+            if np.array_equal(y, 1.0 / sample.degree) and np.array_equal(blocks, odd):
+                out.mu[i] = -1.0
+        return out
 
     unpatched = _outcome(_one_column_loop("sbm_y", _cold(sample), columns))
     with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
         patched = _outcome(_one_column_loop("sbm_y", _cold(sample), columns))
         stacked = _outcome(_stacked("sbm_y", _cold(sample), columns))
-        reports = r.apply_estimator_columns("sbm_y", _cold(sample), columns)
+        reports = r.run_recipe(r.ESTIMATORS["sbm_y"], _cold(sample), columns)
     assert stacked == patched
     assert stacked[0] == unpatched[0] and stacked[2] == unpatched[2]
     assert stacked[1] != unpatched[1]
@@ -865,20 +875,29 @@ BATCH_RECIPES = {
 
 @st.composite
 def prefix_jobs(draw):
-    """One to three prefixes of a labeled sample (one node, at times), each with
-    one to four outcome columns as one (m, n) array: a few levels, a constant,
-    a +/-1e200 column (the blockmodel covariance overflows, so it falls back
-    to the mean) or the largest float (reweighted, it overflows).  At times
-    two jobs share one prefix object, whose normalizers the batch shares."""
-    sample = draw(labeled_samples())
+    """One to three prefixes of one or two independently drawn labeled samples,
+    each with one to four outcome columns as one (m, n) array: a few levels, a
+    constant, a +/-1e200 column (the blockmodel covariance overflows, so it
+    falls back to the mean) or the largest float (reweighted, it overflows).
+    At times two jobs share one prefix object, whose normalizers the batch
+    shares.  Sizes include one node and two (too few for delta's lag-2
+    statistics).  With two samples the jobs alternate between them at the
+    first job's size where it fits, so that equal sizes from two trees stack
+    together, and the second sample may have a sibling group of nine or
+    more, whose sums np.sum adds pairwise."""
+    samples = [draw(labeled_samples())]
+    if draw(st.booleans()):
+        samples.append(draw(labeled_samples(other=True)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     jobs = []
     for _ in range(draw(st.integers(1, 3))):
         if jobs and draw(st.booleans()):
             sub = draw(st.sampled_from([sub for sub, _ in jobs]))
         else:
-            sub = sample.prefix(
-                draw(st.sampled_from([1, sample.n, draw(st.integers(1, sample.n))])))
+            sample = samples[len(jobs) % len(samples)]
+            taken = [sub.n for sub, _ in jobs if sub.n <= sample.n]
+            sub = sample.prefix(taken[-1] if taken and len(samples) > 1 else draw(
+                st.sampled_from([1, 2, sample.n, draw(st.integers(1, sample.n))])))
         n = sub.n
         rows = []
         for _ in range(draw(st.integers(1, 4))):

@@ -356,8 +356,7 @@ def test_overlapping_replicates_leave_the_warnings_filters_alone():
         else:
             b_open.set()
             assert a_closed.wait(10)
-        return [[r.mean_estimator(sample.with_outcome_values(y)) for y in columns]
-                for sample, columns in jobs]
+        return estimators.recipe_columns(recipe, jobs, rse=rse)
 
     def replicate(name):
         role.name = name
@@ -562,13 +561,14 @@ def test_rank_two_sample_diagnostics_near_grey_line(chain09):
 
 def test_replicates_skip_the_rse_and_share_each_spectrum():
     cfg = small_config(estimators=tuple(r.ESTIMATORS), replicates=4)
-    calls = {"ranktwo_rse_value": 0, "tree_covariance_mass": 0, "qhat_spectrum": 0}
+    # each stacked spectrum pass counts the matrices it decomposes
+    calls = {"ranktwo_rse_value": 0, "tree_covariance_mass": 0, "_qhat_spectra": 0}
 
     def counting(name):
         real = getattr(estimators, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0]) if name == "_qhat_spectra" else 1
             return real(*args, **kwargs)
 
         return wrapper
@@ -593,7 +593,39 @@ def test_replicates_skip_the_rse_and_share_each_spectrum():
                 labels.add(r.ESTIMATORS["sbm_y"].labels(sub.with_outcome(y)).tobytes())
             partitions += len(labels)
     assert partitions > 0
-    assert calls["qhat_spectrum"] == partitions
+    assert calls["_qhat_spectra"] == partitions
+
+
+def test_a_chunk_builds_no_report_and_shares_one_vh_reweighting():
+    # a chunk reads each estimator's estimates alone: it builds no report,
+    # auto and delta share one vh reweighting, and neither a one-column
+    # estimator nor a one-matrix spectrum runs
+    cfg = desk_config(estimators=tuple(r.ESTIMATORS), replicates=6)
+    graph, z, columns = experiment._prepare_population(cfg)
+    ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": columns}
+    watched = {
+        estimators.EstimateReport.__post_init__.__code__: "report",
+        estimators.auto_fgls.__code__: "auto_fgls",
+        estimators.delta_fgls.__code__: "delta_fgls",
+        estimators.qhat_spectrum.__code__: "qhat_spectrum",
+        estimators._reweighted.__code__: "reweighting",
+    }
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            name = watched[frame.f_code]
+            calls.append(f"{name} {frame.f_locals['policy']}" if name == "reweighting" else name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        results = experiment._run_chunk(ctx, range(cfg.replicates))
+    finally:
+        sys.setprofile(previous)
+    assert sum(result is not None for result in results) > 1
+    assert sorted(calls) == ["reweighting fgls", "reweighting fgls", "reweighting none",
+                             "reweighting vh"]
 
 
 def test_a_chunk_runs_each_blockmodel_stage_in_one_call():

@@ -11,7 +11,6 @@ replaced the per-caller dispatch code.
 import contextlib
 import hashlib
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -108,10 +107,11 @@ def _inverse_degrees_not_positive():
     real = estimators._blockmodel_gls_columns
 
     def patched(columns, rse):
-        return [
-            replace(report, mu_hat=-1.0) if np.array_equal(y, 1.0 / sample.degree) else report
-            for (sample, y, _), report in zip(columns, real(columns, rse))
-        ]
+        out = real(columns, rse)
+        for i, (sample, y, _) in enumerate(columns):
+            if np.array_equal(y, 1.0 / sample.degree):
+                out.mu[i] = -1.0
+        return out
 
     return mock.patch.object(estimators, "_blockmodel_gls_columns", patched)
 
