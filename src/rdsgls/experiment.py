@@ -265,11 +265,17 @@ def _run_chunk(ctx: dict, reps) -> list:
 
 def _estimate(ctx: dict, jobs: list) -> list:
     """Each job's estimates keyed by (estimator, n, outcome); each estimator runs
-    once, and ``auto`` and ``delta`` share one ``vh`` reweighting."""
+    once, and ``auto`` and ``delta`` share one ``vh`` reweighting, which is
+    dropped after the last estimator that uses it."""
     estimates = [{} for _ in jobs]
     batch = JobBatch(job for _, _, job in jobs)
-    for est in ctx["cfg"].estimators:
+    steps = {est: (ESTIMATORS[est].reweight, ESTIMATORS[est].labels)
+             for est in ctx["cfg"].estimators}
+    last = {step: est for est, step in steps.items()}
+    for est, step in steps.items():
         mu = iter(run_recipe_batch(ESTIMATORS[est], batch, rse=False).mu.tolist())
+        if last[step] == est:
+            del batch.reweighted[step]
         for out, (_, n, _) in zip(estimates, jobs):
             for out_name in ctx["outcomes"]:
                 out[(est, n, out_name)] = next(mu)

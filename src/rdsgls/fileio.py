@@ -433,6 +433,15 @@ def _setting(parser, section: str, key: str, default, convert):
         raise InvalidParametersError(f"[{section}] {key} = {value!r}: {exc}") from None
 
 
+def _header_line(path, name: str) -> int:
+    """The line of the first ``[name]`` header of a config file, found as configparser finds it."""
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            header = configparser.ConfigParser.SECTCRE.match(line.strip())
+            if header and header.group("header") == name:
+                return lineno
+
+
 def load_experiment_config(path, seed_override=None, jobs_override=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from the sectioned text format.
 
@@ -443,10 +452,13 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     edge-list network, is an ``InvalidParametersError`` naming its
     ``[section] key``; an ``[outcomes]`` line names its outcome.  A
     repeated section or key, a key before the first section header or a
-    line that is not ``key = value`` is a ``ParseError`` naming its line.
+    line that is not ``key = value`` is a ``ParseError`` naming its line, and
+    so is a ``[DEFAULT]`` section, whose keys configparser would give every
+    section.
     """
-    # values are read literally: a '%' is part of its value, not interpolation
-    parser = configparser.ConfigParser(interpolation=None)
+    # values are read literally: a '%' is part of its value, not interpolation;
+    # no header names the default section "", so [DEFAULT] is read as a section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.DuplicateOptionError as exc:
@@ -459,6 +471,9 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
         raise ParseError(path, exc.errors[0][0], "expected 'key = value'") from None
     if not read:
         raise ParseError(path, 0, "config file not found or unreadable")
+    if parser.has_section("DEFAULT"):
+        raise ParseError(path, _header_line(path, "DEFAULT"),
+                         "section [DEFAULT] is not allowed: set each key in its own section")
     base = Path(path).parent
 
     seed = (int(seed_override) if seed_override is not None

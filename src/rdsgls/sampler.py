@@ -212,22 +212,65 @@ def _draw_seed(graph: WeightedGraph, rule, rng) -> int:
     return int(np.searchsorted(np.cumsum(w / total), rng.random(), side="right"))
 
 
-def _choice_without_replacement(p: np.ndarray, size: int, rng) -> list:
+class _DrawnAhead:
+    """The uniforms of one sampling attempt, drawn from ``rng`` a block at a time.
+
+    ``random()`` hands them out in the order of ``Generator.random`` calls:
+    one as a float, or ``size`` of them as an array.  ``settle`` winds
+    ``rng`` back to the state it was made in and draws exactly the doubles
+    handed out, so the generator ends where the same calls on it would
+    leave it: ``Generator.random(k)`` makes k draws, each the draw of one
+    scalar call.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self.rng = rng
+        self.state = rng.bit_generator.state
+        self.block = rng.random(size)
+        self.pos = 0
+        self.spent = 0  # doubles handed out from earlier blocks
+
+    def random(self, size=None):
+        pos = self.pos
+        end = pos + (1 if size is None else size)
+        if end > len(self.block):
+            # keep the doubles not handed out, then append another block
+            self.spent += pos
+            self.block = np.concatenate(
+                (self.block[pos:], self.rng.random(max(end - pos, len(self.block))))
+            )
+            pos, end = 0, end - pos
+        self.pos = end
+        return self.block.item(pos) if size is None else self.block[pos:end]
+
+    def settle(self):
+        self.rng.bit_generator.state = self.state
+        self.rng.random(self.spent + self.pos)
+
+
+def _choice_without_replacement(p: np.ndarray, size: int, rng):
     """The indices ``rng.choice(len(p), size, replace=False, p=p)`` returns.
 
     NumPy's weighted draw without replacement, round for round: draw one
     uniform per index still missing, zero the probability of the indices
     found so far, invert the renormalized cdf, and keep the new indices in
     the order they first appear.  The same uniforms are used in the same
-    order, so the generator ends in the same state, but without ``choice``'s
-    argument checks and its ``np.unique`` per round.  ``p`` must be positive.
+    order, from a ``Generator`` or an attempt's ``_DrawnAhead``, but without
+    ``choice``'s argument checks and its ``np.unique`` per round.  Where the
+    first round finds ``size`` distinct indices (most draws), they are
+    returned as that round's integer array; else as a list.  ``p`` must be
+    positive and is not changed.
     """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    first = cdf.searchsorted(rng.random(size), side="right")
+    found = list(dict.fromkeys(first.tolist()))
+    if len(found) == size:
+        return first
     p = p.copy()
-    found = []
     while len(found) < size:
         x = rng.random(size - len(found))
-        if found:
-            p[found] = 0.0
+        p[found] = 0.0
         cdf = p.cumsum()
         cdf /= cdf[-1]
         found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
@@ -248,6 +291,13 @@ def rds_without_replacement(
     eligible), chosen with probability proportional to edge weight.  On
     extinction before ``target_n`` the whole process restarts with a fresh
     seed, up to ``max_restarts`` times.
+
+    After its seed draw, each attempt takes its uniforms from blocks drawn
+    ahead (``_DrawnAhead``), in the order of one ``Generator.random`` call
+    per offspring count and per round of a weighted draw.  When the attempt
+    ends, also by an exception, the generator is wound back to just past
+    the uniforms used: a passed generator ends, and the next attempt's seed
+    draw starts, where those calls would leave them.
 
     Returns ``(sample, restarts)``; the realized referral tree rides along
     as ``sample.tree``.
@@ -273,28 +323,33 @@ def rds_without_replacement(
     best = 0
     while restarts <= cfg.max_restarts:
         seed_node = _draw_seed(graph, cfg.seed_rule, rng)
-        in_sample = np.zeros(graph.num_nodes, dtype=bool)
-        in_sample[seed_node] = True
-        nodes = [seed_node]
-        parent = [-1]
-        frontier = 0
-        while len(nodes) < target and frontier < len(nodes):
-            who = nodes[frontier]
-            want = bisect.bisect_right(offspring_cdf, rng.random())
-            if want > 0:
-                lo, hi = indptr[who], indptr[who + 1]
-                nbrs = indices[lo:hi]
-                fresh = ~in_sample[nbrs]
-                eligible = nbrs[fresh]
-                if eligible.size:
-                    if want < eligible.size:
-                        w = weights[lo:hi][fresh]
-                        eligible = eligible[_choice_without_replacement(w / w.sum(), want, rng)]
-                    chosen = eligible[: target - len(nodes)]
-                    in_sample[chosen] = True
-                    nodes.extend(chosen.tolist())
-                    parent.extend([frontier] * chosen.size)
-            frontier += 1
+        draws = _DrawnAhead(rng, 2 * target + 64)
+        try:
+            unsampled = np.ones(graph.num_nodes, dtype=bool)
+            unsampled[seed_node] = False
+            nodes = [seed_node]
+            parent = [-1]
+            frontier = 0
+            while len(nodes) < target and frontier < len(nodes):
+                who = nodes[frontier]
+                want = bisect.bisect_right(offspring_cdf, draws.random())
+                if want > 0:
+                    lo, hi = indptr[who], indptr[who + 1]
+                    nbrs = indices[lo:hi]
+                    fresh = unsampled[nbrs]
+                    eligible = nbrs[fresh]
+                    if eligible.size:
+                        if want < eligible.size:
+                            w = weights[lo:hi][fresh]
+                            picked = _choice_without_replacement(w / w.sum(), want, draws)
+                            eligible = eligible[picked]
+                        chosen = eligible[: target - len(nodes)]
+                        unsampled[chosen] = False
+                        nodes.extend(chosen.tolist())
+                        parent.extend([frontier] * chosen.size)
+                frontier += 1
+        finally:
+            draws.settle()
         if len(nodes) >= target:
             tree = ReferralTree(np.asarray(parent, dtype=np.int64))
             states = np.asarray(nodes, dtype=np.int64)

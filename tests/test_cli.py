@@ -340,12 +340,18 @@ MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: 
      "[network] nodes = '300%': invalid literal for int() with base 10: '300%'"),
     (("bernoulli:0.5", "bernoulli:50%"),
      "outcome 'a' = 'bernoulli:50%': could not convert string to float: '50%'"),
+    # configparser would give [DEFAULT]'s keys to every section, [outcomes] too
+    (("[network]\n", "[DEFAULT]\nreplicates = 5\n[network]\n"),
+     "{cfg}:1: section [DEFAULT] is not allowed: set each key in its own section"),
+    (("[run]\n", "[DEFAULT]\n[run]\n"),
+     "{cfg}:8: section [DEFAULT] is not allowed: set each key in its own section"),
 ]
 
 
 @pytest.mark.parametrize(("edit", "message"), MALFORMED_CONFIGS,
                          ids=["repeated key", "repeated section", "no section header",
-                              "no equals sign", "percent in a setting", "percent in an outcome"])
+                              "no equals sign", "percent in a setting", "percent in an outcome",
+                              "default section", "empty default section"])
 def test_malformed_configs_exit_two(tmp_path, capsys, edit, message):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(GOOD_CONFIG.replace(*edit, 1))

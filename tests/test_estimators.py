@@ -419,13 +419,14 @@ PROPERTY = settings(max_examples=40, deadline=None)
 @st.composite
 def labeled_samples(draw, other=False):
     """Random recruitment trees with positive degrees, three blocks and a few outcome
-    levels.  ``other`` draws a second kind of tree: each pick counts back from its
-    node, so it is a path where the first kind is a star, and at times its root
-    has nine children or more."""
+    levels.  Each parent pick counts from the root or back from its node, so
+    that picks shrunk toward 0.0 give a star or a path; ``other`` always counts
+    back, and at times gives the root nine children or more."""
     wide = other and draw(st.booleans())
+    back = other or draw(st.booleans())
     n = draw(st.integers(10 if wide else 3, 120))
     picks = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n - 1, max_size=n - 1))
-    parent = np.array([-1] + [t - 1 - int(u * t) if other else int(u * t)
+    parent = np.array([-1] + [t - 1 - int(u * t) if back else int(u * t)
                               for t, u in enumerate(picks, start=1)])
     if wide:
         parent[1:10] = 0

@@ -628,6 +628,24 @@ def test_a_chunk_builds_no_report_and_shares_one_vh_reweighting():
                              "reweighting vh"]
 
 
+def test_a_chunk_drops_each_reweight_step_after_its_last_estimator():
+    # the reweight steps kept when each estimator starts: none for mean and
+    # vh, vh for auto and delta, one fgls step each for sbm_y and sbm_z
+    cfg = desk_config(estimators=tuple(r.ESTIMATORS), replicates=3)
+    graph, z, columns = experiment._prepare_population(cfg)
+    ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": columns}
+    real, kept = experiment.run_recipe_batch, []
+
+    def recording(recipe, jobs, **kwargs):
+        kept.append(sorted(policy for policy, _ in jobs.reweighted))
+        return real(recipe, jobs, **kwargs)
+
+    with mock.patch.object(experiment, "run_recipe_batch", recording):
+        results = experiment._run_chunk(ctx, range(cfg.replicates))
+    assert any(result is not None for result in results)
+    assert kept == [[], ["none"], [], ["vh"], [], []]
+
+
 def test_a_chunk_runs_each_blockmodel_stage_in_one_call():
     # sbm_y and sbm_z each make one blockmodel call for all the fgls normalizers
     # of a chunk and one for all its estimates; a call per job or column fails

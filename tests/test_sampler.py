@@ -16,7 +16,8 @@ from rdsgls.presets import (
     table1_symmetrized,
     uniform_theta,
 )
-from rdsgls.sampler import _choice_without_replacement
+from rdsgls.sampler import SEED_RULES, _choice_without_replacement, _draw_seed
+from rdsgls.seeding import STREAM_WALK, as_rng
 
 
 def test_single_node_tree_draws_from_pi(triangle_model):
@@ -291,9 +292,85 @@ def test_choice_emulation_matches_numpy(data, m, seed, bitgen):
     ours = np.random.Generator(bitgen(seed))
     numpys = np.random.Generator(bitgen(seed))
     got = _choice_without_replacement(p, size, ours)
-    assert got == numpys.choice(m, size=size, replace=False, p=p).tolist()
+    assert list(got) == numpys.choice(m, size=size, replace=False, p=p).tolist()
     # repr: a Philox state holds arrays
     assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+
+
+def _rds_one_call_per_draw(graph, cfg, rng_seed):
+    """``rds_without_replacement`` as it drew before an attempt's uniforms came
+    from blocks drawn ahead: one ``Generator.random`` call per offspring count
+    and NumPy's own ``choice`` per weighted draw (the oracle).  Returns
+    ``(nodes, parent, restarts)``, or ``("failed", restarts, reached)``."""
+    rng = as_rng(rng_seed, STREAM_WALK)
+    offspring_cdf = np.cumsum(cfg.offspring_pmf)
+    indptr, indices, weights = graph.weights.indptr, graph.weights.indices, graph.weights.data
+    best = 0
+    for restarts in range(cfg.max_restarts + 1):
+        seed_node = _draw_seed(graph, cfg.seed_rule, rng)
+        in_sample = np.zeros(graph.num_nodes, dtype=bool)
+        in_sample[seed_node] = True
+        nodes, parent, frontier = [seed_node], [-1], 0
+        while len(nodes) < cfg.target_n and frontier < len(nodes):
+            who = nodes[frontier]
+            want = int(np.searchsorted(offspring_cdf, rng.random(), side="right"))
+            if want > 0:
+                lo, hi = indptr[who], indptr[who + 1]
+                fresh = ~in_sample[indices[lo:hi]]
+                eligible = indices[lo:hi][fresh]
+                if eligible.size:
+                    if want < eligible.size:
+                        w = weights[lo:hi][fresh]
+                        eligible = eligible[rng.choice(w.size, want, replace=False, p=w / w.sum())]
+                    chosen = eligible[: cfg.target_n - len(nodes)]
+                    in_sample[chosen] = True
+                    nodes.extend(chosen.tolist())
+                    parent.extend([frontier] * chosen.size)
+            frontier += 1
+        if len(nodes) >= cfg.target_n:
+            return nodes, parent, restarts
+        best = max(best, len(nodes))
+    return "failed", cfg.max_restarts, best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 25),
+    source=st.sampled_from(["int", np.random.PCG64, np.random.Philox]),
+    seed=st.integers(0, 2**63),
+)
+def test_sampler_matches_the_one_call_per_draw_loop(data, n, source, seed):
+    # random small weighted graphs, isolated nodes allowed; offspring laws with
+    # mass at 0 make attempts die, restart and at times exhaust their restarts
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    W = np.triu(rng.random((n, n)) < data.draw(st.floats(0.05, 0.7)), 1)
+    W = W * 10.0 ** rng.uniform(-1.0, 1.0, (n, n))
+    W[0, 1] = 1.0
+    graph = r.WeightedGraph.from_dense(W + W.T, allow_isolated=True)
+    mass = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+                     .filter(lambda m: sum(m) > 0.01))
+    cfg = r.WalkConfig(
+        offspring_pmf=tuple(np.array(mass) / sum(mass)),
+        target_n=data.draw(st.integers(1, n)),
+        seed_rule=data.draw(st.one_of(st.sampled_from(SEED_RULES), st.integers(0, n - 1))),
+        max_restarts=data.draw(st.integers(0, 6)),
+    )
+
+    def run(sampler):
+        gen = seed if source == "int" else np.random.Generator(source(seed))
+        try:
+            out = sampler(graph, cfg, gen)
+        except r.SamplingFailedError as exc:
+            out = ("failed", exc.restarts, exc.reached)
+        state = None if source == "int" else repr(gen.bit_generator.state)
+        return out, state
+
+    def sampled(graph, cfg, gen):
+        sample, restarts = r.rds_without_replacement(graph, cfg, gen)
+        return sample.node.tolist(), sample.tree.parent.tolist(), restarts
+
+    assert run(sampled) == run(_rds_one_call_per_draw)
 
 
 def test_sample_rejects_nonfinite_outcomes():
