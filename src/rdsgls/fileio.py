@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import difflib
 import io
 from pathlib import Path
 
@@ -418,6 +419,53 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array([[float(v) for v in r.split()] for r in rows])
 
 
+class _ConfigReader(configparser.ConfigParser):
+    """The config parser, remembering each ``(section, key)`` a value is asked of."""
+
+    def __init__(self):
+        # values are read literally: a '%' is part of its value, not interpolation;
+        # no header names the default section "", so [DEFAULT] is read as a section
+        super().__init__(interpolation=None, default_section="")
+        self.asked = set()
+
+    def get(self, section, option, **kwargs):
+        self.asked.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+    def line(self, path, section: str, key=None) -> int:
+        """The line of the first ``[section]`` header, or of its ``key``, as read finds it."""
+        current = None
+        with open(path) as handle:
+            for lineno, text in enumerate(handle, start=1):
+                header = self.SECTCRE.match(text.strip())
+                if header:
+                    current = header.group("header")
+                    if key is None and current == section:
+                        return lineno
+                elif key is not None and current == section:
+                    option = self.OPTCRE.match(text.strip())
+                    if option and self.optionxform(option.group("option").rstrip()) == key:
+                        return lineno
+
+    def reject_unread(self, path):
+        """A ``ParseError`` at the first section or key of the file that no value was
+        asked of, naming the closest one asked of where ``difflib`` finds it."""
+        for section in self.sections():
+            keys = {key for name, key in self.asked if name == section}
+            if not keys:
+                raise ParseError(path, self.line(path, section), f"unknown section [{section}]"
+                                 + _closest(f"[{section}]", {f"[{s}]" for s, _ in self.asked}))
+            for key in self.options(section):
+                if key not in keys:
+                    raise ParseError(path, self.line(path, section, key),
+                                     f"unknown key [{section}] {key}" + _closest(key, keys))
+
+
+def _closest(name: str, valid) -> str:
+    close = difflib.get_close_matches(name, sorted(valid), n=1)
+    return f"; did you mean {close[0]}?" if close else ""
+
+
 def _setting(parser, section: str, key: str, default, convert):
     """``convert`` of ``[section] key``, or of ``default`` where it is unset.
 
@@ -433,15 +481,6 @@ def _setting(parser, section: str, key: str, default, convert):
         raise InvalidParametersError(f"[{section}] {key} = {value!r}: {exc}") from None
 
 
-def _header_line(path, name: str) -> int:
-    """The line of the first ``[name]`` header of a config file, found as configparser finds it."""
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            header = configparser.ConfigParser.SECTCRE.match(line.strip())
-            if header and header.group("header") == name:
-                return lineno
-
-
 def load_experiment_config(path, seed_override=None, jobs_override=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from the sectioned text format.
 
@@ -454,11 +493,10 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     repeated section or key, a key before the first section header or a
     line that is not ``key = value`` is a ``ParseError`` naming its line, and
     so is a ``[DEFAULT]`` section, whose keys configparser would give every
-    section.
+    section.  Once every value is read, so is a section or key that no
+    value was read from.
     """
-    # values are read literally: a '%' is part of its value, not interpolation;
-    # no header names the default section "", so [DEFAULT] is read as a section
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser = _ConfigReader()
     try:
         read = parser.read(path)
     except configparser.DuplicateOptionError as exc:
@@ -472,7 +510,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     if not read:
         raise ParseError(path, 0, "config file not found or unreadable")
     if parser.has_section("DEFAULT"):
-        raise ParseError(path, _header_line(path, "DEFAULT"),
+        raise ParseError(path, parser.line(path, "DEFAULT"),
                          "section [DEFAULT] is not allowed: set each key in its own section")
     base = Path(path).parent
 
@@ -482,6 +520,7 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     replicates = _setting(parser, "run", "replicates", 100, int)
     jobs = (int(jobs_override) if jobs_override is not None
             else _setting(parser, "run", "jobs", 1, int))
+    parser.asked |= {("run", "seed"), ("run", "jobs")}  # a flag's override reads them too
 
     preferential = _setting(parser, "walk", "preferential_weight", 1.0, float)
     walk = WalkConfig(
@@ -525,12 +564,13 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
 
     outcomes = {}
     if parser.has_section("outcomes"):
-        for name, text in parser["outcomes"].items():
-            outcomes[name] = _parse_outcome(name, text)
+        for name in parser.options("outcomes"):
+            outcomes[name] = _parse_outcome(name, parser.get("outcomes", name))
     if not outcomes:
         raise InvalidParametersError("config defines no outcomes")
 
     estimators = _setting(parser, "estimators", "names", "mean vh", lambda t: tuple(t.split()))
+    parser.reject_unread(path)
 
     return ExperimentConfig(
         outcomes=outcomes,

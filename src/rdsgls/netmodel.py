@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -358,8 +359,8 @@ def expected_transition_model(params: DcSbmParams) -> TransitionModel:
     return TransitionModel(P=P, pi=pi_star, graph=graph)
 
 
-_DRAW_CHUNK = 1_000_000
-"""Uniforms per row chunk of a block-pair rectangle (8 MB); the draw does not depend on it."""
+_DRAW_CHUNK = 1 << 17
+"""Uniforms per row chunk of a block-pair rectangle (1 MB); the draw does not depend on it."""
 
 
 def _draw_workers() -> int:
@@ -388,6 +389,14 @@ def _chunk_hits(u01, ri, iv, b, theta, theta_max, upper):
     return rows[hit], cols[hit]
 
 
+def _draw_span(rng, chunks, theta) -> list:
+    """Hits of consecutive chunks, their uniforms filled in order from ``rng`` into
+    one buffer as large as the largest chunk; ``_chunk_hits`` returns no view of it."""
+    buf = np.empty(max((len(ri) * len(iv) for _, ri, iv, *_ in chunks), default=0))
+    return [_chunk_hits(rng.random(out=buf[: len(ri) * len(iv)]), ri, iv, b, theta, top, upper)
+            for _, ri, iv, b, top, upper in chunks]
+
+
 def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
     """Draw an unweighted graph: edge {i,j} present w.p. theta_i theta_j B[z_i,z_j].
 
@@ -396,27 +405,27 @@ def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
     connected component before sampling walks.
 
     One uniform is consumed per cell of each block-pair rectangle, row by
-    row, block pairs in order.  Each row chunk therefore reads a known
-    offset range of the seed's network stream, and the chunks are drawn on
-    a thread pool sized to the usable cores: the graph is the same for a
-    seed on any core count.  Draws of at most one chunk, and a Generator
-    argument, are consumed in order on the calling thread.
+    row, block pairs in order, so each row chunk reads a known offset range
+    of the seed's network stream.  Contiguous spans of chunks, about four
+    per usable core, each read their range through one generator and one
+    reused buffer on a thread pool: a seed gives the same graph on any core
+    count, and the memory beyond the graph grows with neither N nor cores.
+    A draw of one span, or from a Generator, runs on the calling thread.
     """
     z = params.z
     theta = params.theta
     n = params.num_nodes
     order = np.argsort(z, kind="stable")
-    starts = np.searchsorted(z[order], np.arange(params.num_blocks))
-    ends = np.searchsorted(z[order], np.arange(params.num_blocks), side="right")
+    bounds = np.searchsorted(z[order], np.arange(params.num_blocks + 1))
     chunks = []  # (stream offset, rows, columns, B[u, v], max column theta, same block)
     offset = 0
     for u in range(params.num_blocks):
-        iu = order[starts[u] : ends[u]]
+        iu = order[bounds[u] : bounds[u + 1]]
         for v in range(u, params.num_blocks):
             b = params.B[u, v]
             if b == 0:
                 continue
-            iv = order[starts[v] : ends[v]]
+            iv = order[bounds[v] : bounds[v + 1]]
             theta_max = theta[iv].max()
             rows_per = max(1, _DRAW_CHUNK // len(iv))
             for lo in range(0, len(iu), rows_per):
@@ -424,47 +433,38 @@ def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
                 chunks.append((offset, ri, iv, b, theta_max, u == v))
                 offset += len(ri) * len(iv)
 
-    workers = min(_draw_workers(), len(chunks))
-    if isinstance(rng_seed, np.random.Generator) or offset <= _DRAW_CHUNK or workers <= 1:
-        rng = as_rng(rng_seed, STREAM_NETWORK)
-        pieces = [
-            _chunk_hits(rng.random(len(ri) * len(iv)), ri, iv, b, theta, theta_max, upper)
-            for _, ri, iv, b, theta_max, upper in chunks
-        ]
+    workers = 1 if isinstance(rng_seed, np.random.Generator) else _draw_workers()
+    per_span = max(_DRAW_CHUNK, offset if workers <= 1 else -(-offset // (4 * workers)))
+    spans = [list(run) for _, run in groupby(chunks, key=lambda chunk: chunk[0] // per_span)]
+    if len(spans) <= 1:
+        pieces = _draw_span(as_rng(rng_seed, STREAM_NETWORK), chunks, theta)
     else:
-        seed = int(rng_seed)
-
-        def draw(chunk):
-            start, ri, iv, b, theta_max, upper = chunk
-            u01 = derive_rng(seed, STREAM_NETWORK, offset=start).random(len(ri) * len(iv))
-            return _chunk_hits(u01, ri, iv, b, theta, theta_max, upper)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(draw, chunks))
-
-    if pieces:
-        r = np.concatenate([rows for rows, _ in pieces])
-        c = np.concatenate([cols for _, cols in pieces])
-    else:
-        r = np.empty(0, dtype=np.int64)
-        c = np.empty(0, dtype=np.int64)
-    return WeightedGraph._from_symmetric(_unit_symmetric_csr(n, r, c), allow_isolated=True)
+        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+            parts = pool.map(lambda span: _draw_span(
+                derive_rng(int(rng_seed), STREAM_NETWORK, offset=span[0][0]), span, theta), spans)
+            pieces = [piece for part in parts for piece in part]
+    return WeightedGraph._from_symmetric(_unit_symmetric_csr(n, pieces), allow_isolated=True)
 
 
-def _unit_symmetric_csr(n: int, r: np.ndarray, c: np.ndarray) -> sp.csr_array:
-    """The n x n 0/1 CSR of the undirected edges {r[k], c[k]}, each given once.
+def _unit_symmetric_csr(n: int, pieces: list) -> sp.csr_array:
+    """The n x n 0/1 CSR of the undirected edges {r[k], c[k]} of the ``(r, c)``
+    pieces, each given once; empties ``pieces``, dropping each once packed.
 
     One sort of the 2E directed pairs' row-major keys gives the sorted
-    column indices, and a bincount of the rows gives ``indptr``; both stay
-    int64, the index dtype of scipy's COO conversion, which this skips
-    with its duplicate summing, index sort and format check.
+    column indices, and counting the keys below each row's first gives
+    ``indptr``; both stay int64, the index dtype of scipy's COO conversion,
+    which this skips with its duplicate summing, index sort and format check.
     """
-    keys = np.concatenate([r, c], dtype=np.int64)
-    mat = sp.csr_array((n, n))
-    mat.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
-    keys *= n
-    keys += np.concatenate([c, r])
+    pairs = np.empty((2, sum(len(r) for r, _ in pieces)), dtype=np.int64)
+    at = pairs.shape[1]
+    while pieces:
+        r, c = pieces.pop()
+        at -= len(r)
+        pairs[:, at : at + len(r)] = r * n + c, c * n + r
+    keys = pairs.reshape(-1)
     keys.sort()
+    mat = sp.csr_array((n, n))
+    mat.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     keys %= n
     mat.indices = keys
     mat.data = np.ones(keys.shape[0])

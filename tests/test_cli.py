@@ -345,13 +345,24 @@ MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: 
      "{cfg}:1: section [DEFAULT] is not allowed: set each key in its own section"),
     (("[run]\n", "[DEFAULT]\n[run]\n"),
      "{cfg}:8: section [DEFAULT] is not allowed: set each key in its own section"),
+    # a setting no value is read from would run the defaults without a word
+    (("sizes = 30", "size = 30"), "{cfg}:9: unknown key [run] size; did you mean sizes?"),
+    (("replicates = 3", "replicats = 3"),
+     "{cfg}:10: unknown key [run] replicats; did you mean replicates?"),
+    (("[run]\n", "[estimatorz]\nnames = mean\n[run]\n"),
+     "{cfg}:8: unknown section [estimatorz]; did you mean [estimators]?"),
+    (("[run]\n", "[plot]\n[run]\n"), "{cfg}:8: unknown section [plot]"),
+    (("theta = uniform\n", "theta = uniform\nattributes = attrs.csv\n"),
+     "{cfg}:6: unknown key [network] attributes"),
 ]
 
 
 @pytest.mark.parametrize(("edit", "message"), MALFORMED_CONFIGS,
                          ids=["repeated key", "repeated section", "no section header",
                               "no equals sign", "percent in a setting", "percent in an outcome",
-                              "default section", "empty default section"])
+                              "default section", "empty default section", "misspelt key",
+                              "misspelt count", "misspelt section", "unknown section",
+                              "key of the other source"])
 def test_malformed_configs_exit_two(tmp_path, capsys, edit, message):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(GOOD_CONFIG.replace(*edit, 1))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -416,6 +417,20 @@ def test_dcsbm_sample_digest(workers):
     for a in (graph.weights.indptr, graph.weights.indices, graph.weights.data, graph.degrees):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == "dba500d6806ad751819e94be87c084ecd05433a08de4904fc5db6a45ba420ebb"
+
+
+def test_dcsbm_sample_memory_does_not_grow_with_chunks_or_threads():
+    # the 2.4 MB graph of seed 7; each span reuses one 1 MB uniform buffer,
+    # where a fresh 8 MB block per chunk per thread peaked near 19 MB
+    params = table1_dcsbm(5000, 30, rng_seed=7)
+    with mock.patch.object(netmodel, "_draw_workers", lambda: 2):
+        tracemalloc.start()
+        try:
+            r.dcsbm_sample(params, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_reweighted_within_blocks_matches_the_dense_rule():
