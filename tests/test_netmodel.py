@@ -420,8 +420,8 @@ def test_dcsbm_sample_digest(workers):
 
 
 def test_dcsbm_sample_memory_does_not_grow_with_chunks_or_threads():
-    # the 2.4 MB graph of seed 7; each span reuses one 1 MB uniform buffer,
-    # where a fresh 8 MB block per chunk per thread peaked near 19 MB
+    # the graph of seed 7 takes 2.4 MB; each span reuses one 1 MB uniform
+    # buffer, so the draw holds a few MB more whatever the thread count
     params = table1_dcsbm(5000, 30, rng_seed=7)
     with mock.patch.object(netmodel, "_draw_workers", lambda: 2):
         tracemalloc.start()
