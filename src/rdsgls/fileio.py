@@ -566,11 +566,12 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     if parser.has_section("outcomes"):
         for name in parser.options("outcomes"):
             outcomes[name] = _parse_outcome(name, parser.get("outcomes", name))
-    if not outcomes:
-        raise InvalidParametersError("config defines no outcomes")
+    parser.asked.add(("outcomes", ""))  # asked for even when absent, so a misspelling is named
 
     estimators = _setting(parser, "estimators", "names", "mean vh", lambda t: tuple(t.split()))
     parser.reject_unread(path)
+    if not outcomes:
+        raise InvalidParametersError("config defines no outcomes")
 
     return ExperimentConfig(
         outcomes=outcomes,

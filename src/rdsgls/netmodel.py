@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CapacityError,
@@ -33,30 +31,127 @@ DETAILED_BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """Square sparse matrix in compressed rows: the entries of row i are columns
+    ``indices[indptr[i]:indptr[i + 1]]`` with values the same slice of ``data``.
+
+    Only a holder: no constructor checks the arrays (``WeightedGraph``'s
+    public constructor does) or copies them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_dense(cls, dense):
+        """The nonzero entries of a square array as float64, in row-major order,
+        with int32 indices as scipy gives a matrix whose counts fit them."""
+        dense = np.asarray(dense)
+        rows, cols = np.nonzero(dense)
+        index = np.int32 if max(dense.shape[0], rows.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(dense.shape[0] + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:])
+        return cls(indptr, cols.astype(index), dense[rows, cols].astype(np.float64))
+
+    @property
+    def shape(self) -> tuple:
+        n = len(self.indptr) - 1
+        return (n, n)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def tocsr(self):
+        return self
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def row_sums(self) -> np.ndarray:
+        """Sums of the rows, with the bits of scipy's ``sum(axis=1)``: one
+        ``np.add.reduceat`` over the nonempty rows."""
+        out = np.zeros(self.shape[0])
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        out[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.rows(), self.indices), self.data)
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        rows = self.rows()
+        on = rows == self.indices
+        return np.bincount(rows[on], weights=self.data[on], minlength=self.shape[0])
+
+
+def connected_components(mat: CsrMatrix):
+    """``(count, labels)`` of the components of a symmetric pattern, explicit
+    zeros included, numbered by their lowest node as scipy numbers them.
+
+    Each node starts as its own root.  Each round hooks every root to the
+    lowest root next to one of its nodes, then jumps pointers until every
+    node names its root.  Roots only fall, so they stop at each component's
+    lowest node, and a round that hooks nothing ends the labelling.  The
+    memory beyond the graph is one int32 per stored entry.
+    """
+    n = mat.shape[0]
+    label = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    nonempty = np.flatnonzero(np.diff(mat.indptr))
+    starts = mat.indptr[nonempty]
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label[nonempty], np.minimum.reduceat(label[mat.indices], starts))
+        if np.array_equal(hooked, label):
+            break
+        while not np.array_equal(label, hooked):
+            label, hooked = hooked, hooked[hooked]
+    roots = label == np.arange(n)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[label]
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected graph with symmetric nonnegative edge weights.
 
-    Stored as CSR; ``degrees`` are the cached row sums.  Zero-degree
-    nodes are rejected unless ``allow_isolated`` was set at construction
-    (the blockmodel sampler needs that to hand back raw draws).
+    ``weights`` is the package's own ``CsrMatrix``, its column indices
+    sorted within each row, and ``degrees`` are its cached row sums.
+    Zero-degree nodes are rejected unless ``allow_isolated`` was set at
+    construction (the blockmodel sampler needs that to hand back raw
+    draws).  Build graphs with ``from_edges``, ``from_dense`` or
+    ``from_weights``; the public constructor checks the arrays it is given.
     """
 
-    weights: sp.csr_array
+    weights: CsrMatrix
     degrees: np.ndarray
     allow_isolated: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.weights
-        if w.shape[0] != w.shape[1]:
-            raise InvalidParametersError("weight matrix must be square")
+        if not isinstance(w, CsrMatrix):
+            raise InvalidParametersError(
+                "weights must be a CsrMatrix; build the graph with from_weights"
+            )
+        n = w.shape[0]
+        if (n < 0 or w.indptr[0] != 0 or np.any(np.diff(w.indptr) < 0)
+                or not w.nnz == len(w.indices) == len(w.data)
+                or (w.nnz and not 0 <= w.indices.min() <= w.indices.max() < n)):
+            raise InvalidParametersError("weights are not a valid CSR matrix")
         if w.nnz and w.data.min() < 0:
             raise InvalidParametersError("edge weights must be nonnegative")
-        asym = abs(w - w.T)
-        if asym.nnz and asym.data.max() > 1e-12:
+        # each entry less its transpose, summed over repeated (row, column) keys
+        rows = w.rows()
+        keys = np.concatenate([rows * n + w.indices, w.indices * n + rows])
+        _, at = np.unique(keys, return_inverse=True)
+        asym = np.bincount(at, weights=np.concatenate([w.data, -w.data]))
+        if asym.size and np.abs(asym).max() > 1e-12:
             raise InvalidParametersError("edge weights must be symmetric")
-        recomputed = np.asarray(w.sum(axis=1)).ravel()
-        if not np.array_equal(recomputed, self.degrees):
+        if not np.array_equal(w.row_sums(), self.degrees):
             raise InvalidParametersError("stored degrees disagree with row sums")
         self._check_isolated()
 
@@ -72,7 +167,7 @@ class WeightedGraph:
         blockmodel draw at N = 100); zero degrees are still checked."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "weights", mat)
-        object.__setattr__(graph, "degrees", np.asarray(mat.sum(axis=1)).ravel())
+        object.__setattr__(graph, "degrees", mat.row_sums())
         object.__setattr__(graph, "allow_isolated", allow_isolated)
         object.__setattr__(graph, "_cache", {})
         graph._check_isolated()
@@ -80,7 +175,10 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, num_nodes, edges, allow_isolated=False):
-        """Build from (i, j, weight) triples; each unordered pair given once."""
+        """Build from (i, j, weight) triples; each unordered pair given once.
+
+        The entries are sorted by row, then column, with int64 indices.
+        """
         rows, cols, vals = [], [], []
         seen = set()
         for i, j, w in edges:
@@ -101,22 +199,32 @@ class WeightedGraph:
                 rows.extend((i, j))
                 cols.extend((j, i))
                 vals.extend((w, w))
-        mat = sp.csr_array(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)),
-            shape=(num_nodes, num_nodes),
-        )
-        return cls.from_weights(mat, allow_isolated=allow_isolated)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        order = np.argsort(rows * num_nodes + cols)
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        mat = CsrMatrix(indptr, cols[order], np.asarray(vals, dtype=np.float64)[order])
+        # every pair once, mirrored, with a positive finite weight: symmetric as built
+        return cls._from_symmetric(mat, allow_isolated=allow_isolated)
 
     @classmethod
     def from_weights(cls, weights, allow_isolated=False):
-        mat = sp.csr_array(weights, dtype=np.float64)
-        degrees = np.asarray(mat.sum(axis=1)).ravel()
-        return cls(weights=mat, degrees=degrees, allow_isolated=allow_isolated)
+        """Build from a square dense array, or from any sparse matrix through its
+        ``tocsr()`` (a scipy matrix, or another graph's ``weights``), whose
+        arrays are copied with their index dtypes."""
+        given = weights.tocsr() if hasattr(weights, "tocsr") else np.asarray(weights, np.float64)
+        if len(given.shape) != 2 or given.shape[0] != given.shape[1]:
+            raise InvalidParametersError("weight matrix must be square")
+        if isinstance(given, np.ndarray):
+            mat = CsrMatrix.from_dense(given)
+        else:
+            mat = CsrMatrix(np.array(given.indptr), np.array(given.indices),
+                            np.array(given.data, dtype=np.float64))
+        return cls(weights=mat, degrees=mat.row_sums(), allow_isolated=allow_isolated)
 
     @classmethod
     def from_dense(cls, dense, allow_isolated=False):
-        return cls.from_weights(sp.csr_array(np.asarray(dense, dtype=np.float64)),
-                                allow_isolated=allow_isolated)
+        return cls.from_weights(np.asarray(dense, dtype=np.float64), allow_isolated=allow_isolated)
 
     @property
     def num_nodes(self) -> int:
@@ -128,33 +236,39 @@ class WeightedGraph:
 
     def edge_list(self):
         """Unordered edges as (i, j, w) with i <= j, sorted."""
-        coo = sp.coo_array(self.weights)
-        out = []
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            if i <= j:
-                out.append((int(i), int(j), float(w)))
-        out.sort()
-        return out
+        w = self.weights
+        rows = w.rows()
+        upper = rows <= w.indices
+        return sorted(zip(rows[upper].tolist(), w.indices[upper].tolist(), w.data[upper].tolist()))
 
     def largest_component(self):
         """Restrict to the largest connected component.
 
         Returns ``(subgraph, kept)`` where ``kept`` maps new ids to the
         original node ids; of equal largest components, the one with the
-        lowest node id.  A graph returned is marked connected, and so is
-        returned as it is if restricted again.
+        lowest node id.  A connected graph is returned as it is, and a graph
+        returned is marked connected, so it is not searched again.  The
+        search (``connected_components``) holds one int32 per stored entry
+        beyond the graph; the subgraph keeps every entry of its nodes' rows,
+        renumbered, in the graph's index dtypes.
         """
         if "connected" in self._cache:
             return self, np.arange(self.num_nodes)
-        ncomp, labels = connected_components(self.weights, directed=False)
+        ncomp, labels = connected_components(self.weights)
         if ncomp <= 1 and not self.isolated_nodes.size:
             self._cache["connected"] = True
             return self, np.arange(self.num_nodes)
         sizes = np.bincount(labels, minlength=ncomp)
         keep = labels == int(np.argmax(sizes))
         kept = np.flatnonzero(keep)
-        sub = self.weights[np.ix_(kept, kept)]
-        graph = WeightedGraph._from_symmetric(sp.csr_array(sub))
+        # a whole component keeps every entry of its rows
+        w = self.weights
+        entries = np.repeat(keep, np.diff(w.indptr))
+        indptr = np.zeros(kept.size + 1, dtype=w.indptr.dtype)
+        np.cumsum(np.diff(w.indptr)[kept], out=indptr[1:])
+        renumber = (np.cumsum(keep) - 1).astype(w.indices.dtype)
+        sub = CsrMatrix(indptr, renumber[w.indices[entries]], w.data[entries])
+        graph = WeightedGraph._from_symmetric(sub)
         graph._cache["connected"] = True
         return graph, kept
 
@@ -170,11 +284,10 @@ class WeightedGraph:
             )
         z = np.asarray(z)
         w = self.weights
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(w.indptr))
         data = w.data.copy()
-        data[z[rows] == z[w.indices]] = weight
+        data[z[w.rows()] == z[w.indices]] = weight
         # the same symmetric pattern, so the result is symmetric by construction
-        mat = sp.csr_array((data, w.indices.copy(), w.indptr.copy()), shape=w.shape)
+        mat = CsrMatrix(w.indptr.copy(), w.indices.copy(), data)
         return WeightedGraph._from_symmetric(mat, allow_isolated=self.allow_isolated)
 
 
@@ -268,8 +381,8 @@ class TransitionModel:
 
     def is_irreducible(self) -> bool:
         if "irreducible" not in self._cache:
-            support = sp.csr_array(self.P > 0)
-            ncomp, _ = connected_components(support, directed=False)
+            support = self.P > 0
+            ncomp, _ = connected_components(CsrMatrix.from_dense(support | support.T))
             self._cache["irreducible"] = ncomp == 1
         return self._cache["irreducible"]
 
@@ -446,14 +559,13 @@ def dcsbm_sample(params: DcSbmParams, rng_seed) -> WeightedGraph:
     return WeightedGraph._from_symmetric(_unit_symmetric_csr(n, pieces), allow_isolated=True)
 
 
-def _unit_symmetric_csr(n: int, pieces: list) -> sp.csr_array:
+def _unit_symmetric_csr(n: int, pieces: list) -> CsrMatrix:
     """The n x n 0/1 CSR of the undirected edges {r[k], c[k]} of the ``(r, c)``
     pieces, each given once; empties ``pieces``, dropping each once packed.
 
     One sort of the 2E directed pairs' row-major keys gives the sorted
     column indices, and counting the keys below each row's first gives
-    ``indptr``; both stay int64, the index dtype of scipy's COO conversion,
-    which this skips with its duplicate summing, index sort and format check.
+    ``indptr``; both stay int64, the dtype the graph digests were recorded in.
     """
     pairs = np.empty((2, sum(len(r) for r, _ in pieces)), dtype=np.int64)
     at = pairs.shape[1]
@@ -463,13 +575,9 @@ def _unit_symmetric_csr(n: int, pieces: list) -> sp.csr_array:
         pairs[:, at : at + len(r)] = r * n + c, c * n + r
     keys = pairs.reshape(-1)
     keys.sort()
-    mat = sp.csr_array((n, n))
-    mat.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     keys %= n
-    mat.indices = keys
-    mat.data = np.ones(keys.shape[0])
-    mat.has_canonical_format = True  # sorted within rows, no repeated pair
-    return mat
+    return CsrMatrix(indptr, keys, np.ones(keys.shape[0]))
 
 
 def spectral_decompose(model: TransitionModel) -> SpectralDecomp:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import AutoCovariance, GlsResult, printed_rse
 from .errors import InvalidParametersError, SingularCovarianceError
@@ -55,6 +54,8 @@ def gls_solve(sigma: CovarianceMatrix, Y: np.ndarray) -> GlsResult:
     bad = np.flatnonzero(~np.isfinite(Y))
     if bad.size:
         raise InvalidParametersError(f"outcome is not finite at node {bad[0]}")
+    import scipy.linalg  # here, so that importing the package loads numpy only
+
     try:
         chol = scipy.linalg.cho_factor(sigma.matrix, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

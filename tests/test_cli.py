@@ -354,6 +354,9 @@ MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: 
     (("[run]\n", "[plot]\n[run]\n"), "{cfg}:8: unknown section [plot]"),
     (("theta = uniform\n", "theta = uniform\nattributes = attrs.csv\n"),
      "{cfg}:6: unknown key [network] attributes"),
+    (("[outcomes]\n", "[outcome]\n"),
+     "{cfg}:6: unknown section [outcome]; did you mean [outcomes]?"),
+    (("a = bernoulli:0.5\n", ""), "config defines no outcomes"),
 ]
 
 
@@ -362,7 +365,8 @@ MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: 
                               "no equals sign", "percent in a setting", "percent in an outcome",
                               "default section", "empty default section", "misspelt key",
                               "misspelt count", "misspelt section", "unknown section",
-                              "key of the other source"])
+                              "key of the other source", "misspelt outcomes section",
+                              "empty outcomes section"])
 def test_malformed_configs_exit_two(tmp_path, capsys, edit, message):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(GOOD_CONFIG.replace(*edit, 1))

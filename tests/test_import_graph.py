@@ -1,8 +1,12 @@
-"""The dense reference stays outside the library's import graph, no library
-module reaches into numpy's private modules or another library module's
-private names, and none changes the process-wide warnings filters."""
+"""The dense reference stays outside the library's import graph, the package
+loads no scipy module until the dense reference solves, no library module
+reaches into numpy's private modules or another library module's private
+names, and none changes the process-wide warnings filters."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,39 @@ def test_reference_imports_only_covariance_referral_errors():
 @pytest.mark.parametrize("name", sorted(set(SOURCES) - {"reference"}))
 def test_only_reference_imports_scipy_linalg(name):
     assert not any(m.startswith("scipy.linalg") for m in imported(SOURCES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(set(SOURCES) - {"reference"}))
+def test_no_other_module_imports_scipy(name):
+    assert not any(m.split(".")[0] == "scipy" for m in imported(SOURCES[name]))
+
+
+SAMPLE = Path(__file__).parent / "data" / "golden_sample.csv"
+FRESH_PROCESS = """
+import sys
+import numpy as np
+import rdsgls, rdsgls.cli
+
+for argv in (["estimate", "--estimator", "sbm", "--reweight", "fgls"], ["diagnose"]):
+    assert rdsgls.cli.dispatch([*argv, "--sample", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+
+sigma = rdsgls.build_sigma(rdsgls.ReferralTree(np.array([-1, 0, 0, 1])),
+                           rdsgls.AutoCovariance(terms=((0.25, 0.6),), nugget=0.1))
+x = np.linalg.solve(sigma.matrix, np.ones(4))
+result = rdsgls.gls_solve(sigma, np.arange(4.0))
+assert np.allclose(result.weights, x / x.sum(), rtol=1e-12, atol=0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_a_fresh_process_runs_estimate_and_diagnose_without_scipy(tmp_path):
+    # scipy is loaded only by the dense reference's Cholesky, when it is called
+    path = [str(Path(rdsgls.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-c", FRESH_PROCESS, str(SAMPLE), str(tmp_path / "out.json")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines() == ["[]", "True"]
 
 
 def private_numpy(module: ast.Module) -> list:

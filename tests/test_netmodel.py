@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 import rdsgls as r
 from conftest import random_dcsbm
@@ -312,6 +314,86 @@ def test_a_returned_component_is_not_searched_again(connected):
         again, kept = graph.largest_component()
     assert again is graph
     assert kept.tolist() == [0, 1, 2]
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs of random edges, of equal-size random trees, or of one path, each
+    with isolated nodes and self-loops, under a shuffled node order."""
+    kind = draw(st.sampled_from(["random", "equal", "path"]))
+    if kind == "random":
+        n = draw(st.integers(1, 30))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=40))
+    elif kind == "equal":
+        # equal largest components: the one with the lowest node is kept
+        size, copies = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+        n = size * copies
+        pairs = [(c * size + k, c * size + draw(st.integers(0, k - 1)))
+                 for c in range(copies) for k in range(1, size)]
+    else:
+        n = draw(st.integers(1, 40))
+        pairs = [(k, k + 1) for k in range(n - 1)]
+    loops = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    isolated = draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n + isolated)))
+    edges = {tuple(sorted((order[i], order[j]))) for i, j in [*pairs, *((k, k) for k in loops)]}
+    return WeightedGraph.from_edges(n + isolated, [(i, j, 1.0 + (i + j) % 3) for i, j in edges],
+                                    allow_isolated=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=component_graphs())
+def test_component_labels_match_scipy(graph):
+    w = graph.weights
+    count, labels = scipy_components(sp.csr_array((w.data, w.indices, w.indptr), shape=w.shape),
+                                     directed=False)
+    got = netmodel.connected_components(w)
+    assert got[0] == count
+    assert got[1].tolist() == labels.tolist()
+    first = np.argmax(np.bincount(labels))
+    if graph.degrees[labels == first].max() == 0:  # the kept component is one bare node
+        with pytest.raises(r.DegenerateNodeError, match="zero degree"):
+            graph.largest_component()
+        return
+    sub, kept = graph.largest_component()
+    if count == 1 and graph.degrees.min() > 0:
+        assert sub is graph
+    else:
+        assert kept.tolist() == np.flatnonzero(labels == first).tolist()
+    assert np.array_equal(sub.weights.toarray(), w.toarray()[np.ix_(kept, kept)])
+    assert sub.weights.indices.dtype == w.indices.dtype
+    assert sub.weights.indptr.dtype == w.indptr.dtype
+
+
+def test_a_long_shuffled_path_is_labelled_in_few_rounds():
+    # each round at least halves the roots along a path, whatever its order:
+    # a few dozen passes over 10^5 entries, where one root per round would
+    # take 50,000 passes
+    n = 50_000
+    order = np.random.default_rng(5).permutation(n)
+    graph = WeightedGraph.from_edges(n, zip(order[:-1], order[1:], np.ones(n - 1)))
+    start = time.perf_counter()
+    count, labels = netmodel.connected_components(graph.weights)
+    elapsed = time.perf_counter() - start
+    assert count == 1 and not labels.any()
+    assert elapsed < 0.5
+
+
+def test_largest_component_of_a_connected_graph_holds_little_beyond_it():
+    # the labelling holds one int32 per stored entry, 0.6 MB beside the
+    # 2.4 MB graph of seed 7; scipy's held about the graph's size again
+    raw = r.dcsbm_sample(table1_dcsbm(5000, 30, rng_seed=7), 7)
+    sub, _ = raw.largest_component()
+    graph = WeightedGraph(weights=sub.weights, degrees=sub.degrees)  # not yet marked connected
+    tracemalloc.start()
+    try:
+        again, kept = graph.largest_component()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again is graph and kept.size == graph.num_nodes
+    assert peak < 1_200_000
 
 
 def dense_dcsbm_sample(params, rng_seed):
