@@ -494,7 +494,8 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     line that is not ``key = value`` is a ``ParseError`` naming its line, and
     so is a ``[DEFAULT]`` section, whose keys configparser would give every
     section.  Once every value is read, so is a section or key that no
-    value was read from.
+    value was read from, before a config with no outcomes is refused: a
+    misspelt ``[outcomes]`` is named as an unknown section.
     """
     parser = _ConfigReader()
     try:

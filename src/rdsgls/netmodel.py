@@ -64,6 +64,7 @@ class CsrMatrix:
         return int(self.indptr[-1])
 
     def tocsr(self):
+        """Itself, so that ``from_weights`` copies another graph's weights."""
         return self
 
     def rows(self) -> np.ndarray:
@@ -211,7 +212,7 @@ class WeightedGraph:
     def from_weights(cls, weights, allow_isolated=False):
         """Build from a square dense array, or from any sparse matrix through its
         ``tocsr()`` (a scipy matrix, or another graph's ``weights``), whose
-        arrays are copied with their index dtypes."""
+        arrays are copied with their index dtypes; scipy is not imported."""
         given = weights.tocsr() if hasattr(weights, "tocsr") else np.asarray(weights, np.float64)
         if len(given.shape) != 2 or given.shape[0] != given.shape[1]:
             raise InvalidParametersError("weight matrix must be square")

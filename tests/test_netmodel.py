@@ -533,6 +533,53 @@ def test_reweighted_within_blocks_matches_the_dense_rule():
     r.WeightedGraph(weights=weighted.weights, degrees=weighted.degrees, allow_isolated=True)
 
 
+def test_from_weights_copies_a_scipy_matrix_with_its_index_dtypes():
+    dense = np.array([[0.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.0, 0.0]])
+    given = sp.csr_array(dense)
+    graph = WeightedGraph.from_weights(given)
+    assert graph.weights.indices.dtype == given.indices.dtype
+    assert not np.shares_memory(graph.weights.data, given.data)
+    assert np.array_equal(graph.weights.toarray(), dense)
+    assert np.array_equal(graph.weights.diagonal(), [0.0, 1.0, 0.0])
+    assert np.array_equal(graph.degrees, WeightedGraph.from_dense(dense).degrees)
+    again = WeightedGraph.from_weights(graph.weights)  # another graph's weights, copied
+    assert not np.shares_memory(again.weights.indices, graph.weights.indices)
+    assert np.array_equal(again.weights.toarray(), dense)
+    # repeated entries are summed by the symmetry check, as scipy's w - w.T did
+    repeated = sp.csr_array((np.array([1.0, 1.0, 2.0]), np.array([1, 1, 0]), np.array([0, 2, 3])),
+                            shape=(2, 2))
+    assert WeightedGraph.from_weights(repeated).degrees.tolist() == [2.0, 2.0]
+
+
+BAD_WEIGHTS = {
+    "asymmetric": (lambda: WeightedGraph.from_dense([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+    "negative": (lambda: WeightedGraph.from_dense([[0.0, -1.0], [-1.0, 0.0]]), "nonnegative"),
+    "not square": (lambda: WeightedGraph.from_weights(np.ones((2, 3))), "must be square"),
+    "scipy given to the constructor": (
+        lambda: WeightedGraph(weights=sp.csr_array(np.ones((2, 2))), degrees=np.full(2, 2.0)),
+        "must be a CsrMatrix"),
+    "column out of range": (
+        lambda: WeightedGraph(weights=netmodel.CsrMatrix(np.array([0, 1, 2]), np.array([1, 2]),
+                                                         np.ones(2)), degrees=np.ones(2)),
+        "not a valid CSR"),
+    "short data": (
+        lambda: WeightedGraph(weights=netmodel.CsrMatrix(np.array([0, 1, 2]), np.array([1, 0]),
+                                                         np.ones(1)), degrees=np.ones(2)),
+        "not a valid CSR"),
+    "stale degrees": (
+        lambda: WeightedGraph(weights=WeightedGraph.from_dense(np.ones((2, 2))).weights,
+                              degrees=np.ones(2)),
+        "disagree with row sums"),
+}
+
+
+@pytest.mark.parametrize("make", BAD_WEIGHTS.values(), ids=list(BAD_WEIGHTS))
+def test_checked_constructors_name_bad_weights(make):
+    build, message = make
+    with pytest.raises(r.InvalidParametersError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
 def test_reweighted_within_blocks_rejects_bad_weights(weight):
     graph = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
