@@ -119,8 +119,9 @@ def connected_components(mat: CsrMatrix):
 class WeightedGraph:
     """Undirected graph with symmetric nonnegative edge weights.
 
-    ``weights`` is the package's own ``CsrMatrix``, its column indices
-    sorted within each row, and ``degrees`` are its cached row sums.
+    ``weights`` is the package's own ``CsrMatrix``, and ``degrees`` are its
+    cached row sums.  Column indices are sorted within each row, except in a
+    matrix that ``from_weights`` copied unsorted.
     Zero-degree nodes are rejected unless ``allow_isolated`` was set at
     construction (the blockmodel sampler needs that to hand back raw
     draws).  Build graphs with ``from_edges``, ``from_dense`` or
