@@ -146,10 +146,20 @@ class WeightedGraph:
             raise InvalidParametersError("weights are not a valid CSR matrix")
         if w.nnz and w.data.min() < 0:
             raise InvalidParametersError("edge weights must be nonnegative")
+        # row-major keys of the entries and of their transposes, in int64 as
+        # n * n passes int32 from n = 46,341; a key met only as a transpose is
+        # an entry stored on one side, refused even at weight zero because the
+        # component search reads the pattern
+        rows, cols = w.rows(), w.indices.astype(np.int64)
+        keys, at = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                             return_inverse=True)
+        one_sided = np.flatnonzero(np.bincount(at[:w.nnz], minlength=keys.size) == 0)
+        if one_sided.size:
+            j, i = divmod(int(keys[one_sided[0]]), n)
+            raise InvalidParametersError(
+                f"edge weights must be symmetric: entry ({i}, {j}) is stored but ({j}, {i}) is not"
+            )
         # each entry less its transpose, summed over repeated (row, column) keys
-        rows = w.rows()
-        keys = np.concatenate([rows * n + w.indices, w.indices * n + rows])
-        _, at = np.unique(keys, return_inverse=True)
         asym = np.bincount(at, weights=np.concatenate([w.data, -w.data]))
         if asym.size and np.abs(asym).max() > 1e-12:
             raise InvalidParametersError("edge weights must be symmetric")

@@ -1,5 +1,4 @@
 import hashlib
-import time
 import tracemalloc
 from unittest import mock
 
@@ -367,17 +366,39 @@ def test_component_labels_match_scipy(graph):
 
 
 def test_a_long_shuffled_path_is_labelled_in_few_rounds():
-    # each round at least halves the roots along a path, whatever its order:
-    # a few dozen passes over 10^5 entries, where one root per round would
-    # take 50,000 passes
+    # each round at least halves the roots along a path, whatever its order,
+    # where one root per round would take 50,000 passes over 10^5 entries.
+    # Every comparison is one pass over the nodes, and each round ends on the
+    # first that finds the labels equal: the hook check of the last round, or
+    # the pointer jump that settles every other.
     n = 50_000
     order = np.random.default_rng(5).permutation(n)
     graph = WeightedGraph.from_edges(n, zip(order[:-1], order[1:], np.ones(n - 1)))
-    start = time.perf_counter()
-    count, labels = netmodel.connected_components(graph.weights)
-    elapsed = time.perf_counter() - start
+    array_equal, equal = np.array_equal, []
+
+    def counted(a, b):
+        equal.append(array_equal(a, b))
+        return equal[-1]
+
+    with mock.patch.object(netmodel.np, "array_equal", counted):
+        count, labels = netmodel.connected_components(graph.weights)
     assert count == 1 and not labels.any()
-    assert elapsed < 0.5
+    rounds = sum(equal)
+    assert rounds <= np.log2(n)
+    assert len(equal) <= rounds * (np.log2(n) + 2)
+
+
+def test_from_weights_checks_a_large_int32_matrix_without_overflow():
+    # the keys of an edge at node 49,999 pass 2^31: int32 products wrapped
+    # and refused this symmetric matrix
+    n = 50_000
+    indptr = np.concatenate([[0], np.ones(n - 1), [2]]).astype(np.int32)
+    given = sp.csr_array((np.ones(2), np.array([n - 1, 0], dtype=np.int32), indptr), shape=(n, n))
+    graph = WeightedGraph.from_weights(given, allow_isolated=True)
+    assert graph.weights.indices.dtype == np.int32
+    assert graph.edge_list() == [(0, n - 1, 1.0)]
+    sub, kept = graph.largest_component()
+    assert kept.tolist() == [0, n - 1] and sub.edge_list() == [(0, 1, 1.0)]
 
 
 def test_largest_component_of_a_connected_graph_holds_little_beyond_it():
@@ -566,6 +587,15 @@ BAD_WEIGHTS = {
         lambda: WeightedGraph(weights=netmodel.CsrMatrix(np.array([0, 1, 2]), np.array([1, 0]),
                                                          np.ones(1)), degrees=np.ones(2)),
         "not a valid CSR"),
+    "one-sided explicit zero": (
+        lambda: WeightedGraph.from_weights(sp.csr_array(
+            (np.array([1.0, 0.0, 1.0]), np.array([1, 2, 0]), np.array([0, 2, 3, 3])),
+            shape=(3, 3)), allow_isolated=True),
+        r"entry \(0, 2\) is stored but \(2, 0\) is not"),
+    "one-sided tiny weight": (
+        lambda: WeightedGraph.from_weights(netmodel.CsrMatrix(
+            np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([1.0, 1e-13, 1.0]))),
+        r"entry \(0, 1\) is stored but \(1, 0\) is not"),
     "stale degrees": (
         lambda: WeightedGraph(weights=WeightedGraph.from_dense(np.ones((2, 2))).weights,
                               degrees=np.ones(2)),
