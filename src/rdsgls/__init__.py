@@ -42,11 +42,8 @@ from .estimators import (
     EstimateReport,
     LagStatistics,
     apply_estimator,
-    auto_fgls,
-    delta_fgls,
     fgls_reweight,
     lag_statistics,
-    mean_estimator,
     oracle_gls,
     qhat_spectrum,
     reweight,
@@ -55,7 +52,6 @@ from .estimators import (
     sbm_fgls,
     vandermonde_estimator,
     vandermonde_weights,
-    vh_estimator,
 )
 from .experiment import (
     DiagnosticDataset,

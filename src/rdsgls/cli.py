@@ -24,7 +24,7 @@ from .seeding import DEFAULT_SEED
 
 # the table's estimators by the name their reports carry: sbm_y and sbm_z
 # share the blockmodel estimator "sbm", which runs on the sample's blocks here
-PLAIN_ESTIMATORS = {name.split("_")[0]: recipe.estimate for name, recipe in ESTIMATORS.items()}
+PLAIN_ESTIMATORS = {recipe.estimate.name: recipe.estimate for recipe in ESTIMATORS.values()}
 
 
 def _resolve_seed(value) -> int:

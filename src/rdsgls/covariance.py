@@ -161,10 +161,9 @@ def one_sigma_inv_one_ranktwo(n: int, beta2: float, lam):
     return n * (1.0 - lam * (1.0 - 2.0 / n)) / (beta2 * (1.0 + lam))
 
 
-def tree_gls_solve(
-    tree: ReferralTree, ac: AutoCovariance, Y: np.ndarray, constant: float = 0.0
-) -> GlsResult:
-    """GLS under ``build_sigma(tree, ac)`` plus ``constant`` times the all-ones matrix.
+def tree_gls_solve_forest(systems) -> list:
+    """GLS of each ``(tree, ac, y, constant)`` system in one sweep, under
+    ``build_sigma(tree, ac)`` plus ``constant`` times the all-ones matrix.
 
     Exact and non-iterative.  Term k is beta_k^2 times a unit-variance
     tree GMRF whose precision Q_k is the sparse single-term inverse, so
@@ -172,25 +171,15 @@ def tree_gls_solve(
     B = [beta_1 I ... beta_K I].  Grouped per node as (x_s, y_1s, ...,
     y_Ks), it couples a node only to its parent: leaf-to-root elimination
     of (K+1) x (K+1) node blocks and root-to-leaf back substitution solve
-    it, and stay valid as the nugget goes to zero.  A node's elimination
-    depends only on its ordered subtree shape, so it runs once per shape
-    class (``_sweep_tables``): O(C K^3) for C classes plus O(n K^2) back
-    substitution.  The constant term changes the variance but not the
-    weights (Sherman-Morrison).  This is the forest of one system
-    (``tree_gls_solve_forest``); a non-finite outcome raises
-    ``InvalidParametersError``.
-    """
-    return tree_gls_solve_forest([(tree, ac, Y, constant)])[0]
-
-
-def tree_gls_solve_forest(systems) -> list:
-    """``tree_gls_solve`` of each ``(tree, ac, y, constant)`` system in one sweep.
+    it, and stay valid as the nugget goes to zero.  The constant term
+    changes the variance but not the weights (Sherman-Morrison).
 
     One result per system (none for no systems); the covariances share a
     term count K, and systems may share trees.  A node's block S_c, its
     a = S_c^{-1} z and its F = S_c^{-1} E depend only on its ordered subtree
     shape (``_sweep_tables``), so the elimination fills one table row per
-    shape class and system, each with its own system's covariance: per
+    shape class and system, O(C K^3) for C classes plus O(n K^2) back
+    substitution, each with its own system's covariance: per
     depth one batched inverse, all roots one batched solve, and the back
     substitution gathers each node's row by its class.  Sharing rows
     across systems would run every row under every covariance, which costs

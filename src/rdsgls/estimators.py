@@ -12,6 +12,7 @@ whose variance certifies the 1/n rate, lives here too.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -121,27 +122,11 @@ def _by_size(columns, idx=None) -> list:
     return [(np.array(idx), np.array([columns[i][1] for i in idx])) for idx in groups.values()]
 
 
-def _one(estimate, sample: RdsSample, rse: bool, blocks=None) -> EstimateReport:
-    """``estimate``'s batch form on the sample's own outcome: the batch of one."""
-    name, form = _FORMS[estimate]
-    return _reports(name, form([(sample, sample.y, blocks)], rse), [sample.n])[0]
-
-
 def _reports(name: str, out: _Columns, ns) -> list:
     """The reports of a columnar result, column i on ``ns[i]`` nodes."""
     return [EstimateReport(name, mu, rse=rse, weights=w, n=n, warnings=notes, **fields)
             for mu, w, rse, fields, notes, n in zip(out.mu.tolist(), out.weights, out.rse,
                                                      out.fields, out.notes, ns)]
-
-
-def mean_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
-    """Unweighted sample average, with equal weights and no warnings.
-
-    It fits no covariance, so it reports no RSE and ignores ``rse``, which
-    every estimator of a ``Recipe`` takes.  The estimators that fall back
-    to the sample mean report it the same way, under their own name.
-    """
-    return _one(mean_estimator, sample, rse)
 
 
 def _mean_columns(columns, rse: bool) -> _Columns:
@@ -158,14 +143,6 @@ def _positive_degrees(sample: RdsSample) -> np.ndarray:
     return deg
 
 
-def vh_estimator(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
-    """Degree-weighted mean normalized by the harmonic mean of reported degrees.
-
-    Like ``mean_estimator`` it reports no RSE and ignores ``rse``.
-    """
-    return _one(vh_estimator, sample, rse)
-
-
 def _vh_columns(columns, rse: bool) -> _Columns:
     out, weights = _Columns(len(columns)), {}  # one weight array per sample
     for i, (sample, y, _) in enumerate(columns):
@@ -180,7 +157,7 @@ def _vh_columns(columns, rse: bool) -> _Columns:
 
 def lag_statistics(sample: RdsSample, m: float) -> LagStatistics:
     """Centered products at lags 0-1 and squared differences at lags 1-2: the
-    batch of one of ``_lag_rows``, which ``delta_fgls`` runs on many columns."""
+    batch of one of ``_lag_rows``, which ``delta`` runs on many columns."""
     *moments, count = (x[0] for x in _lag_rows(sample.y[None], sample.tree.parent[None], m))
     return LagStatistics(*map(float, moments), {0: sample.n, 1: 2 * sample.n - 2, 2: int(count)})
 
@@ -224,17 +201,6 @@ def _lag_rows(Y: np.ndarray, P: np.ndarray, m: float) -> tuple:
     return gamma0, gamma1, delta1, delta2, d2_count
 
 
-def auto_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
-    """Single-term feasible GLS from the lag-1 autocorrelation.
-
-    Scans a grid of centering values m, fits (beta2, lambda) from the
-    centered lag statistics, runs GLS under that covariance, and keeps the
-    m whose estimate is closest to itself (a relaxed fixed point).  Without
-    ``rse`` the report carries no RSE.
-    """
-    return _one(auto_fgls, sample, rse)
-
-
 def _auto_fit(Y: np.ndarray, P: np.ndarray, E: np.ndarray) -> tuple:
     """``auto``'s grid search on each row of ``Y``, with parent rows ``P`` and
     degrees - 1 ``E``: lambda and beta2 at the best grid point, and whether
@@ -265,19 +231,9 @@ def _auto_fit(Y: np.ndarray, P: np.ndarray, E: np.ndarray) -> tuple:
     return lam[best], [(float(g),) for g in g0[best]], ok.any(axis=1)
 
 
-def delta_fgls(sample: RdsSample, *, rse: bool = True) -> EstimateReport:
-    """Single-term feasible GLS from squared differences at lags 1 and 2.
-
-    Needs no centering: the lag ratio of mean squared differences
-    identifies lambda, and the overall scale cancels in the GLS weights.
-    The denominator carries a 1/sqrt(n) smoothing term.  Without ``rse``
-    the report carries no RSE.
-    """
-    return _one(delta_fgls, sample, rse)
-
-
 def _single_term_columns(name: str, columns, rse: bool) -> _Columns:
-    """``auto_fgls`` or ``delta_fgls`` (by ``name``) of each column.
+    """Single-term feasible GLS of each column: ``auto``'s lag-1 fit (``_auto_fit``,
+    a relaxed fixed point over centerings) or ``delta``'s lag-difference fit.
 
     Each size's columns run as the rows of one array, each row on its own
     tree's parent and degree rows, and each falls back on its own.  The GLS
@@ -386,7 +342,8 @@ def sbm_fgls(
     ``rse`` the report carries no RSE.  This is the batch stage
     ``_blockmodel_gls_columns`` on one column.
     """
-    return _one(sbm_fgls, sample, rse, _block_labels(sample, labels))
+    out = _blockmodel_gls_columns([(sample, sample.y, _block_labels(sample, labels))], rse)
+    return _reports("sbm", out, [sample.n])[0]
 
 
 def _block_labels(sample: RdsSample, labels) -> np.ndarray:
@@ -599,39 +556,41 @@ def _encode_outcome_blocks(sample: RdsSample) -> np.ndarray:
     return np.searchsorted(uniq, sample.y)
 
 
+class _Estimator(NamedTuple):
+    """An estimator: the name its reports carry and its batch form, from ``(sample,
+    y, blocks)`` columns and ``rse`` to one ``_Columns``.  Called on a sample, it
+    runs the batch of one on the sample's own outcome and blocks."""
+
+    name: str
+    form: Callable[[list, bool], _Columns]
+
+    def __call__(self, sample: RdsSample, *, rse: bool = True) -> EstimateReport:
+        return _reports(self.name, self.form([(sample, sample.y, None)], rse), [sample.n])[0]
+
+
 class Recipe(NamedTuple):
     """An estimator as ``run_recipe`` runs it: reweight the outcomes, then estimate.
 
-    ``reweight`` names a policy of ``reweight``; ``estimate`` is an estimator
-    of ``ESTIMATORS``, and a recipe runs its batch form.  ``labels`` maps a
-    sample to the block labels of the ``fgls`` reweighting, which a
-    blockmodel estimator then uses too; without it both use the sample's
-    own blocks.
+    ``reweight`` names a policy of ``reweight``; ``estimate`` is an ``_Estimator``,
+    whose batch form the recipe runs.  ``labels`` maps a sample to the block
+    labels of the ``fgls`` reweighting, which a blockmodel estimator then uses
+    too; without it both use the sample's own blocks.
     """
 
     reweight: str
-    estimate: Callable[..., EstimateReport]
+    estimate: _Estimator
     labels: Callable[[RdsSample], np.ndarray] | None = None
 
 
 ESTIMATORS = {
-    "mean": Recipe("none", mean_estimator),
-    "vh": Recipe("none", vh_estimator),
-    "auto": Recipe("vh", auto_fgls),
-    "delta": Recipe("vh", delta_fgls),
-    "sbm_y": Recipe("fgls", sbm_fgls, _encode_outcome_blocks),
-    "sbm_z": Recipe("fgls", sbm_fgls),
+    "mean": Recipe("none", _Estimator("mean", _mean_columns)),
+    "vh": Recipe("none", _Estimator("vh", _vh_columns)),
+    "auto": Recipe("vh", _Estimator("auto", functools.partial(_single_term_columns, "auto"))),
+    "delta": Recipe("vh", _Estimator("delta", functools.partial(_single_term_columns, "delta"))),
+    "sbm_y": Recipe("fgls", _Estimator("sbm", _blockmodel_gls_columns), _encode_outcome_blocks),
+    "sbm_z": Recipe("fgls", _Estimator("sbm", _blockmodel_gls_columns)),
 }
 REWEIGHTINGS = tuple(dict.fromkeys(recipe.reweight for recipe in ESTIMATORS.values()))
-
-# each estimator's report name and batch form; the blockmodel one is looked up as it runs
-_FORMS = {
-    mean_estimator: ("mean", _mean_columns),
-    vh_estimator: ("vh", _vh_columns),
-    auto_fgls: ("auto", lambda columns, rse: _single_term_columns("auto", columns, rse)),
-    delta_fgls: ("delta", lambda columns, rse: _single_term_columns("delta", columns, rse)),
-    sbm_fgls: ("sbm", lambda columns, rse: _blockmodel_gls_columns(columns, rse)),
-}
 
 
 def run_recipe(recipe: Recipe, sample: RdsSample, columns=None, *, rse: bool = True) -> list:
@@ -658,7 +617,7 @@ def run_recipe_batch(recipe: Recipe, jobs, *, rse: bool = True) -> list:
     """
     out = recipe_columns(recipe, jobs, rse=rse)
     ns = [sample.n for (sample, _), m in zip(jobs, out.counts) for _ in range(m)]
-    reports = iter(_reports(_FORMS[recipe.estimate][0], out, ns))
+    reports = iter(_reports(recipe.estimate.name, out, ns))
     return [[next(reports) for _ in range(m)] for m in out.counts]
 
 
@@ -689,7 +648,7 @@ def recipe_columns(recipe: Recipe, jobs, *, rse: bool = True) -> _Columns:
             policy, [(sample, y) for (sample, _), Y in zip(jobs, rows) for y in Y], labels
         ) + ([len(Y) for Y in rows],)
     columns, notes, counts = steps[(policy, labels)]
-    out = _FORMS[estimate][1](columns, rse)
+    out = estimate.form(columns, rse)
     out.notes = [note + own if note else own for note, own in zip(notes, out.notes)]
     out.counts = counts
     return out

@@ -16,9 +16,7 @@ import numpy as np
 from .covariance import one_sigma_inv_one_ranktwo
 from .diagnostics import GREY_LINE_GRID, DiagnosticPoint, ranktwo_rse_curve
 from .errors import InvalidParametersError, SamplingFailedError
-from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, JobBatch, apply_estimator
-# the chunk's batch call is ``run_recipe_batch`` without the reports: it reads estimates alone
-from .estimators import recipe_columns as run_recipe_batch
+from .estimators import ESTIMATORS, FGLS_FALLBACK_NOTE, JobBatch, apply_estimator, recipe_columns
 from .netmodel import DcSbmParams, WeightedGraph, dcsbm_sample
 from .presets import (
     outcome_bernoulli,
@@ -273,7 +271,7 @@ def _estimate(ctx: dict, jobs: list) -> list:
              for est in ctx["cfg"].estimators}
     last = {step: est for est, step in steps.items()}
     for est, step in steps.items():
-        mu = iter(run_recipe_batch(ESTIMATORS[est], batch, rse=False).mu.tolist())
+        mu = iter(recipe_columns(ESTIMATORS[est], batch, rse=False).mu.tolist())
         if last[step] == est:
             del batch.reweighted[step]
         for out, (_, n, _) in zip(estimates, jobs):

@@ -61,8 +61,8 @@ def write_edge_list(graph: WeightedGraph, path):
 
 
 def read_edge_list(path, allow_isolated: bool = False):
-    """Parse whitespace-separated 'u v [w]' lines into a graph."""
-    edges = []
+    """Parse whitespace-separated 'u v [w]' lines into a graph; a repeated pair fails."""
+    edges, first = [], {}
     max_id = -1
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -81,12 +81,12 @@ def read_edge_list(path, allow_isolated: bool = False):
                 raise ParseError(path, lineno, "node ids must be nonnegative")
             if not 0 < w < np.inf:
                 raise ParseError(path, lineno, "edge weight must be positive and finite")
+            at = first.setdefault((min(i, j), max(i, j)), lineno)
+            if at != lineno:
+                raise ParseError(path, lineno, f"duplicate edge ({i},{j}); first on line {at}")
             edges.append((i, j, w))
             max_id = max(max_id, i, j)
-    try:
-        return WeightedGraph.from_edges(max_id + 1, edges, allow_isolated=allow_isolated)
-    except InvalidParametersError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+    return WeightedGraph.from_edges(max_id + 1, edges, allow_isolated=allow_isolated)
 
 
 # ------------------------------------------------------------ attribute CSV

@@ -117,7 +117,7 @@ def connected_components(mat: CsrMatrix):
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected graph with symmetric nonnegative edge weights.
+    """Undirected graph with symmetric, finite, nonnegative edge weights.
 
     ``weights`` is the package's own ``CsrMatrix``, and ``degrees`` are its
     cached row sums.  Column indices are sorted within each row, except in a
@@ -144,8 +144,10 @@ class WeightedGraph:
                 or not w.nnz == len(w.indices) == len(w.data)
                 or (w.nnz and not 0 <= w.indices.min() <= w.indices.max() < n)):
             raise InvalidParametersError("weights are not a valid CSR matrix")
-        if w.nnz and w.data.min() < 0:
-            raise InvalidParametersError("edge weights must be nonnegative")
+        bad = np.flatnonzero(~((w.data >= 0) & (w.data < np.inf)))  # NaN fails both
+        if bad.size:
+            i, j = w.rows()[bad[0]], w.indices[bad[0]]
+            raise InvalidParametersError(f"edge ({i},{j}) weight must be finite and nonnegative")
         # row-major keys of the entries and of their transposes, in int64 as
         # n * n passes int32 from n = 46,341; a key met only as a transpose is
         # an entry stored on one side, refused even at weight zero because the
@@ -290,10 +292,8 @@ class WeightedGraph:
         Models preferential recruitment: referral probabilities follow the
         new weights while reported contact counts stay the unweighted ones.
         """
-        if not 0 <= weight < np.inf:
-            raise InvalidParametersError(
-                f"within-block weight must be finite and >= 0, got {weight}"
-            )
+        if not 0 < weight < np.inf:
+            raise InvalidParametersError(f"within-block weight {weight} must be finite and > 0")
         z = np.asarray(z)
         w = self.weights
         data = w.data.copy()

@@ -502,6 +502,29 @@ def test_simulate_rejects_nonfinite_edge_weight(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_simulate_names_the_line_that_repeats_an_edge(tmp_path, capsys):
+    # the repeat is on line 5, after a comment and a blank line; no message names line 0
+    edges = tmp_path / "dup.txt"
+    edges.write_text("# c\n0 1\n1 2\n\n1 0\n")
+    out = tmp_path / "s.csv"
+    code = dispatch(["simulate", "--edges", str(edges), "--target", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {edges}:5: duplicate edge (1,0); first on line 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(cli.PLAIN_ESTIMATORS))
+def test_a_plain_estimator_on_one_sample_writes_the_estimate_bytes(tmp_path, name):
+    # bench/workloads.py calls PLAIN_ESTIMATORS[name] on one sample and compares
+    # the report it writes with the one `rdsgls estimate` writes
+    sample = DATA / "golden_sample.csv"
+    command, call = tmp_path / "command.json", tmp_path / "call.json"
+    assert dispatch(["estimate", "--sample", str(sample), "--estimator", name,
+                     "--reweight", "none", "--out", str(command)]) == 0
+    fileio.write_report(cli.PLAIN_ESTIMATORS[name](fileio.read_sample(sample)), call)
+    assert call.read_bytes() == command.read_bytes()
+
+
 BAD_PROPORTIONS = [
     ("0.5 0.5", "proportions gives 2 values for the 3 blocks of block_matrix"),
     ("-0.1 0.6 0.5", "proportions must be a probability vector"),

@@ -27,9 +27,9 @@ def make_sample(tree, y, degree=None, block=None):
 
 def test_mean_estimator():
     s = make_sample(r.complete_binary_tree(2), [0.0, 1.0, 1.0])
-    assert abs(r.mean_estimator(s).mu_hat - 2 / 3) < 1e-15
+    assert abs(PLAIN_ESTIMATORS["mean"](s).mu_hat - 2 / 3) < 1e-15
     sc = make_sample(r.complete_binary_tree(2), [5.0, 5.0, 5.0])
-    assert r.mean_estimator(sc).mu_hat == 5.0
+    assert PLAIN_ESTIMATORS["mean"](sc).mu_hat == 5.0
 
 
 def test_mean_matches_identity_gls():
@@ -38,7 +38,7 @@ def test_mean_matches_identity_gls():
     y = rng.normal(size=tree.n)
     s = make_sample(tree, y)
     gls = r.gls_solve(r.CovarianceMatrix(matrix=np.eye(tree.n), tree=tree), y)
-    assert abs(r.mean_estimator(s).mu_hat - gls.estimate) < 1e-12
+    assert abs(PLAIN_ESTIMATORS["mean"](s).mu_hat - gls.estimate) < 1e-12
 
 
 def test_vh_equal_degrees_is_mean():
@@ -46,20 +46,20 @@ def test_vh_equal_degrees_is_mean():
     tree = r.complete_binary_tree(3)
     y = rng.normal(size=tree.n)
     s = make_sample(tree, y, degree=np.full(tree.n, 4.0))
-    assert abs(r.vh_estimator(s).mu_hat - y.mean()) < 1e-12
+    assert abs(PLAIN_ESTIMATORS["vh"](s).mu_hat - y.mean()) < 1e-12
 
 
 def test_vh_hand_example():
     tree = r.ReferralTree(np.array([-1, 0]))
     s = make_sample(tree, [1.0, 0.0], degree=[1.0, 2.0])
-    assert abs(r.vh_estimator(s).mu_hat - 2 / 3) < 1e-15
+    assert abs(PLAIN_ESTIMATORS["vh"](s).mu_hat - 2 / 3) < 1e-15
 
 
 def test_vh_rejects_zero_degree():
     tree = r.ReferralTree(np.array([-1, 0]))
     s = make_sample(tree, [1.0, 0.0], degree=[1.0, 0.0])
     with pytest.raises(r.InvalidSampleError):
-        r.vh_estimator(s)
+        PLAIN_ESTIMATORS["vh"](s)
 
 
 @pytest.mark.parametrize("name", ["auto", "delta"])
@@ -120,7 +120,7 @@ def test_lag_statistics_requires_three_nodes():
 
 def test_auto_constant_outcome_returns_constant():
     s = make_sample(r.complete_binary_tree(4), np.full(15, 3.25))
-    rep = r.auto_fgls(s)
+    rep = PLAIN_ESTIMATORS["auto"](s)
     assert rep.mu_hat == 3.25
 
 
@@ -130,7 +130,7 @@ def test_auto_recovers_chain_eigenvalue(chain09):
     lams = []
     for seed in range(30):
         s = r.markov_walk(tree, chain09, seed, y=y)
-        lams.append(r.auto_fgls(s).eigenvalues[0])
+        lams.append(PLAIN_ESTIMATORS["auto"](s).eigenvalues[0])
     assert abs(np.median(lams) - 0.8) < 0.05
 
 
@@ -148,13 +148,13 @@ def test_auto_matches_mean_when_independent():
     diffs = []
     for seed in range(200):
         s = r.markov_walk(tree, model, seed, y=y)
-        diffs.append(abs(r.auto_fgls(s).mu_hat - s.y.mean()))
+        diffs.append(abs(PLAIN_ESTIMATORS["auto"](s).mu_hat - s.y.mean()))
     assert np.median(diffs) < 0.01
 
 
 def test_auto_gls_weights_match_dense_solve(chain09):
     s = r.markov_walk(r.complete_binary_tree(7), chain09, 3, y=np.array([1.0, 0.0]))
-    rep = r.auto_fgls(s)
+    rep = PLAIN_ESTIMATORS["auto"](s)
     lam = rep.eigenvalues[0]
     beta2 = rep.beta2[0]
     sigma = r.build_sigma(s.tree, r.AutoCovariance(terms=((beta2, lam),)))
@@ -165,7 +165,7 @@ def test_auto_gls_weights_match_dense_solve(chain09):
 
 def test_delta_constant_outcome():
     s = make_sample(r.complete_binary_tree(3), np.full(7, 1.5))
-    rep = r.delta_fgls(s)
+    rep = PLAIN_ESTIMATORS["delta"](s)
     assert rep.eigenvalues[0] == 0.0
     assert abs(rep.mu_hat - 1.5) < 1e-15
 
@@ -189,7 +189,7 @@ def test_delta_recovers_eigenvalue_two_state():
     lams = []
     for seed in range(200):
         s = r.markov_walk(tree, model, seed, y=y)
-        lams.append(r.delta_fgls(s).eigenvalues[0])
+        lams.append(PLAIN_ESTIMATORS["delta"](s).eigenvalues[0])
     # the smoothing term in the denominator shifts the population target:
     # lam * Delta(1) / (Delta(1) + 1/sqrt(n)) with Delta(1) = 2 beta2 (1-lam)
     lam, beta2, n = 0.5, 0.25, tree.n
@@ -202,7 +202,7 @@ def test_delta_recovers_eigenvalue_two_state():
 def test_all_estimators_single_node():
     tree = r.complete_binary_tree(1)
     s = make_sample(tree, [0.7], degree=[3.0], block=[0])
-    for fn in (r.mean_estimator, r.vh_estimator, r.auto_fgls, r.delta_fgls, r.sbm_fgls):
+    for fn in (*PLAIN_ESTIMATORS.values(), r.sbm_fgls):
         assert fn(s).mu_hat == 0.7
 
 
@@ -347,8 +347,8 @@ def test_location_covariance_mean_and_oracle(chain09):
     tree = r.complete_binary_tree(6)
     y = rng.normal(size=tree.n)
     s = make_sample(tree, y, degree=np.full(tree.n, 2.0))
-    shifted = r.mean_estimator(make_sample(tree, y + 5.0, degree=np.full(tree.n, 2.0)))
-    assert abs(shifted.mu_hat - r.mean_estimator(s).mu_hat - 5.0) < 1e-12
+    shifted = PLAIN_ESTIMATORS["mean"](make_sample(tree, y + 5.0, degree=np.full(tree.n, 2.0)))
+    assert abs(shifted.mu_hat - PLAIN_ESTIMATORS["mean"](s).mu_hat - 5.0) < 1e-12
 
     spec = r.spectral_decompose(chain09)
     y2 = np.array([1.0, 0.0])
@@ -393,10 +393,10 @@ def test_report_weights_sum_to_one(chain09):
         r.complete_binary_tree(7), chain09, 10, y=np.array([1.0, 0.0]), blocks=np.array([0, 1])
     )
     for rep in (
-        r.mean_estimator(s),
-        r.vh_estimator(s),
-        r.auto_fgls(s),
-        r.delta_fgls(s),
+        PLAIN_ESTIMATORS["mean"](s),
+        PLAIN_ESTIMATORS["vh"](s),
+        PLAIN_ESTIMATORS["auto"](s),
+        PLAIN_ESTIMATORS["delta"](s),
         r.sbm_fgls(s),
     ):
         assert abs(rep.weights.sum() - 1.0) < 1e-10
@@ -662,8 +662,13 @@ def test_apply_estimator_puts_the_fallback_note_first():
         out.notes = [("the estimator's own note",)] * len(columns)
         return out
 
-    with mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive):
-        for name in ("sbm_y", "sbm_z"):
+    # the reweight step calls the module's blockmodel form, and the recipes
+    # hold it as their estimator's: patch both
+    sbm = estimators._Estimator("sbm", not_positive)
+    fgls = {name: r.ESTIMATORS[name]._replace(estimate=sbm) for name in ("sbm_y", "sbm_z")}
+    with (mock.patch.object(estimators, "_blockmodel_gls_columns", not_positive),
+          mock.patch.dict(r.ESTIMATORS, fgls)):
+        for name in fgls:
             report = r.apply_estimator(name, s)
             assert report.warnings == (
                 estimators.FGLS_FALLBACK_NOTE, "the estimator's own note"
@@ -739,7 +744,8 @@ def test_columns_equal_the_one_column_loop(name, rse, case):
 def test_every_fgls_recipe_estimates_with_the_blockmodel():
     # the column entry point runs both fgls stages itself
     for recipe in r.ESTIMATORS.values():
-        assert (recipe.reweight == "fgls") == (recipe.estimate is r.sbm_fgls)
+        assert (recipe.reweight == "fgls") == (recipe.estimate.form
+                                               is estimators._blockmodel_gls_columns)
 
 
 def _fifteen(degree=None, block=None):

@@ -262,7 +262,7 @@ def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first(jobs):
     # run estimator by estimator over the chunk, the 80-node mean fails
     # first; run replicate by replicate and size by size, the 40-node vh
     # does, in this process or in a forked worker that inherits the patch
-    real = experiment.run_recipe_batch
+    real = experiment.recipe_columns
     names = {recipe: name for name, recipe in r.ESTIMATORS.items()}
 
     def failing(recipe, jobs, *, rse=True):
@@ -271,7 +271,7 @@ def test_a_failing_chunk_raises_what_the_replicate_loop_raises_first(jobs):
                 raise r.InvalidSampleError(f"{names[recipe]} at n = {sample.n}")
         return real(recipe, jobs, rse=rse)
 
-    with mock.patch.object(experiment, "run_recipe_batch", failing):
+    with mock.patch.object(experiment, "recipe_columns", failing):
         with pytest.raises(r.InvalidSampleError, match="^vh at n = 40$"):
             r.run_rmse_experiment(small_config(estimators=("mean", "vh"), replicates=3, jobs=jobs))
 
@@ -369,7 +369,7 @@ def test_overlapping_replicates_leave_the_warnings_filters_alone():
 
     with warnings.catch_warnings():
         before = list(warnings.filters)
-        with mock.patch.object(experiment, "run_recipe_batch", estimate):
+        with mock.patch.object(experiment, "recipe_columns", estimate):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 a, b = pool.map(replicate, ["A", "B"])
         assert warnings.filters == before
@@ -598,15 +598,14 @@ def test_replicates_skip_the_rse_and_share_each_spectrum():
 
 def test_a_chunk_builds_no_report_and_shares_one_vh_reweighting():
     # a chunk reads each estimator's estimates alone: it builds no report,
-    # auto and delta share one vh reweighting, and neither a one-column
-    # estimator nor a one-matrix spectrum runs
+    # auto and delta share one vh reweighting, and neither an estimator's
+    # batch of one nor a one-matrix spectrum runs
     cfg = desk_config(estimators=tuple(r.ESTIMATORS), replicates=6)
     graph, z, columns = experiment._prepare_population(cfg)
     ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": columns}
     watched = {
         estimators.EstimateReport.__post_init__.__code__: "report",
-        estimators.auto_fgls.__code__: "auto_fgls",
-        estimators.delta_fgls.__code__: "delta_fgls",
+        estimators._Estimator.__call__.__code__: "batch of one",
         estimators.qhat_spectrum.__code__: "qhat_spectrum",
         estimators._reweighted.__code__: "reweighting",
     }
@@ -634,13 +633,13 @@ def test_a_chunk_drops_each_reweight_step_after_its_last_estimator():
     cfg = desk_config(estimators=tuple(r.ESTIMATORS), replicates=3)
     graph, z, columns = experiment._prepare_population(cfg)
     ctx = {"cfg": cfg, "graph": graph, "z": z, "outcomes": columns}
-    real, kept = experiment.run_recipe_batch, []
+    real, kept = experiment.recipe_columns, []
 
     def recording(recipe, jobs, **kwargs):
         kept.append(sorted(policy for policy, _ in jobs.reweighted))
         return real(recipe, jobs, **kwargs)
 
-    with mock.patch.object(experiment, "run_recipe_batch", recording):
+    with mock.patch.object(experiment, "recipe_columns", recording):
         results = experiment._run_chunk(ctx, range(cfg.replicates))
     assert any(result is not None for result in results)
     assert kept == [[], ["none"], [], ["vh"], [], []]
@@ -659,7 +658,12 @@ def test_a_chunk_runs_each_blockmodel_stage_in_one_call():
             made.append(1)
             return real(*args)
 
-        with mock.patch.object(estimators, "_blockmodel_gls_columns", counting):
+        # the reweight step calls the module's blockmodel form, and the recipes
+        # hold it as their estimator's: count both
+        sbm = estimators._Estimator("sbm", counting)
+        fgls = {name: r.ESTIMATORS[name]._replace(estimate=sbm) for name in ("sbm_y", "sbm_z")}
+        with (mock.patch.object(estimators, "_blockmodel_gls_columns", counting),
+              mock.patch.dict(r.ESTIMATORS, fgls)):
             results = experiment._run_chunk(ctx, range(cfg.replicates))
         assert sum(result is not None for result in results) > 1
         return len(made)

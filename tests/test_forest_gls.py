@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import rdsgls as r
 from rdsgls import covariance, estimators
-from rdsgls.covariance import tree_gls_solve, tree_gls_solve_forest
+from rdsgls.covariance import tree_gls_solve_forest
 from rdsgls.presets import OFFSPRING_FAST
 from test_tree_gls_pin import broom, caterpillar, galton_watson, kary, path, recursive, stack, star
 
@@ -174,5 +174,6 @@ def test_the_sweep_caches_one_class_form():
     # the shape classes live only in the flat tables: a per-depth copy of
     # them on the tree would mean a second class builder had come back
     tree = r.ReferralTree(galton_watson(np.random.default_rng(3), 80))
-    tree_gls_solve(tree, r.AutoCovariance(terms=((0.5, 0.4),), nugget=1.0), np.ones(tree.n))
+    ac = r.AutoCovariance(terms=((0.5, 0.4),), nugget=1.0)
+    tree_gls_solve_forest([(tree, ac, np.ones(tree.n), 0.0)])
     assert set(tree._cache) == {"depths", "levels", "runs", "sweep", ("forest", 1)}

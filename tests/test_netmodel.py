@@ -575,6 +575,10 @@ def test_from_weights_copies_a_scipy_matrix_with_its_index_dtypes():
 BAD_WEIGHTS = {
     "asymmetric": (lambda: WeightedGraph.from_dense([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
     "negative": (lambda: WeightedGraph.from_dense([[0.0, -1.0], [-1.0, 0.0]]), "nonnegative"),
+    "infinite": (lambda: WeightedGraph.from_dense([[0, np.inf, 1], [np.inf, 0, 1], [1, 1, 0]]),
+                 r"^edge \(0,1\) weight must be finite and nonnegative$"),
+    "nan": (lambda: WeightedGraph.from_dense([[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]]),
+            r"^edge \(0,1\) weight must be finite and nonnegative$"),
     "not square": (lambda: WeightedGraph.from_weights(np.ones((2, 3))), "must be square"),
     "scipy given to the constructor": (
         lambda: WeightedGraph(weights=sp.csr_array(np.ones((2, 2))), degrees=np.full(2, 2.0)),
@@ -610,8 +614,9 @@ def test_checked_constructors_name_bad_weights(make):
         build()
 
 
-@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("weight", [-1.0, 0.0, float("nan"), float("inf")])
 def test_reweighted_within_blocks_rejects_bad_weights(weight):
+    # weight 0 would leave a node whose edges all lie within its block with no referral
     graph = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(r.InvalidParametersError, match="within-block weight"):
         graph.reweighted_within_blocks(np.zeros(3, dtype=np.int64), weight)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdsgls as r
-from rdsgls.covariance import tree_covariance_mass, tree_gls_solve, tree_gls_solve_forest
+from rdsgls.cli import PLAIN_ESTIMATORS
+from rdsgls.covariance import tree_covariance_mass, tree_gls_solve_forest
 from rdsgls.diagnostics import GREY_LINE_GRID
 from rdsgls.referral import (
     MAX_DENSE_NODES,
@@ -68,12 +69,13 @@ def test_tree_solve_matches_gls_solve(tree, terms, nugget):
     sigma = r.build_sigma(tree, ac)
     Y = np.linspace(-1.0, 2.0, tree.n)
     if nugget == 0 and all(b2 == 0 for b2, _ in terms):
-        for solve in (lambda: r.gls_solve(sigma, Y), lambda: tree_gls_solve(tree, ac, Y)):
+        for solve in (lambda: r.gls_solve(sigma, Y),
+                      lambda: tree_gls_solve_forest([(tree, ac, Y, 0.0)])):
             with pytest.raises(r.SingularCovarianceError):
                 solve()
         return
     dense = r.gls_solve(sigma, Y)
-    fast = tree_gls_solve(tree, ac, Y)
+    fast = tree_gls_solve_forest([(tree, ac, Y, 0.0)])[0]
     assert np.max(np.abs(fast.weights - dense.weights)) < 1e-9
     assert abs(fast.estimate - dense.estimate) < 1e-8
     assert abs(fast.variance - dense.variance) <= 1e-8 * dense.variance
@@ -93,8 +95,8 @@ def test_constant_term_moves_only_the_variance(tree, terms, nugget, constant):
     ac = r.AutoCovariance(terms=tuple(terms), nugget=nugget)
     Y = np.linspace(-1.0, 2.0, tree.n)
     dense = r.gls_solve(r.CovarianceMatrix(r.build_sigma(tree, ac).matrix + constant, tree), Y)
-    fast = tree_gls_solve(tree, ac, Y, constant)
-    assert np.array_equal(fast.weights, tree_gls_solve(tree, ac, Y).weights)
+    fast = tree_gls_solve_forest([(tree, ac, Y, constant)])[0]
+    assert np.array_equal(fast.weights, tree_gls_solve_forest([(tree, ac, Y, 0.0)])[0].weights)
     assert np.max(np.abs(fast.weights - dense.weights)) < 1e-9
     assert abs(fast.variance - dense.variance) <= 1e-8 * dense.variance
 
@@ -199,7 +201,8 @@ def test_estimators_past_the_dense_cap():
         outcome=(rng.random(n) < 0.3 + 0.2 * block).astype(float),
         block=block,
     )
-    for report in (r.auto_fgls(sample), r.delta_fgls(sample), r.sbm_fgls(sample)):
+    for report in (PLAIN_ESTIMATORS["auto"](sample), PLAIN_ESTIMATORS["delta"](sample),
+                   r.sbm_fgls(sample)):
         assert np.isfinite(report.mu_hat) and np.isfinite(report.rse)
     dataset = r.emit_diagnostics(sample)
     assert dataset.warnings == ()
@@ -236,7 +239,7 @@ def stacked_systems(draw):
 
 def solo_or_none(tree, ac, y, constant):
     try:
-        return tree_gls_solve(tree, ac, y, constant)
+        return tree_gls_solve_forest([(tree, ac, y, constant)])[0]
     except r.SingularCovarianceError:
         return None
 
@@ -349,6 +352,6 @@ def test_non_finite_outcomes_are_refused():
         y = np.ones(tree.n)
         y[2] = bad
         with pytest.raises(r.InvalidParametersError, match="row 0 is not finite at node 2"):
-            tree_gls_solve(tree, ac, y)
+            tree_gls_solve_forest([(tree, ac, y, 0.0)])[0]
         with pytest.raises(r.InvalidParametersError, match="not finite at node 2"):
             r.gls_solve(r.build_sigma(tree, ac), y)
