@@ -419,13 +419,25 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array([[float(v) for v in r.split()] for r in rows])
 
 
+# the [network] keys each source reads, so that a key of another source is named as such
+_SOURCE_KEYS = {
+    "dcsbm": ("nodes", "expected_degree", "block_matrix", "theta", "proportions"),
+    "edgelist": ("edges", "attributes"),
+}
+
+
 class _ConfigReader(configparser.ConfigParser):
-    """The config parser, remembering each ``(section, key)`` a value is asked of."""
+    """The config parser, remembering each ``(section, key)`` a value is asked of.
+
+    Keys keep their case: ``Seed`` is no ``seed``, and outcomes ``Aligned``
+    and ``aligned`` are two outcomes.
+    """
 
     def __init__(self):
         # values are read literally: a '%' is part of its value, not interpolation;
         # no header names the default section "", so [DEFAULT] is read as a section
         super().__init__(interpolation=None, default_section="")
+        self.optionxform = str
         self.asked = set()
 
     def get(self, section, option, **kwargs):
@@ -447,9 +459,11 @@ class _ConfigReader(configparser.ConfigParser):
                     if option and self.optionxform(option.group("option").rstrip()) == key:
                         return lineno
 
-    def reject_unread(self, path):
+    def reject_unread(self, path, notes):
         """A ``ParseError`` at the first section or key of the file that no value was
-        asked of, naming the closest one asked of where ``difflib`` finds it."""
+        asked of.  An unread key with an entry in ``notes``, keyed by
+        ``(section, key)``, gets that note; else the message names the closest
+        section or key asked of, where ``difflib`` finds one."""
         for section in self.sections():
             keys = {key for name, key in self.asked if name == section}
             if not keys:
@@ -457,8 +471,10 @@ class _ConfigReader(configparser.ConfigParser):
                                  + _closest(f"[{section}]", {f"[{s}]" for s, _ in self.asked}))
             for key in self.options(section):
                 if key not in keys:
+                    note = notes.get((section, key))
                     raise ParseError(path, self.line(path, section, key),
-                                     f"unknown key [{section}] {key}" + _closest(key, keys))
+                                     f"unknown key [{section}] {key}"
+                                     + (f"; {note}" if note else _closest(key, keys)))
 
 
 def _closest(name: str, valid) -> str:
@@ -495,7 +511,9 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     so is a ``[DEFAULT]`` section, whose keys configparser would give every
     section.  Once every value is read, so is a section or key that no
     value was read from, before a config with no outcomes is refused: a
-    misspelt ``[outcomes]`` is named as an unknown section.
+    misspelt ``[outcomes]`` is named as an unknown section, and a
+    ``[network]`` key of the other source is named with the source it
+    applies to.  Keys keep their case.
     """
     parser = _ConfigReader()
     try:
@@ -570,7 +588,9 @@ def load_experiment_config(path, seed_override=None, jobs_override=None) -> Expe
     parser.asked.add(("outcomes", ""))  # asked for even when absent, so a misspelling is named
 
     estimators = _setting(parser, "estimators", "names", "mean vh", lambda t: tuple(t.split()))
-    parser.reject_unread(path)
+    parser.reject_unread(path, {("network", key): f"{key} applies to source = {other}"
+                                for other, keys in _SOURCE_KEYS.items() if other != source
+                                for key in keys})
     if not outcomes:
         raise InvalidParametersError("config defines no outcomes")
 

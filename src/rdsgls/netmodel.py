@@ -248,6 +248,13 @@ class WeightedGraph:
     def isolated_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.degrees == 0)
 
+    @property
+    def has_unit_weights(self) -> bool:
+        """Whether every stored weight is exactly 1.0, decided once per graph."""
+        if "unit" not in self._cache:
+            self._cache["unit"] = bool((self.weights.data == 1.0).all())
+        return self._cache["unit"]
+
     def edge_list(self):
         """Unordered edges as (i, j, w) with i <= j, sorted."""
         w = self.weights

@@ -196,12 +196,17 @@ def _package_sample(tree, states, degree, y, blocks) -> RdsSample:
     )
 
 
-def _draw_seed(graph: WeightedGraph, rule, rng) -> int:
+def _seed_picker(graph: WeightedGraph, rule):
+    """The seed draw of ``rule`` on ``graph``, as a function of the generator.
+
+    Its cdf is built once, so that a call's attempts share it.
+    """
     if isinstance(rule, (int, np.integer)):
-        return int(rule)
-    n = graph.num_nodes
+        node = int(rule)
+        return lambda rng: node
     if rule == "uniform":
-        return int(rng.integers(n))
+        n = graph.num_nodes
+        return lambda rng: int(rng.integers(n))
     if rule == "stationary_pi":
         w = graph.degrees
     else:  # degree_proportional: reported contact counts
@@ -209,7 +214,12 @@ def _draw_seed(graph: WeightedGraph, rule, rng) -> int:
     total = w.sum()
     if total <= 0:
         raise SamplingFailedError("graph has no edges to seed from", 0, 0)
-    return int(np.searchsorted(np.cumsum(w / total), rng.random(), side="right"))
+    cdf = np.cumsum(w / total)
+    return lambda rng: int(np.searchsorted(cdf, rng.random(), side="right"))
+
+
+def _draw_seed(graph: WeightedGraph, rule, rng) -> int:
+    return _seed_picker(graph, rule)(rng)
 
 
 class _DrawnAhead:
@@ -248,7 +258,7 @@ class _DrawnAhead:
         self.rng.random(self.spent + self.pos)
 
 
-def _choice_without_replacement(p: np.ndarray, size: int, rng):
+def _choice_without_replacement(p: np.ndarray, size: int, rng, cdf=None):
     """The indices ``rng.choice(len(p), size, replace=False, p=p)`` returns.
 
     NumPy's weighted draw without replacement, round for round: draw one
@@ -259,10 +269,12 @@ def _choice_without_replacement(p: np.ndarray, size: int, rng):
     ``choice``'s argument checks and its ``np.unique`` per round.  Where the
     first round finds ``size`` distinct indices (most draws), they are
     returned as that round's integer array; else as a list.  ``p`` must be
-    positive and is not changed.
+    positive and is not changed.  ``cdf``, if given, is the first round's
+    cdf as this function builds it from ``p``.
     """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    if cdf is None:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
     first = cdf.searchsorted(rng.random(size), side="right")
     found = list(dict.fromkeys(first.tolist()))
     if len(found) == size:
@@ -275,6 +287,18 @@ def _choice_without_replacement(p: np.ndarray, size: int, rng):
         cdf /= cdf[-1]
         found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
     return found
+
+
+def _uniform_choice(m: int):
+    """``(p, cdf)`` of a pick among m contacts of unit weight: ``w / w.sum()``
+    of m ones, which is ``ones(m) / m`` bit for bit as the sum of m ones is
+    exact, and the first-round cdf ``_choice_without_replacement`` builds
+    from it.  Both are read-only, as every draw among m shares them."""
+    p = np.ones(m) / m
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    p.flags.writeable = cdf.flags.writeable = False
+    return p, cdf
 
 
 def rds_without_replacement(
@@ -297,7 +321,9 @@ def rds_without_replacement(
     per offspring count and per round of a weighted draw.  When the attempt
     ends, also by an exception, the generator is wound back to just past
     the uniforms used: a passed generator ends, and the next attempt's seed
-    draw starts, where those calls would leave them.
+    draw starts, where those calls would leave them.  On a graph whose
+    weights are all 1.0, the draws among m eligible contacts share one
+    first-round cdf (``_uniform_choice``), kept for the call.
 
     Returns ``(sample, restarts)``; the realized referral tree rides along
     as ``sample.tree``.
@@ -318,11 +344,13 @@ def rds_without_replacement(
     indices = graph.weights.indices
     weights = graph.weights.data
     contact_counts = np.diff(graph.weights.indptr)
+    draw_seed = _seed_picker(graph, cfg.seed_rule)
+    uniform_choices = {} if graph.has_unit_weights else None
 
     restarts = 0
     best = 0
     while restarts <= cfg.max_restarts:
-        seed_node = _draw_seed(graph, cfg.seed_rule, rng)
+        seed_node = draw_seed(rng)
         draws = _DrawnAhead(rng, 2 * target + 64)
         try:
             unsampled = np.ones(graph.num_nodes, dtype=bool)
@@ -339,9 +367,16 @@ def rds_without_replacement(
                     fresh = unsampled[nbrs]
                     eligible = nbrs[fresh]
                     if eligible.size:
-                        if want < eligible.size:
-                            w = weights[lo:hi][fresh]
-                            picked = _choice_without_replacement(w / w.sum(), want, draws)
+                        m = eligible.size
+                        if want < m:
+                            if uniform_choices is None:
+                                w = weights[lo:hi][fresh]
+                                picked = _choice_without_replacement(w / w.sum(), want, draws)
+                            else:
+                                if m not in uniform_choices:
+                                    uniform_choices[m] = _uniform_choice(m)
+                                p, cdf = uniform_choices[m]
+                                picked = _choice_without_replacement(p, want, draws, cdf)
                             eligible = eligible[picked]
                         chosen = eligible[: target - len(nodes)]
                         unsampled[chosen] = False

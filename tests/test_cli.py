@@ -269,12 +269,21 @@ def test_experiment_edgelist_source(tmp_path):
 
 def test_column_outcome_reads_the_named_column(tmp_path):
     tables = {}
-    for name in ("trait", "mine"):
+    for name in ("trait", "mine", "Mine"):
         cfg = _edgelist_config(tmp_path, f"{name} = column:trait")
         out = tmp_path / f"{name}.csv"
         assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
         tables[name] = out.read_text().replace(f",{name},", ",OUTCOME,")
-    assert tables["mine"] == tables["trait"]
+    assert tables["Mine"] == tables["mine"] == tables["trait"]
+
+
+def test_outcome_names_differing_in_case_are_two_outcomes(tmp_path):
+    cfg = _edgelist_config(tmp_path, "Trait = column:trait\ntrait = column:trait")
+    out = tmp_path / "rmse.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()
+    assert len(rows) == 5
+    assert sum(",Trait," in row for row in rows) == sum(",trait," in row for row in rows) == 2
 
 
 BAD_OUTCOMES = [  # (network source, [outcomes] line, expected error text)
@@ -353,7 +362,9 @@ MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: 
      "{cfg}:8: unknown section [estimatorz]; did you mean [estimators]?"),
     (("[run]\n", "[plot]\n[run]\n"), "{cfg}:8: unknown section [plot]"),
     (("theta = uniform\n", "theta = uniform\nattributes = attrs.csv\n"),
-     "{cfg}:6: unknown key [network] attributes"),
+     "{cfg}:6: unknown key [network] attributes; attributes applies to source = edgelist"),
+    # keys keep their case, so a capitalized key is an unknown key
+    (("seed = 8", "Seed = 8"), "{cfg}:11: unknown key [run] Seed; did you mean seed?"),
     (("[outcomes]\n", "[outcome]\n"),
      "{cfg}:6: unknown section [outcome]; did you mean [outcomes]?"),
     (("a = bernoulli:0.5\n", ""), "config defines no outcomes"),
@@ -365,7 +376,8 @@ MALFORMED_CONFIGS = [  # (edit of GOOD_CONFIG, the one error line after "error: 
                               "no equals sign", "percent in a setting", "percent in an outcome",
                               "default section", "empty default section", "misspelt key",
                               "misspelt count", "misspelt section", "unknown section",
-                              "key of the other source", "misspelt outcomes section",
+                              "key of the other source", "capitalized key",
+                              "misspelt outcomes section",
                               "empty outcomes section"])
 def test_malformed_configs_exit_two(tmp_path, capsys, edit, message):
     cfg = tmp_path / "cfg.ini"
@@ -373,6 +385,20 @@ def test_malformed_configs_exit_two(tmp_path, capsys, edit, message):
     out = tmp_path / "out.csv"
     assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["nodes", "expected_degree", "block_matrix", "theta",
+                                 "proportions"])
+def test_a_blockmodel_key_under_an_edge_list_names_its_source(tmp_path, capsys, key):
+    # the closest key read would be an edge-list key: nodes is no misspelt edges
+    cfg = _edgelist_config(tmp_path, "t = column:trait")
+    cfg.write_text(cfg.read_text().replace("[outcomes]", f"{key} = 50\n[outcomes]"))
+    out = tmp_path / "out.csv"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:5: unknown key [network] {key}; {key} applies to source = dcsbm\n"
+    )
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from rdsgls.presets import (
     table1_symmetrized,
     uniform_theta,
 )
-from rdsgls.sampler import SEED_RULES, _choice_without_replacement, _draw_seed
+from rdsgls.sampler import SEED_RULES, _choice_without_replacement, _draw_seed, _uniform_choice
 from rdsgls.seeding import STREAM_WALK, as_rng
 
 
@@ -371,6 +371,76 @@ def test_sampler_matches_the_one_call_per_draw_loop(data, n, source, seed):
         return sample.node.tolist(), sample.tree.parent.tolist(), restarts
 
     assert run(sampled) == run(_rds_one_call_per_draw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 25),
+    source=st.sampled_from(["int", np.random.PCG64, np.random.Philox]),
+    seed=st.integers(0, 2**63),
+)
+def test_unit_weight_sampler_matches_the_one_call_per_draw_loop(data, n, source, seed):
+    # the same comparison on graphs whose weights are all 1.0, where the first
+    # round of each draw reads a cdf cached by eligible count
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    W = np.triu(rng.random((n, n)) < data.draw(st.floats(0.05, 0.9)), 1).astype(float)
+    W[0, 1] = 1.0
+    graph = r.WeightedGraph.from_dense(W + W.T, allow_isolated=True)
+    assert graph.has_unit_weights
+    mass = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
+                     .filter(lambda m: sum(m) > 0.01))
+    cfg = r.WalkConfig(
+        offspring_pmf=tuple(np.array(mass) / sum(mass)),
+        target_n=data.draw(st.integers(1, n)),
+        seed_rule=data.draw(st.one_of(st.sampled_from(SEED_RULES), st.integers(0, n - 1))),
+        max_restarts=data.draw(st.integers(0, 6)),
+    )
+    gens = [seed if source == "int" else np.random.Generator(source(seed)) for _ in range(2)]
+    outs = []
+    for sampler, gen in zip((r.rds_without_replacement, _rds_one_call_per_draw), gens):
+        try:
+            out = sampler(graph, cfg, gen)
+        except r.SamplingFailedError as exc:
+            out = ("failed", exc.restarts, exc.reached)
+        if sampler is r.rds_without_replacement and out[0] != "failed":
+            out = (out[0].node.tolist(), out[0].tree.parent.tolist(), out[1])
+        state = None if source == "int" else repr(gen.bit_generator.state)
+        outs.append((out, state))
+    assert outs[0] == outs[1]
+
+
+def test_uniform_choice_is_the_unit_weight_draw_bit_for_bit():
+    for m in range(1, 4097):
+        w = np.ones(m)
+        p_want = w / w.sum()
+        cdf_want = p_want.cumsum()
+        cdf_want /= cdf_want[-1]
+        p, cdf = _uniform_choice(m)
+        assert p.tobytes() == p_want.tobytes() and cdf.tobytes() == cdf_want.tobytes(), m
+        assert not p.flags.writeable and not cdf.flags.writeable
+
+
+def test_weights_not_all_one_draw_as_generator_choice():
+    # equal weights other than 1.0, and one non-unit entry, keep the weighted
+    # draw: only a graph whose weights are all exactly 1.0 reads cached cdfs
+    rng = np.random.default_rng(8)
+    W = np.triu(rng.random((40, 40)) < 0.5, 1).astype(float)
+    W = W + W.T
+    one_off = W.copy()
+    hub = int(np.argmax(W.sum(axis=1)))
+    nbr = int(np.flatnonzero(W[hub])[0])
+    one_off[hub, nbr] = one_off[nbr, hub] = 1.5
+    graphs = [r.WeightedGraph.from_dense(c * W) for c in (2.0, 3.0, 0.1)]
+    graphs.append(r.WeightedGraph.from_dense(one_off))
+    for graph in graphs:
+        assert not graph.has_unit_weights
+        for rule in (*SEED_RULES, hub):
+            cfg = r.WalkConfig(offspring_pmf=(0.1, 0.2, 0.3, 0.4), target_n=30, seed_rule=rule)
+            for seed in range(10):
+                sample, restarts = r.rds_without_replacement(graph, cfg, seed)
+                got = (sample.node.tolist(), sample.tree.parent.tolist(), restarts)
+                assert got == _rds_one_call_per_draw(graph, cfg, seed)
 
 
 def test_sample_rejects_nonfinite_outcomes():
