@@ -396,17 +396,19 @@ def test_unit_weight_sampler_matches_the_one_call_per_draw_loop(data, n, source,
         seed_rule=data.draw(st.one_of(st.sampled_from(SEED_RULES), st.integers(0, n - 1))),
         max_restarts=data.draw(st.integers(0, 6)),
     )
-    gens = [seed if source == "int" else np.random.Generator(source(seed)) for _ in range(2)]
+
+    def sampled(graph, cfg, gen):
+        sample, restarts = r.rds_without_replacement(graph, cfg, gen)
+        return sample.node.tolist(), sample.tree.parent.tolist(), restarts
+
     outs = []
-    for sampler, gen in zip((r.rds_without_replacement, _rds_one_call_per_draw), gens):
+    for sampler in (sampled, _rds_one_call_per_draw):
+        gen = seed if source == "int" else np.random.Generator(source(seed))
         try:
             out = sampler(graph, cfg, gen)
         except r.SamplingFailedError as exc:
             out = ("failed", exc.restarts, exc.reached)
-        if sampler is r.rds_without_replacement and out[0] != "failed":
-            out = (out[0].node.tolist(), out[0].tree.parent.tolist(), out[1])
-        state = None if source == "int" else repr(gen.bit_generator.state)
-        outs.append((out, state))
+        outs.append((out, None if source == "int" else repr(gen.bit_generator.state)))
     assert outs[0] == outs[1]
 
 
